@@ -35,6 +35,7 @@ PROGRAM_ERRORS = (ConfigError, DomainError, FormatError, ShapeError)
 clock = time.perf_counter
 
 MODEL_SEED = 1
+EXPERT_INIT_STD = 0.1
 RETRIEVER_SEED = 2
 D_E, BOW_VOCAB, ENC_HIDDEN = 16, 256, 32  # the toy profile's retriever
 K, SEMANTIC_CAP = 5, 512
@@ -129,7 +130,15 @@ def request(seed: int, i: int, query_fn):
 # ---------------------------------------------------------------- program set-up
 
 def new_model():
-    return vlm.init_model(vlm.ModelConfig(), MODEL_SEED)
+    """The toy-profile model with its expert layer switched on: init leaves
+    every expert's V and the gate at zero, which would make the routed
+    experts, and so the checks on them, a no-op."""
+    model = vlm.init_model(vlm.ModelConfig(), MODEL_SEED)
+    rng = np.random.default_rng(MODEL_SEED)
+    for name, t in model.named_parameters():
+        if ".experts.v" in name or name.endswith(".gate.wg"):
+            t.value = rng.normal(0.0, EXPERT_INIT_STD, t.value.shape)
+    return model
 
 
 def new_retriever():
