@@ -1,10 +1,13 @@
-"""The benchmark's workloads: train, caption and vqa.
+"""The benchmark's workloads: caption and vqa.
 
-Each workload runs in one process as a single closed-loop client. Its
-inputs come from the workload seed alone; the model and the retriever are
-initialised from fixed seeds, so two runs differ only in their inputs. Every
-timed phase is followed, outside its timing, by checks against the
-independent references in `reference.py`.
+Each workload runs in one process as a single closed-loop client and
+exercises every phase of the program: set-up, one training stage, serving,
+and the database's build, save and load. The workloads differ in the
+training stage, the size of the serving database and the answer length, so
+they weigh the phases differently. Inputs come from the workload seed
+alone; the model and the retriever are initialised from fixed seeds, so two
+runs differ only in their inputs. Every timed phase is followed, outside
+its timing, by checks against the independent references in `reference.py`.
 """
 
 from __future__ import annotations
@@ -44,10 +47,11 @@ BATCH = 16
 CORPUS = 64  # samples per training corpus: four 16-sample steps per round
 TRAIN_DB, CAPTION_DB, VQA_DB = 256, 1024, 20000
 CAPTION_TOKENS, VQA_TOKENS = 32, 4
-ROUND = 10  # requests per round; runs end on a round boundary
-MIN_REQUESTS = 100  # enough for a p90 with ten requests beyond it
-SETUPS, SETUP_SECONDS = 5, 1.0
+ROUND = 10  # requests per serving round
+MIN_CYCLES = 10  # at least 100 requests, so the p90 has ten beyond it
+SETUPS, SETUP_SECONDS = 5, 2.0
 BUILD_CHUNK = 1000  # records per timed build window
+WINDOW_S = 0.2  # least length of a save or load window
 VQA_ORACLE_EVERY = 20
 
 STAGE1 = training.TrainConfig(stage=training.STAGE_ALIGNMENT, batch_size=BATCH, lr_prompter=1e-2)
@@ -174,89 +178,11 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-# ---------------------------------------------------------------- train
+# ---------------------------------------------------------------- checks
 
 def mean_loss(model, samples) -> float:
     return float(np.mean([vlm.sample_loss(model, s) for s in samples]))
 
-
-def train_phase(res: Result, tracer: Tracer, stage_fn: str, model, samples, cfg, seconds):
-    """Whole rounds (one epoch of the corpus each) until `seconds` pass;
-    returns samples/s per round."""
-    rates = []
-    t_end = clock() + seconds
-    rounds = 0
-    while rounds == 0 or clock() < t_end:
-        rounds += 1
-        res.attempted += 1
-        with tracer.span("bench.round"):
-            t0 = clock()
-            try:
-                _, history = getattr(training, stage_fn)(model, samples, cfg)
-            except PROGRAM_ERRORS as e:
-                res.fail(f"{stage_fn} round {rounds}: {e}")
-                continue
-            dt = clock() - t0
-        res.check(np.all(np.isfinite(history)), f"{stage_fn}: non-finite step loss {history}")
-        rates.append(len(samples) / dt)
-    return rates
-
-
-def run_train(seed: int, seconds: float, tracer: Tracer, workdir: Path) -> Result:
-    res = Result()
-    rng = np.random.default_rng([seed, 0])
-    paths = {}
-    for stage, make in (("caption", lambda: {"caption": _words(rng, 3, 6)}),
-                        ("instruction", lambda: {"query": vqa_query(rng), "response": _words(rng, 1, 3)})):
-        paths[stage] = workdir / f"{stage}.jsonl"
-        with open(paths[stage], "w", encoding="utf-8") as fh:
-            for _ in range(CORPUS):
-                fh.write(json.dumps({"image": patch_grid(rng).tolist(), **make()}) + "\n")
-    db_texts = scene_corpus(rng, TRAIN_DB)
-
-    def setup():
-        enc = new_retriever()
-        db = ingest(SemanticDatabase(enc.d_e), enc, db_texts)
-        kw = dict(retriever=enc, db=db, k=K, semantic_cap=SEMANTIC_CAP)
-        return (new_model(),
-                training.load_samples(paths["caption"], training.STAGE_ALIGNMENT, **kw),
-                training.load_samples(paths["instruction"], training.STAGE_INSTRUCTION, **kw))
-
-    with tracer.measuring():
-        (model, caps, insts), setup_s = timed_setups(tracer, setup)
-
-    p = ref.params_of(model)
-    for i, s in enumerate(caps + insts):
-        got, want = vlm.sample_loss(model, s), ref.sample_cross_entropy(p, model.config, s)
-        res.check(abs(got - want) <= 1e-9 * abs(want), f"sample {i}: sample_loss {got} vs reference {want}")
-    frozen = {n: t.value.copy() for n, t in model.named_parameters() if n.startswith(("visual.", "lm."))}
-    before1 = mean_loss(model, caps)
-    tracer.rid = 0  # counts optimizer steps from here
-    with tracer.measuring():
-        with tracer.span("bench.stage1"):
-            s1 = train_phase(res, tracer, "train_stage1", model, caps, STAGE1, seconds / 2)
-    after1 = mean_loss(model, caps)
-    moved = [n for n, t in model.named_parameters() if n in frozen and not np.array_equal(frozen[n], t.value)]
-    res.check(not moved, f"stage 1 changed frozen parameters {moved[:3]}")
-    res.check(after1 < before1, f"stage 1 mean loss {before1} -> {after1}")
-    before2 = mean_loss(model, insts)
-    with tracer.measuring():
-        with tracer.span("bench.stage2"):
-            s2 = train_phase(res, tracer, "train_stage2", model, insts, STAGE2, seconds / 2)
-    after2 = mean_loss(model, insts)
-    res.check(after2 < before2, f"stage 2 mean loss {before2} -> {after2}")
-
-    res.metrics["setup_s"] = (setup_s, "s")
-    if s1:
-        res.metrics["s1_samples_per_s"] = (statistics.median(s1), "samples/s")
-    if s2:
-        res.metrics["s2_samples_per_s"] = (statistics.median(s2), "samples/s")
-    res.metrics["peak_rss_mb"] = (peak_rss_mb(), "MB")
-    res.notes = {"loss": [before1, after1, before2, after2], "rounds": [len(s1), len(s2)]}
-    return res
-
-
-# ---------------------------------------------------------------- serving
 
 @dataclass
 class Served:
@@ -265,55 +191,6 @@ class Served:
     sem: list
     first: list
     out: list
-
-
-def serve(res: Result, tracer: Tracer, model, enc, db, seed, query_fn, cap, seconds, after_round=None):
-    """Closed-loop requests in whole rounds until `seconds` pass and at
-    least MIN_REQUESTS are done. Per request: retrieval, a one-token
-    generate (time to first token), then the full greedy generate.
-    `after_round(db)` may hand back the database the next round uses."""
-    served, ttft, total, round_rates = [], [], [], []
-    t_end = clock() + seconds
-    i = 0
-    while i < MIN_REQUESTS or clock() < t_end:
-        tokens, gen_s = 0, 0.0
-        for _ in range(ROUND):
-            patches, query = request(seed, i, query_fn)
-            i += 1
-            res.attempted += 1
-            tracer.rid = i
-            with tracer.span("bench.request"):
-                try:
-                    t0 = clock()
-                    sem = training.retrieve_semantics(patches, enc, db, K, SEMANTIC_CAP)
-                    t1 = clock()
-                    with tracer.span("bench.ttft"):
-                        first = vlm.generate(model, patches, query, 1, sem)
-                    t2 = clock()
-                    out = vlm.generate(model, patches, query, cap, sem)
-                    t3 = clock()
-                except PROGRAM_ERRORS as e:
-                    res.fail(f"request {i}: {e}")
-                    continue
-            ttft.append(1e3 * (t2 - t0))
-            total.append(1e3 * ((t1 - t0) + (t3 - t2)))
-            tokens += len(out)
-            gen_s += t3 - t2
-            served.append(Served(patches, query, sem, first, out))
-        if gen_s > 0:
-            round_rates.append(tokens / gen_s)
-        if after_round is not None:
-            db = after_round(db)
-    return served, ttft, total, round_rates, db
-
-
-def serving_metrics(res: Result, ttft, total) -> None:
-    if not total:
-        return
-    res.metrics["ttft_ms_p50"] = (statistics.median(ttft), "ms")
-    res.metrics["request_ms_p50"] = (statistics.median(total), "ms")
-    if len(total) >= MIN_REQUESTS:
-        res.metrics["request_ms_p90"] = (float(np.percentile(total, 90)), "ms")
 
 
 def read_rsdb(path):
@@ -353,91 +230,200 @@ def check_served(res: Result, model, enc, db, db_file, served, cap, oracle_every
         res.check(s.sem == (tokens[:SEMANTIC_CAP] or [ref.SEP_ID]), f"request {n}: semantic tokens differ")
 
 
-def run_caption(seed: int, seconds: float, tracer: Tracer, workdir: Path) -> Result:
-    res = Result()
-    db_texts = scene_corpus(np.random.default_rng([seed, 0]), CAPTION_DB)
-
-    def setup():
-        enc = new_retriever()
-        return new_model(), enc, ingest(SemanticDatabase(enc.d_e), enc, db_texts)
-
-    with tracer.measuring():
-        (model, enc, db), setup_s = timed_setups(tracer, setup)
-        with tracer.span("bench.serve"):
-            served, ttft, total, rates, _ = serve(res, tracer, model, enc, db, seed, caption_query,
-                                               CAPTION_TOKENS, seconds)
-    res.metrics["setup_s"] = (setup_s, "s")
-    serving_metrics(res, ttft, total)
-    if rates:
-        res.metrics["gen_tokens_per_s"] = (statistics.median(rates), "tokens/s")
-    res.metrics["peak_rss_mb"] = (peak_rss_mb(), "MB")
-
-    db.save(workdir / "caption.rsdb")
-    check_served(res, model, enc, db, workdir / "caption.rsdb", served, CAPTION_TOKENS, 1)
-    res.notes = {"requests": len(served), "tokens": sum(len(s.out) for s in served)}
-    return res
-
-
-def run_vqa(seed: int, seconds: float, tracer: Tracer, workdir: Path) -> Result:
-    res = Result()
-    db_texts = scene_corpus(np.random.default_rng([seed, 0]), VQA_DB)
-    db_file, resaved = workdir / "vqa.rsdb", workdir / "vqa-resaved.rsdb"
-    chunk_s, save_s, load_s = [], [], []
-    spare = None  # the second copy that the build windows write into
-
-    def timed(span, times, fn):
-        res.attempted += 1
-        with tracer.span(span):
-            t0 = clock()
-            out = fn()
-            times.append(clock() - t0)
-        return out
-
-    def between_rounds(db):
-        """One build window into the second copy, one save of the served
-        copy, and one load of the file, which the next round serves. The
-        replaced copy is freed outside the timed windows."""
-        nonlocal spare
-        if spare is None or len(spare) >= len(db_texts):
-            spare = SemanticDatabase(enc.d_e)
-        start = len(spare)
-        timed("bench.build", chunk_s, lambda: ingest(spare, enc, db_texts[start : start + BUILD_CHUNK]))
-        timed("bench.save", save_s, lambda: db.save(resaved))
-        gc.collect()
-        return timed("bench.load", load_s, lambda: SemanticDatabase.load(db_file))
-
-    t_start = clock()
-    with tracer.measuring():
-        (model, enc), setup_s = timed_setups(tracer, lambda: (new_model(), new_retriever()))
-    db = ingest(SemanticDatabase(enc.d_e), enc, db_texts)
-    db.save(db_file)
-    with tracer.measuring():
-        db = between_rounds(db)
-        with tracer.span("bench.serve"):
-            served, ttft, total, _, db = serve(res, tracer, model, enc, db, seed, vqa_query, VQA_TOKENS,
-                                               seconds - (clock() - t_start), after_round=between_rounds)
-    res.metrics["setup_s"] = (setup_s, "s")
-    # The median build window scaled to the whole corpus, plus the median save.
-    build_s = statistics.median(chunk_s) * len(db_texts) / BUILD_CHUNK + statistics.median(save_s)
-    res.metrics["build_db_records_per_s"] = (len(db_texts) / build_s, "records/s")
-    res.metrics["db_load_ms"] = (1e3 * statistics.median(load_s), "ms")
-    serving_metrics(res, ttft, total)
-    res.metrics["peak_rss_mb"] = (peak_rss_mb(), "MB")
-
+def check_database(res: Result, db_file, resaved, db_texts) -> None:
     ids, texts, embs = read_rsdb(db_file)
     norms = np.linalg.norm(np.asarray(embs, dtype=np.float64), axis=1)
     res.check(np.all(np.abs(norms - 1.0) <= 1e-6), f"embedding norms off by {np.max(np.abs(norms - 1.0))}")
     res.check(all(a < b for a, b in zip(ids, ids[1:])), "record ids not strictly increasing")
     res.check(texts == db_texts, "texts do not round-trip through the database file")
-    res.check(db_file.read_bytes() == resaved.read_bytes(), "save -> load -> save changed the bytes")
-    check_served(res, model, enc, db, db_file, served, VQA_TOKENS, VQA_ORACLE_EVERY)
-    res.notes = {"requests": len(served), "tokens": sum(len(s.out) for s in served),
+    res.check(Path(db_file).read_bytes() == Path(resaved).read_bytes(), "save -> load -> save changed the bytes")
+
+
+# ---------------------------------------------------------------- workloads
+
+def write_corpus(rng, path, stage: str) -> None:
+    """CORPUS training samples as JSONL: captions for the alignment stage,
+    short question-answer pairs for instruction tuning."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for _ in range(CORPUS):
+            if stage == training.STAGE_ALIGNMENT:
+                text = {"caption": _words(rng, 3, 6)}
+            else:
+                text = {"query": vqa_query(rng), "response": _words(rng, 1, 3)}
+            fh.write(json.dumps({"image": patch_grid(rng).tolist(), **text}) + "\n")
+
+
+def run_workload(seed: int, seconds: float, tracer: Tracer, workdir: Path, *, stage: str, db_size: int,
+                 cap: int, query_fn, oracle_every: int) -> Result:
+    """Set-up, then cycles until `seconds` pass and at least MIN_CYCLES are
+    done. A cycle is one training round (an epoch of the corpus), one serving
+    round (ROUND requests against the database) and one maintenance round (a
+    build window, a save window and a load window, whose copy the next
+    serving round uses). Spreading every phase over the whole run keeps a
+    slow stretch of the machine from deciding any one metric."""
+    res = Result()
+    corpus, db_file, resaved = workdir / "corpus.jsonl", workdir / "db.rsdb", workdir / "db-resaved.rsdb"
+    write_corpus(np.random.default_rng([seed, 0]), corpus, stage)
+    train_texts = scene_corpus(np.random.default_rng([seed, 2]), TRAIN_DB)
+    db_texts = scene_corpus(np.random.default_rng([seed, 3]), db_size)
+    train_fn = "train_stage1" if stage == training.STAGE_ALIGNMENT else "train_stage2"
+    cfg = STAGE1 if stage == training.STAGE_ALIGNMENT else STAGE2
+
+    def setup():
+        enc = new_retriever()
+        db = ingest(SemanticDatabase(enc.d_e), enc, train_texts)
+        samples = training.load_samples(corpus, stage, retriever=enc, db=db, k=K, semantic_cap=SEMANTIC_CAP)
+        return new_model(), enc, samples
+
+    with tracer.measuring():
+        (model, enc, samples), setup_s = timed_setups(tracer, setup)
+
+    p = ref.params_of(model)
+    for i, s in enumerate(samples):
+        got, want = vlm.sample_loss(model, s), ref.sample_cross_entropy(p, model.config, s)
+        res.check(abs(got - want) <= 1e-9 * abs(want), f"sample {i}: sample_loss {got} vs reference {want}")
+    frozen = {n: t.value.copy() for n, t in model.named_parameters() if n.startswith(("visual.", "lm."))}
+    loss_before = mean_loss(model, samples)
+
+    # Serving uses a model of its own, so its outputs do not depend on how
+    # many training rounds the machine's speed allowed.
+    server = new_model()
+    serving = [ingest(SemanticDatabase(enc.d_e), enc, db_texts)]  # the copy requests use
+    serving[0].save(db_file)
+
+    train_rates, losses = [], []
+    served, ttft, total, gen_rates = [], [], [], []
+    build_s, save_s, load_s = [], [], []
+
+    def train_round(r):
+        res.attempted += 1
+        tracer.rid = r
+        with tracer.span("bench.train"):
+            t0 = clock()
+            try:
+                _, history = getattr(training, train_fn)(model, samples, cfg)
+            except PROGRAM_ERRORS as e:
+                res.fail(f"{train_fn} round {r}: {e}")
+                return
+            dt = clock() - t0
+        losses.extend(history)
+        train_rates.append(len(samples) / dt)
+
+    def serve_round(db):
+        for _ in range(ROUND):
+            i = len(served)
+            patches, query = request(seed, i, query_fn)
+            res.attempted += 1
+            tracer.rid = i
+            with tracer.span("bench.request"):
+                try:
+                    t0 = clock()
+                    sem = training.retrieve_semantics(patches, enc, db, K, SEMANTIC_CAP)
+                    t1 = clock()
+                    with tracer.span("bench.ttft"):
+                        first = vlm.generate(server, patches, query, 1, sem)
+                    t2 = clock()
+                    out = vlm.generate(server, patches, query, cap, sem)
+                    t3 = clock()
+                except PROGRAM_ERRORS as e:
+                    res.fail(f"request {i}: {e}")
+                    served.append(None)
+                    continue
+            ttft.append(1e3 * (t2 - t0))
+            total.append(1e3 * ((t1 - t0) + (t3 - t2)))
+            gen_rates.append(len(out) / (t3 - t2))
+            served.append(Served(patches, query, sem, first, out))
+
+    def window(span, times, fn):
+        """Calls of `fn` until WINDOW_S pass; records the mean time per call
+        and returns the last call's result."""
+        with tracer.span(span) as s:
+            calls, out, t0 = 0, None, clock()
+            while calls == 0 or clock() - t0 < WINDOW_S:
+                res.attempted += 1
+                out = None  # one result alive at a time
+                out = fn()
+                calls += 1
+            times.append((clock() - t0) / calls)
+            s.counts["calls"] = calls
+        return out
+
+    chunks = 0
+
+    def build_chunk():
+        """BUILD_CHUNK texts, the next ones of the database's in turn, into
+        an empty database."""
+        nonlocal chunks
+        start, chunks = chunks * BUILD_CHUNK, chunks + 1
+        ingest(SemanticDatabase(enc.d_e), enc,
+               [db_texts[(start + j) % len(db_texts)] for j in range(BUILD_CHUNK)])
+
+    def maintain(r):
+        """A build window, a save window of the served copy, and a load
+        window of the file, whose last copy is served next. The served copy
+        is freed before the load window, outside the timed windows, so the
+        peak memory does not depend on the run's length or the number of
+        calls in a window."""
+        tracer.rid = r
+        window("bench.build", build_s, build_chunk)
+        window("bench.save", save_s, lambda: serving[0].save(resaved))
+        serving[0] = None
+        gc.collect()
+        serving[0] = window("bench.load", load_s, lambda: SemanticDatabase.load(db_file))
+
+    with tracer.measuring():
+        maintain(0)
+        t_end = clock() + seconds
+        cycles = 0
+        while cycles < MIN_CYCLES or clock() < t_end:
+            cycles += 1
+            train_round(cycles)
+            serve_round(serving[0])
+            maintain(cycles)
+
+    n = len(db_texts)
+    res.metrics["setup_s"] = (setup_s, "s")
+    if train_rates:
+        res.metrics["train_samples_per_s"] = (statistics.median(train_rates), "samples/s")
+    if total:
+        res.metrics["ttft_ms_p50"] = (statistics.median(ttft), "ms")
+        res.metrics["request_ms_p50"] = (statistics.median(total), "ms")
+        res.metrics["request_ms_p90"] = (float(np.percentile(total, 90)), "ms")
+    if gen_rates:
+        res.metrics["gen_tokens_per_s"] = (statistics.median(gen_rates), "tokens/s")
+    # The median chunk time scaled to the whole database, plus the median save.
+    build = statistics.median(build_s) * n / BUILD_CHUNK + statistics.median(save_s)
+    res.metrics["build_db_records_per_s"] = (n / build, "records/s")
+    res.metrics["db_load_ms"] = (1e3 * statistics.median(load_s), "ms")
+    res.metrics["peak_rss_mb"] = (peak_rss_mb(), "MB")
+
+    res.check(np.all(np.isfinite(losses)), f"{train_fn}: non-finite step loss")
+    if stage == training.STAGE_ALIGNMENT:
+        moved = [name for name, t in model.named_parameters()
+                 if name in frozen and not np.array_equal(frozen[name], t.value)]
+        res.check(not moved, f"stage 1 changed frozen parameters {moved[:3]}")
+    loss_after = mean_loss(model, samples)
+    res.check(loss_after < loss_before, f"{train_fn}: mean loss {loss_before} -> {loss_after}")
+    check_database(res, db_file, resaved, db_texts)
+    check_served(res, server, enc, serving[0], db_file, [s for s in served if s is not None], cap, oracle_every)
+    res.notes = {"cycles": cycles, "requests": len(served), "tokens": sum(len(s.out) for s in served if s),
+                 "loss": [loss_before, loss_after],
                  **{f"{name}_ms": [1e3 * t for t in times] for name, times in
-                    (("load", load_s), ("build_window", chunk_s), ("save", save_s))}}
+                    (("load", load_s), ("build_chunk", build_s), ("save", save_s))}}
     return res
 
 
-WORKLOADS = {"train": run_train, "caption": run_caption, "vqa": run_vqa}
+def run_caption(seed: int, seconds: float, tracer: Tracer, workdir: Path) -> Result:
+    return run_workload(seed, seconds, tracer, workdir, stage=training.STAGE_ALIGNMENT, db_size=CAPTION_DB,
+                        cap=CAPTION_TOKENS, query_fn=caption_query, oracle_every=1)
+
+
+def run_vqa(seed: int, seconds: float, tracer: Tracer, workdir: Path) -> Result:
+    return run_workload(seed, seconds, tracer, workdir, stage=training.STAGE_INSTRUCTION, db_size=VQA_DB,
+                        cap=VQA_TOKENS, query_fn=vqa_query, oracle_every=VQA_ORACLE_EVERY)
+
+
+WORKLOADS = {"caption": run_caption, "vqa": run_vqa}
 
 
 # ---------------------------------------------------------------- traced run
@@ -445,11 +431,6 @@ WORKLOADS = {"train": run_train, "caption": run_caption, "vqa": run_vqa}
 def points(tracer: Tracer):
     """Bindings the traced run wraps: (owner, attribute, span name, counter).
     A span is named after the binding it wraps."""
-
-    def next_step(args, result):
-        tracer.rid += 1
-        return {}
-
     rows = lambda args, result: {"rows": args[1].shape[0]}  # attention query rows
     nodes_in = lambda args, result: {"nodes": graph_nodes(args[0])}
     nodes_out = lambda args, result: {"nodes": graph_nodes(result)}
@@ -457,7 +438,7 @@ def points(tracer: Tracer):
     owners = [
         (training, "load_samples", None), (training, "train_stage1", None),
         (training, "train_stage2", None), (training, "sample_loss_graph", None),
-        (training.AdamW, "step", next_step),
+        (training.AdamW, "step", None),
         (ad, "backward", nodes_in), (ad, "cross_entropy", None),
         (vlm, "_encode_multilevel_graph", None), (vlm, "build_prompt_graph", None),
         (vlm, "_lm_logits_graph", nodes_out), (vlm, "attention_output", rows),
@@ -481,53 +462,44 @@ ATTN = "model.attention_output"
 FFN = ("model.ffn_graph", "expert_layer.ffn_graph")
 STEP = "training.AdamW.step"
 GEN = "model.generate"
+TRAIN = "bench.train"
 
 
 def _per(value, base):
     return value / base if base else None
 
 
-def _stage_layers(ix: SpanIndex, prefix: str, stage: str) -> list:
-    """(name, unit, bindings needed, value) per optimizer step of one stage."""
-    steps = len(ix.select(STEP, within=(stage,)))
-    need = [stage, STEP]
-
-    def ms(names, *within, self_only=False, parent=None):
-        return _per(ix.total_ms(ix.select(names, within=(stage, *within), parent=parent), self_only), steps)
-
-    backward = ix.select("autodiff.backward", within=(stage,))
-    out = [
-        (f"{prefix}.autodiff.nodes_per_step", "count", need + ["autodiff.backward"],
-         _per(ix.total_count(backward, "nodes"), steps)),
-        (f"{prefix}.model.forward_ms_per_step", "ms", need + ["training.sample_loss_graph"],
-         ms("training.sample_loss_graph")),
-        (f"{prefix}.model.visual_ms_per_step", "ms", need + ["model._encode_multilevel_graph"],
-         ms("model._encode_multilevel_graph")),
-        (f"{prefix}.autodiff.backward_ms_per_step", "ms", need + ["autodiff.backward"],
-         ms("autodiff.backward")),
-        (f"{prefix}.training.adamw_ms_per_step", "ms", need, ms(STEP)),
-    ]
-    if prefix == "s2":
-        out += [
-            ("s2.prompter.ms_per_step", "ms", need + ["model.build_prompt_graph"],
-             ms("model.build_prompt_graph")),
-            ("s2.model.lm_attention_ms_per_step", "ms", need + [LM, ATTN], ms(ATTN, parent=LM)),
-            ("s2.expert_layer.expert_ms_per_step", "ms", need + ["model.expert_block_graph", FFN[1]],
-             ms("model.expert_block_graph", self_only=True)),
-            ("s2.expert_layer.ffn_ms_per_step", "ms", need + [LM, *FFN], ms(FFN, LM)),
-            ("s2.autodiff.cross_entropy_ms_per_step", "ms", need + ["autodiff.cross_entropy"],
-             ms("autodiff.cross_entropy")),
-        ]
-    return out
-
-
 def train_layers(ix: SpanIndex) -> list:
+    """(name, unit, bindings needed, value) per optimizer step of the
+    training rounds, and `load_samples` per set-up."""
+    steps = len(ix.select(STEP, within=(TRAIN,)))
+    need = [STEP]
+
+    def ms(names, self_only=False, parent=None):
+        return _per(ix.total_ms(ix.select(names, within=(TRAIN,), parent=parent), self_only), steps)
+
+    backward = ix.select("autodiff.backward", within=(TRAIN,))
     loads = ix.select("training.load_samples", within=("bench.setup",))
-    setups = len(ix.select("bench.setup"))
-    return (_stage_layers(ix, "s1", "training.train_stage1")
-            + _stage_layers(ix, "s2", "training.train_stage2")
-            + [("training.load_samples_ms", "ms", ["training.load_samples"],
-                _per(ix.total_ms(loads), setups))])
+    return [
+        ("train.autodiff.nodes_per_step", "count", need + ["autodiff.backward"],
+         _per(ix.total_count(backward, "nodes"), steps)),
+        ("train.model.forward_ms_per_step", "ms", need + ["training.sample_loss_graph"],
+         ms("training.sample_loss_graph")),
+        ("train.model.visual_ms_per_step", "ms", need + ["model._encode_multilevel_graph"],
+         ms("model._encode_multilevel_graph")),
+        ("train.autodiff.backward_ms_per_step", "ms", need + ["autodiff.backward"], ms("autodiff.backward")),
+        ("train.training.adamw_ms_per_step", "ms", need, ms(STEP)),
+        ("train.prompter.ms_per_step", "ms", need + ["model.build_prompt_graph"], ms("model.build_prompt_graph")),
+        ("train.model.lm_attention_ms_per_step", "ms", need + [LM, ATTN], ms(ATTN, parent=LM)),
+        ("train.expert_layer.expert_ms_per_step", "ms", need + ["model.expert_block_graph", FFN[1]],
+         ms("model.expert_block_graph", self_only=True)),
+        ("train.expert_layer.ffn_ms_per_step", "ms", need + [LM, *FFN],
+         _per(ix.total_ms(ix.select(FFN, within=(TRAIN, LM))), steps)),
+        ("train.autodiff.cross_entropy_ms_per_step", "ms", need + ["autodiff.cross_entropy"],
+         ms("autodiff.cross_entropy")),
+        ("training.load_samples_ms", "ms", ["training.load_samples"],
+         _per(ix.total_ms(loads), len(ix.select("bench.setup")))),
+    ]
 
 
 def request_layers(ix: SpanIndex) -> list:
@@ -560,7 +532,7 @@ def request_layers(ix: SpanIndex) -> list:
 
 
 def build_layers(ix: SpanIndex) -> list:
-    records = BUILD_CHUNK * len(ix.select("bench.build"))
+    records = BUILD_CHUNK * ix.total_count(ix.select("bench.build"), "calls")
     saves = [1e3 * ix.inclusive(i) for i in
              ix.select("semantic_store.SemanticDatabase.save", within=("bench.save",))]
 
@@ -577,17 +549,14 @@ def build_layers(ix: SpanIndex) -> list:
     ]
 
 
-LAYERS = {"train": train_layers, "caption": request_layers,
-          "vqa": lambda ix: request_layers(ix) + build_layers(ix)}
-
-
-def layer_metrics(workload: str, tracer: Tracer):
-    """Per-layer metrics from the spans, and the names of those whose
-    bindings are gone or that saw no work."""
+def layer_metrics(tracer: Tracer):
+    """Every per-layer metric from the spans, and the names of those whose
+    bindings are gone or that saw no work; those read 0."""
     metrics, absent = {}, []
-    for name, unit, needs, value in LAYERS[workload](SpanIndex(tracer.spans)):
+    ix = SpanIndex(tracer.spans)
+    for name, unit, needs, value in train_layers(ix) + request_layers(ix) + build_layers(ix):
         if value is None or any(n in tracer.absent for n in needs):
             absent.append(name)
-        else:
-            metrics[name] = (value, unit)
+            value = 0.0
+        metrics[name] = (value, unit)
     return metrics, absent

@@ -1,12 +1,13 @@
 """Benchmark entry point: one workload of rsvlm per process.
 
-    python3 perfbench/run.py --workload {train,caption,vqa} --seed N --seconds S --trace {0,1}
+    python3 perfbench/run.py --workload {caption,vqa} --seed N --seconds S --trace {0,1}
 
 Run from the root of a checkout; the program is imported from its `src/`.
 Human-readable `name value unit` lines come first; the last line of standard
 output is one JSON object with `correct`, `attempted`, `failed` and
-`metrics`: the end-to-end metrics with `--trace 0`, the per-layer metrics
-with `--trace 1`. A traced run also writes its spans to
+`metrics`: every end-to-end metric with `--trace 0`, every per-layer
+metric with `--trace 1` (a layer whose binding is gone reads 0 and is
+listed as absent). A traced run also writes its spans to
 `perfbench/out/trace-<workload>-<seed>.json`.
 """
 
@@ -29,7 +30,7 @@ OUT = HERE / "out"
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True, choices=("train", "caption", "vqa"))
+    parser.add_argument("--workload", required=True, choices=("caption", "vqa"))
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
@@ -51,7 +52,7 @@ def main(argv=None) -> int:
 
     metrics = res.metrics
     if args.trace:
-        metrics, absent = harness.layer_metrics(args.workload, tracer)
+        metrics, absent = harness.layer_metrics(tracer)
         tracer.dump(OUT / f"trace-{args.workload}-{args.seed}.json", {
             "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
             "end_to_end_traced": res.metrics, "per_layer": metrics, "absent": absent,

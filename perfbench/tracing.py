@@ -5,7 +5,8 @@ and class methods) to wrappers that record one span per call: name, start,
 end, parent span, and the current step or request id. Nothing under `src/`
 is edited; a binding that no longer exists is reported as absent instead of
 failing the run. Counters (graph nodes, attention rows, tokens) run after
-the call under a `trace.count` span, so inclusive times can leave them out.
+the call under a `trace.count` child span, so inclusive and self times can
+leave them out.
 """
 
 from __future__ import annotations
@@ -13,19 +14,18 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 COUNT_SPAN = "trace.count"
 
 
-@dataclass(slots=True)
-class Span:
+class Span(NamedTuple):
     name: str
     start: float
     end: float
     parent: int  # index into Tracer.spans, -1 at the root
     rid: object
-    counts: dict = field(default_factory=dict)
+    counts: dict
 
 
 class Tracer:
@@ -35,10 +35,18 @@ class Tracer:
     def __init__(self, points=None, clock=time.perf_counter):
         self.points = points
         self.clock = clock
-        self.spans: list[Span] = []
+        # Finished spans as plain tuples of numbers and strings, counts as
+        # (key, value) pairs: the cyclic collector stops tracking such
+        # tuples, so a run's hundreds of thousands of spans do not lengthen
+        # its pauses.
+        self._rows: list[tuple] = []
         self.rid = None
         self.absent: set[str] = set()
         self._open: list[int] = []
+
+    @property
+    def spans(self) -> list[Span]:
+        return [Span(*row[:5], dict(row[5])) for row in self._rows]
 
     def measuring(self):
         return self.installed(self.points) if self.points else nullcontext()
@@ -47,22 +55,23 @@ class Tracer:
     def span(self, name: str):
         """A span of the current step or request id, `self.rid`."""
         parent = self._open[-1] if self._open else -1
-        idx = len(self.spans)
-        self.spans.append(Span(name, self.clock(), 0.0, parent, self.rid))
+        idx = len(self._rows)
+        s = Span(name, self.clock(), 0.0, parent, self.rid, {})
+        self._rows.append(None)  # a parent is listed before its children
         self._open.append(idx)
         try:
-            yield self.spans[idx]
+            yield s
         finally:
             self._open.pop()
-            self.spans[idx].end = self.clock()
+            self._rows[idx] = (s.name, s.start, self.clock(), s.parent, s.rid, tuple(s.counts.items()))
 
     def wrap(self, fn, name: str, counter=None):
         def traced(*args, **kwargs):
             with self.span(name) as s:
                 result = fn(*args, **kwargs)
-            if counter is not None:
-                with self.span(COUNT_SPAN):
-                    s.counts.update(counter(args, result))
+                if counter is not None:
+                    with self.span(COUNT_SPAN):
+                        s.counts.update(counter(args, result))
             return result
 
         traced.__wrapped__ = fn
@@ -87,9 +96,10 @@ class Tracer:
                 setattr(owner, attr, fn)
 
     def dump(self, path, extra: dict) -> None:
-        t0 = self.spans[0].start if self.spans else 0.0
+        spans = self.spans
+        t0 = spans[0].start if spans else 0.0
         rows = [[s.name, round(s.start - t0, 7), round(s.end - t0, 7), s.parent, s.rid, s.counts]
-                for s in self.spans]
+                for s in spans]
         with open(path, "w", encoding="utf-8") as fh:
             json.dump({**extra, "span_fields": ["name", "start_s", "end_s", "parent", "id", "counts"],
                        "spans": rows}, fh, separators=(",", ":"))
