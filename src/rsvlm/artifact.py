@@ -1,0 +1,68 @@
+"""Bounds-checked little-endian reader shared by the RSDB, RSDE and RSCK
+loaders. Every fault raises FormatError naming what was being read and the
+byte offset where it starts, so a loader never lets a `struct.error` or an
+oversized allocation out of a short or corrupted file.
+"""
+
+from __future__ import annotations
+
+import struct
+
+import numpy as np
+
+from .errors import FormatError
+
+
+class Reader:
+    def __init__(self, data: bytes):
+        self.data = data
+        self.offset = 0
+
+    def take(self, n: int, what: str) -> bytes:
+        if self.offset + n > len(self.data):
+            raise FormatError(f"truncated payload reading {what} at byte {self.offset}")
+        chunk = self.data[self.offset : self.offset + n]
+        self.offset += n
+        return chunk
+
+    def u16(self, what: str) -> int:
+        return struct.unpack("<H", self.take(2, what))[0]
+
+    def u32(self, what: str) -> int:
+        return struct.unpack("<I", self.take(4, what))[0]
+
+    def u64(self, what: str) -> int:
+        return struct.unpack("<Q", self.take(8, what))[0]
+
+    def header(self, magic: bytes, version: int) -> None:
+        """Magic at byte 0, then a u16 format version."""
+        got = self.take(len(magic), "magic")
+        if got != magic:
+            raise FormatError(f"bad magic {got!r} at byte 0, expected {magic!r}")
+        found = self.u16("version")
+        if found != version:
+            raise FormatError(f"unsupported {magic.decode()} version {found} at byte {len(magic)}")
+
+    def need(self, n: int, what: str) -> None:
+        """Fail unless at least n bytes remain; called before allocating for them."""
+        have = len(self.data) - self.offset
+        if have < n:
+            raise FormatError(
+                f"truncated payload: {what} need {n} bytes at byte {self.offset}, {have} remain"
+            )
+
+    def end(self) -> None:
+        if self.offset != len(self.data):
+            raise FormatError(f"trailing {len(self.data) - self.offset} bytes at byte {self.offset}")
+
+    def f32_block(self, shape: tuple, what: str) -> np.ndarray:
+        """A float32 parameter block widened to float64; rejects NaN and Inf,
+        which no saver writes."""
+        start = self.offset
+        count = int(np.prod(shape))
+        block = np.frombuffer(self.take(4 * count, what), dtype="<f4").astype(np.float64)
+        finite = np.isfinite(block)
+        if not finite.all():
+            bad = start + 4 * int(np.argmin(finite))
+            raise FormatError(f"non-finite value in {what} at byte {bad}")
+        return block.reshape(shape)

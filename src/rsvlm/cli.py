@@ -178,13 +178,24 @@ def cmd_train_retriever(args) -> int:
     cfg = RunConfig.from_args(args)
     v = cfg.values
     pairs = []
+    lines_by_text: dict[tuple, int] = {}
     for lineno, obj in iter_jsonl(args.input):
         if "image" not in obj or "text" not in obj:
             raise FormatError(f"line {lineno}: need 'image' and 'text' fields")
-        pairs.append(de.ContrastivePair(
-            image_features=np.asarray(obj["image"], dtype=np.float64),
-            text_tokens=de.tokenize_text(obj["text"], v["bow_vocab"]),
-        ))
+        try:
+            image = np.asarray(obj["image"], dtype=np.float64)
+        except (TypeError, ValueError) as e:
+            raise FormatError(f"line {lineno}: 'image' must be an array of numbers") from e
+        if image.shape != (v["d_img_raw"],):
+            raise FormatError(f"line {lineno}: 'image' has shape {image.shape}, expected ({v['d_img_raw']},)")
+        tokens = de.tokenize_text(obj["text"], v["bow_vocab"])
+        # one contrastive batch holds every pair, and it may not repeat a text
+        if tuple(tokens) in lines_by_text:
+            raise FormatError(f"line {lineno}: text tokens repeat line {lines_by_text[tuple(tokens)]}")
+        lines_by_text[tuple(tokens)] = lineno
+        pairs.append(de.ContrastivePair(image, tokens))
+    if len(pairs) < de.MIN_PAIRS:
+        raise FormatError(f"{args.input}: {len(pairs)} pairs, train-retriever needs at least {de.MIN_PAIRS}")
     params, history = de.train_retriever(
         pairs,
         d_img_raw=v["d_img_raw"], d_e=v["d_e"], vocab=v["bow_vocab"], hidden=v["enc_hidden"],
@@ -201,7 +212,10 @@ def cmd_train_retriever(args) -> int:
 
 def cmd_retrieve(args) -> int:
     db = SemanticDatabase.load(args.db)
-    query = np.asarray(json.loads(Path(args.query).read_text(encoding="utf-8")), dtype=np.float64)
+    try:
+        query = np.asarray(json.loads(Path(args.query).read_bytes()), dtype=np.float64)
+    except (TypeError, ValueError) as e:
+        raise FormatError(f"query {args.query}: expected a JSON array of numbers ({e})") from e
     encoder = _load_retriever(args.encoder)
     if encoder is not None:
         query = de.encode_image(encoder, query)
@@ -237,6 +251,8 @@ def cmd_train(args) -> int:
         k=cfg.values["k"], semantic_cap=cfg.values["semantic_cap"],
         base_dir=Path(data_path).parent,
     )
+    if not samples:
+        raise FormatError(f"{data_path}: no training samples")
     tcfg = cfg.train_config(stage)
     if stage == training.STAGE_ALIGNMENT:
         model, history = training.train_stage1(model, samples, tcfg)
@@ -270,6 +286,8 @@ def cmd_eval(args) -> int:
     report: dict = {"task": args.task}
     if args.task in ("classify", "vqa"):
         gts = _read_keyed_jsonl(args.gt, ("label",))
+        if not gts:
+            raise FormatError(f"{args.task} eval: empty ground truth")
         pred_list, label_list = _join(preds, gts, "output", "label")
         report["accuracy"] = metrics.accuracy(pred_list, label_list)
         report["count"] = len(pred_list)

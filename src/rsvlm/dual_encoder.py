@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from .artifact import Reader
 from .autodiff import Tensor
 from .errors import DomainError, FormatError, ShapeError
 from .numerics import Rng
@@ -31,6 +32,7 @@ from .numerics import Rng
 MAGIC = b"RSDE"
 FORMAT_VERSION = 1
 INIT_TEMPERATURE = 0.07
+MIN_PAIRS = 8
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -161,20 +163,6 @@ def encode_text(params: DualEncoderParams, text_tokens) -> np.ndarray:
     return encode_text_rows(params, ad.const(bag)).value[0]
 
 
-def infonce_from_logits(logits: np.ndarray) -> float:
-    """Mean of row-wise and column-wise softmax cross-entropy at the diagonal."""
-    logits = np.asarray(logits, dtype=np.float64)
-    b = logits.shape[0]
-    if logits.shape != (b, b):
-        raise ShapeError(f"infonce: logits must be square, got {logits.shape}")
-    total = 0.0
-    for mat in (logits, logits.T):
-        mx = mat.max(axis=1, keepdims=True)
-        lse = mx[:, 0] + np.log(np.exp(mat - mx).sum(axis=1))
-        total += float((lse - np.diag(mat)).mean())
-    return total / 2.0
-
-
 def _batch_arrays(params: DualEncoderParams, batch) -> tuple[np.ndarray, np.ndarray]:
     if len(batch) < 2:
         raise DomainError(f"contrastive batch needs >= 2 pairs, got {len(batch)}")
@@ -187,6 +175,7 @@ def _batch_arrays(params: DualEncoderParams, batch) -> tuple[np.ndarray, np.ndar
 
 
 def contrastive_loss_graph(params: DualEncoderParams, batch) -> Tensor:
+    """Symmetric InfoNCE over the B x B cosine matrix scaled by 1/temperature."""
     feats, bags = _batch_arrays(params, batch)
     z_img = encode_image_rows(params, ad.const(feats))
     z_txt = encode_text_rows(params, ad.const(bags))
@@ -196,11 +185,6 @@ def contrastive_loss_graph(params: DualEncoderParams, batch) -> Tensor:
     loss_i2t = ad.cross_entropy(logits, diag)
     loss_t2i = ad.cross_entropy(ad.transpose(logits), diag)
     return ad.scale(loss_i2t + loss_t2i, 0.5)
-
-
-def contrastive_loss(params: DualEncoderParams, batch) -> float:
-    """Symmetric InfoNCE over the B x B cosine matrix scaled by 1/temperature."""
-    return float(contrastive_loss_graph(params, batch).value)
 
 
 def train_retriever(
@@ -219,8 +203,8 @@ def train_retriever(
     """Gradient descent on the contrastive loss; returns params and the
     per-epoch loss log. Aborts on divergence."""
     pairs = list(pairs)
-    if len(pairs) < 8:
-        raise DomainError(f"train_retriever needs >= 8 pairs, got {len(pairs)}")
+    if len(pairs) < MIN_PAIRS:
+        raise DomainError(f"train_retriever needs >= {MIN_PAIRS} pairs, got {len(pairs)}")
     params = init_params(d_img_raw, d_e, vocab, hidden, seed)
     named = params.named_parameters()
     velocity = {name: np.zeros_like(t.value) for name, t in named}
@@ -269,23 +253,18 @@ def save_params(params: DualEncoderParams, path) -> None:
 
 
 def load_params(path) -> DualEncoderParams:
-    data = Path(path).read_bytes()
-    if data[:4] != MAGIC:
-        raise FormatError(f"bad magic {data[:4]!r} at byte 0, expected {MAGIC!r}")
-    (version,) = struct.unpack("<H", data[4:6])
-    if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported retriever version {version} at byte 4")
-    d_img_raw, d_e, vocab, hidden = struct.unpack("<IIII", data[6:22])
+    reader = Reader(Path(path).read_bytes())
+    reader.header(MAGIC, FORMAT_VERSION)
+    dims = [reader.u32(name) for name in ("d_img_raw", "d_e", "vocab", "hidden")]
+    if 0 in dims:
+        raise FormatError(f"zero dimension in header (d_img_raw, d_e, vocab, hidden) = {tuple(dims)} at byte 6")
+    d_img_raw, d_e, vocab, hidden = dims
+    # Float count of the blocks listed in the module docstring, checked
+    # before init_params allocates them.
+    n_floats = (d_img_raw + vocab + 2) * hidden + 2 * (hidden + 1) * d_e + 1
+    reader.need(4 * n_floats, "parameter blocks")
     params = init_params(d_img_raw, d_e, vocab, hidden, seed=0)
-    offset = 22
     for name, tensor in params.named_parameters():
-        n = tensor.value.size
-        end = offset + 4 * n
-        if end > len(data):
-            raise FormatError(f"truncated payload reading {name} at byte {offset}")
-        block = np.frombuffer(data[offset:end], dtype="<f4").astype(np.float64)
-        tensor.value = block.reshape(tensor.value.shape)
-        offset = end
-    if offset != len(data):
-        raise FormatError(f"trailing {len(data) - offset} bytes at byte {offset}")
+        tensor.value = reader.f32_block(tensor.value.shape, name)
+    reader.end()
     return params

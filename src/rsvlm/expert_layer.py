@@ -42,51 +42,6 @@ def sem_tag(level: int) -> Seg:
     return Seg(SEMANTIC, level)
 
 
-def validate_segments(segments: list[Seg]) -> None:
-    """Enforce the contiguous image / semantic(1..L) / query layout."""
-    phase = 0  # 0 image, 1.. semantic levels, final query
-    last_level = 0
-    for i, seg in enumerate(segments):
-        if seg.kind == IMAGE:
-            if phase != 0:
-                raise ShapeError(f"segment {i}: image token after non-image tokens")
-        elif seg.kind == SEMANTIC:
-            if phase == -1:
-                raise ShapeError(f"segment {i}: semantic token after query tokens")
-            if seg.level < last_level:
-                raise ShapeError(f"segment {i}: semantic levels out of order")
-            if seg.level > last_level + 1:
-                raise ShapeError(f"segment {i}: semantic level {seg.level} skips level {last_level + 1}")
-            last_level = seg.level
-            phase = seg.level
-        elif seg.kind == QUERY:
-            phase = -1
-        else:
-            raise ShapeError(f"segment {i}: unknown kind {seg.kind!r}")
-
-
-@dataclass
-class SegmentedTokens:
-    hidden: np.ndarray
-    segments: list[Seg]
-
-    def __post_init__(self):
-        self.hidden = np.asarray(self.hidden, dtype=np.float64)
-        if self.hidden.ndim != 2:
-            raise ShapeError(f"hidden must be 2-D, got shape {self.hidden.shape}")
-        if self.hidden.shape[0] != len(self.segments):
-            raise ShapeError(
-                f"segments length {len(self.segments)} != hidden rows {self.hidden.shape[0]}"
-            )
-        validate_segments(self.segments)
-
-
-@dataclass
-class RouteMask:
-    level: int
-    bits: np.ndarray  # length-T 0/1 float vector
-
-
 @dataclass
 class FfnParams:
     w1: Tensor
@@ -170,20 +125,45 @@ def baseline_moe_param_count(d_h: int, d_i: int) -> int:
     return 3 * d_h * d_i
 
 
-def build_mask(segments: list[Seg], level: int, num_levels: int) -> RouteMask:
-    """Keep image, query, and level-l semantic tokens; zero the rest."""
+def build_mask(segments: list[Seg], level: int, num_levels: int) -> np.ndarray:
+    """Length-T 0/1 vector keeping image, query, and level-l semantic tokens."""
     if not 1 <= level <= num_levels:
         raise ShapeError(f"build_mask: level {level} out of range 1..{num_levels}")
     for i, seg in enumerate(segments):
         if seg.kind == SEMANTIC and not 1 <= seg.level <= num_levels:
             raise ShapeError(f"segment {i}: semantic level {seg.level} out of range 1..{num_levels}")
-    bits = np.array(
+    return np.array(
         [1.0 if seg.kind in (IMAGE, QUERY) or seg.level == level else 0.0 for seg in segments]
     )
-    return RouteMask(level, bits)
+
+
+def _check_segments(segments: list[Seg], rows: int, levels: int) -> None:
+    """One tag per row, in the contiguous image / semantic(1..L) / query
+    layout, with every semantic level an expert exists for."""
+    if len(segments) != rows:
+        raise ShapeError(f"segments length {len(segments)} != hidden rows {rows}")
+    phase = 0  # 0 image, 1.. semantic levels, -1 query
+    for i, seg in enumerate(segments):
+        if seg.kind == IMAGE:
+            if phase != 0:
+                raise ShapeError(f"segment {i}: image token after non-image tokens")
+        elif seg.kind == SEMANTIC:
+            if phase == -1:
+                raise ShapeError(f"segment {i}: semantic token after query tokens")
+            if not 1 <= seg.level <= levels:
+                raise ShapeError(f"segment {i}: semantic level {seg.level} out of range 1..{levels}")
+            if not phase <= seg.level <= phase + 1:
+                raise ShapeError(f"segment {i}: semantic level {seg.level} out of order after {phase}")
+            phase = seg.level
+        elif seg.kind == QUERY:
+            phase = -1
+        else:
+            raise ShapeError(f"segment {i}: unknown kind {seg.kind!r}")
 
 
 def gate_weights_graph(gate_w: Tensor, hidden: Tensor, segments: list[Seg], levels: int) -> Tensor:
+    """Per-token mixture weights: softmax rows for image/query tokens, one-hot
+    at the token's own level for semantic tokens."""
     soft = ad.softmax_rows(ad.matmul(hidden, gate_w))
     keep = np.array([[1.0] if seg.kind in (IMAGE, QUERY) else [0.0] for seg in segments])
     onehot = np.zeros((len(segments), levels))
@@ -194,12 +174,14 @@ def gate_weights_graph(gate_w: Tensor, hidden: Tensor, segments: list[Seg], leve
 
 
 def expert_block_graph(params: ExpertLayerParams, hidden: Tensor, segments: list[Seg]) -> Tensor:
+    """FFN(hidden) plus the gated merge of all masked expert outputs."""
     if hidden.value.shape[1] != params.d_h:
         raise ShapeError(f"expert block: hidden dim {hidden.value.shape[1]} != d_h {params.d_h}")
+    _check_segments(segments, hidden.value.shape[0], params.levels)
     gates = gate_weights_graph(params.gate_w, hidden, segments, params.levels)
     merged = None
     for l, ex in enumerate(params.experts, start=1):
-        bits = build_mask(segments, l, params.levels).bits[:, None]
+        bits = build_mask(segments, l, params.levels)[:, None]
         masked = ad.mul(hidden, ad.const(bits))
         h_l = ad.matmul(ad.matmul(masked, ex.u), ex.v)
         weighted = ad.mul(h_l, ad.narrow(gates, 1, l - 1, 1))
@@ -210,52 +192,3 @@ def expert_block_graph(params: ExpertLayerParams, hidden: Tensor, segments: list
 
 def ffn_graph(ffn: FfnParams, x: Tensor) -> Tensor:
     return ad.matmul(ad.silu(ad.matmul(x, ffn.w1) + ffn.b1), ffn.w2) + ffn.b2
-
-
-def expert_forward(u, v, x_masked) -> np.ndarray:
-    """One expert: row tokens through the rank-d_r bottleneck, x @ u @ v."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    x = np.asarray(x_masked, dtype=np.float64)
-    if x.shape[1] != u.shape[0] or u.shape[1] != v.shape[0]:
-        raise ShapeError(f"expert_forward: shapes disagree, x{x.shape} u{u.shape} v{v.shape}")
-    return ad.matmul(ad.matmul(ad.const(x), ad.const(u)), ad.const(v)).value
-
-
-def gate_weights(w_g, hidden, segments: list[Seg]) -> np.ndarray:
-    """Per-token mixture weights: softmax rows for image/query tokens, one-hot
-    at the token's own level for semantic tokens."""
-    w = np.asarray(w_g, dtype=np.float64)
-    h = np.asarray(hidden, dtype=np.float64)
-    if h.shape[1] != w.shape[0]:
-        raise ShapeError(f"gate_weights: hidden dim {h.shape[1]} != gate rows {w.shape[0]}")
-    if h.shape[0] != len(segments):
-        raise ShapeError(f"gate_weights: {len(segments)} segments for {h.shape[0]} rows")
-    levels = w.shape[1]
-    for i, seg in enumerate(segments):
-        if seg.kind == SEMANTIC and not 1 <= seg.level <= levels:
-            raise ShapeError(f"segment {i}: semantic level {seg.level} out of range 1..{levels}")
-    return gate_weights_graph(ad.const(w), ad.const(h), segments, levels).value
-
-
-def merge_experts(h_list, gates) -> np.ndarray:
-    """h_s[t] = sum_l gates[t, l] * h_l[t]."""
-    gates = np.asarray(gates, dtype=np.float64)
-    mats = [np.asarray(h, dtype=np.float64) for h in h_list]
-    if gates.shape[1] != len(mats):
-        raise ShapeError(f"merge_experts: {len(mats)} expert outputs vs {gates.shape[1]} gate columns")
-    for l, h in enumerate(mats, start=1):
-        if h.shape[0] != gates.shape[0]:
-            raise ShapeError(f"merge_experts: expert {l} rows {h.shape[0]} != gates rows {gates.shape[0]}")
-    out = np.zeros_like(mats[0])
-    for l, h in enumerate(mats):
-        out += gates[:, l : l + 1] * h
-    return out
-
-
-def expert_block_forward(params: ExpertLayerParams, tokens: SegmentedTokens) -> np.ndarray:
-    """FFN(hidden) plus the gated merge of all masked expert outputs."""
-    for i, seg in enumerate(tokens.segments):
-        if seg.kind == SEMANTIC and seg.level > params.levels:
-            raise ShapeError(f"segment {i}: level {seg.level} exceeds expert count {params.levels}")
-    return expert_block_graph(params, ad.const(tokens.hidden), tokens.segments).value

@@ -20,13 +20,15 @@ The manifest records the model config and each named parameter's shape.
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
+from .artifact import Reader
 from .autodiff import Tensor
 from .errors import ConfigError, FormatError, ShapeError
 from .expert_layer import (
@@ -34,7 +36,6 @@ from .expert_layer import (
     QUERY_TAG,
     ExpertLayerParams,
     FfnParams,
-    SegmentedTokens,
     expert_block_graph,
     ffn_graph,
     init_expert_layer,
@@ -270,7 +271,10 @@ def init_model(cfg: ModelConfig, seed: int) -> VlmModel:
 
 
 def _encode_multilevel_graph(model: VlmModel, patches: Tensor) -> list[Tensor]:
+    """Visual features captured at the tap depths; L matrices, N_patches x d_v."""
     cfg = model.config
+    if patches.value.shape[0] < 1:
+        raise ShapeError(f"_encode_multilevel_graph: need a nonempty patch grid, got shape {patches.value.shape}")
     v = model.visual
     x = ad.matmul(patches, v.patch_w) + v.patch_b
     taps = []
@@ -284,23 +288,13 @@ def _encode_multilevel_graph(model: VlmModel, patches: Tensor) -> list[Tensor]:
     return taps
 
 
-def encode_multilevel(model: VlmModel, patches) -> list[np.ndarray]:
-    """Visual features captured at the tap depths; L matrices, N_patches x d_v."""
-    patches = np.asarray(patches, dtype=np.float64)
-    if patches.ndim != 2 or patches.shape[0] < 1:
-        raise ShapeError(f"encode_multilevel: need a nonempty patch grid, got shape {patches.shape}")
-    if patches.shape[1] != model.config.patch_dim:
-        raise ShapeError(
-            f"encode_multilevel: patch dim {patches.shape[1]} != config {model.config.patch_dim}"
-        )
-    return [t.value for t in _encode_multilevel_graph(model, ad.const(patches))]
-
-
 def _causal_bias(t: int) -> np.ndarray:
     return np.triu(np.full((t, t), CAUSAL_BIAS), k=1)
 
 
 def _lm_logits_graph(model: VlmModel, hidden: Tensor, segments) -> Tensor:
+    """Causal LM over the assembled rows, one segment tag per row; returns
+    T x vocab logits."""
     cfg = model.config
     t = hidden.value.shape[0]
     if t > cfg.max_seq:
@@ -319,52 +313,14 @@ def _lm_logits_graph(model: VlmModel, hidden: Tensor, segments) -> Tensor:
 
 
 def _segments_for(model: VlmModel, n_img: int, n_seq: int) -> list:
+    """Tags of the assembled sequence: image tokens, n_agg prompt tokens per
+    level in level order, then the query-segment tokens."""
     cfg = model.config
     segs = [IMG_TAG] * n_img
     for level in range(1, cfg.levels + 1):
         segs += [sem_tag(level)] * cfg.n_agg
     segs += [QUERY_TAG] * n_seq
     return segs
-
-
-def assemble_sequence(model: VlmModel, image_tokens, prompt, query_token_ids) -> SegmentedTokens:
-    """Eq-order concatenation: projected image tokens, prompt blocks per
-    level, embedded query-segment tokens, with matching segment tags."""
-    cfg = model.config
-    img = np.asarray(image_tokens, dtype=np.float64)
-    s = np.asarray(prompt, dtype=np.float64)
-    if img.ndim != 2 or img.shape[0] < 1:
-        raise ShapeError(f"assemble: need at least one image token, got shape {img.shape}")
-    if img.shape[1] != cfg.d_v:
-        raise ShapeError(f"assemble: image token dim {img.shape[1]} != d_v {cfg.d_v}")
-    if s.shape[0] % cfg.n_agg != 0:
-        raise ShapeError(f"assemble: prompt rows {s.shape[0]} not divisible by n_agg {cfg.n_agg}")
-    if s.shape[0] // cfg.n_agg != cfg.levels:
-        raise ShapeError(
-            f"assemble: prompt rows {s.shape[0]} != n_agg {cfg.n_agg} * levels {cfg.levels}"
-        )
-    if s.shape[1] != cfg.d_h:
-        raise ShapeError(f"assemble: prompt dim {s.shape[1]} != d_h {cfg.d_h}")
-    ids = list(query_token_ids)
-    if len(ids) < 1:
-        raise ShapeError("assemble: query segment must contain at least one token")
-    projected = img @ model.proj_w.value + model.proj_b.value
-    embedded = model.lm.embed.value[np.asarray(ids, dtype=np.int64)]
-    hidden = np.concatenate([projected, s, embedded], axis=0)
-    return SegmentedTokens(hidden, _segments_for(model, img.shape[0], len(ids)))
-
-
-def forward_lm(model: VlmModel, seq: SegmentedTokens, target_ids) -> tuple[float, np.ndarray]:
-    """Causal forward over an assembled sequence; mean cross-entropy over the
-    positions whose target id is >= 0 (ids of -1 are ignored)."""
-    targets = np.asarray(target_ids, dtype=np.int64)
-    if targets.shape != (seq.hidden.shape[0],):
-        raise ShapeError(
-            f"forward_lm: targets length {targets.shape} misaligned with sequence {seq.hidden.shape[0]}"
-        )
-    logits = _lm_logits_graph(model, ad.const(seq.hidden), seq.segments)
-    loss = ad.cross_entropy(logits, targets)
-    return float(loss.value), logits.value
 
 
 def _sequence_graph(model: VlmModel, sample: Sample, seq_ids: list[int]) -> tuple[Tensor, list]:
@@ -409,7 +365,9 @@ def token_loss_graph(model: VlmModel, sample: Sample, seq_ids, targets) -> Tenso
 
 def generate(model: VlmModel, patches, query_ids, max_tokens: int,
              semantic_ids=None) -> list[int]:
-    """Greedy argmax decoding; stops at EOS or after max_tokens ids."""
+    """Greedy argmax decoding; stops at EOS, after max_tokens ids, or when
+    the next step would exceed max_seq rows. Raises ShapeError before any
+    forward pass when the prefix alone exceeds max_seq."""
     if max_tokens <= 0:
         return []
     sample = Sample(
@@ -418,6 +376,12 @@ def generate(model: VlmModel, patches, query_ids, max_tokens: int,
         response_ids=[],
         semantic_ids=list(semantic_ids) if semantic_ids else [SEP_ID],
     )
+    cfg = model.config
+    prefix = sample.patches.shape[0] + cfg.n_agg * cfg.levels + len(sample.query_ids) + 1
+    if prefix > cfg.max_seq:
+        raise ShapeError(f"generate: prefix of {prefix} rows exceeds max_seq {cfg.max_seq}")
+    # The step that decodes token j runs prefix + j - 1 rows.
+    max_tokens = min(max_tokens, cfg.max_seq - prefix + 1)
     out: list[int] = []
     while len(out) < max_tokens:
         seq_ids = list(sample.query_ids) + [SEP_ID] + out
@@ -448,36 +412,56 @@ def save_checkpoint(model: VlmModel, path) -> None:
     Path(path).write_bytes(bytes(blob))
 
 
-def load_checkpoint(path) -> VlmModel:
-    data = Path(path).read_bytes()
-    if data[:4] != CHECKPOINT_MAGIC:
-        raise FormatError(f"bad magic {data[:4]!r} at byte 0, expected {CHECKPOINT_MAGIC!r}")
-    (version,) = struct.unpack("<H", data[4:6])
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version} at byte 4")
-    (manifest_len,) = struct.unpack("<I", data[6:10])
-    if 10 + manifest_len > len(data):
-        raise FormatError(f"truncated manifest at byte 10 (need {manifest_len} bytes)")
+def _read_manifest(reader: Reader) -> tuple[ModelConfig, dict[str, tuple]]:
+    """The config and the block shapes, in manifest order, of a checkpoint
+    manifest that names each block once and holds every config field as an
+    integer."""
+    manifest_len = reader.u32("manifest length")
+    raw = reader.take(manifest_len, "manifest")
     try:
-        manifest = json.loads(data[10 : 10 + manifest_len].decode("utf-8"))
+        manifest = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FormatError(f"unreadable manifest at byte 10: {e}") from e
-    model = init_model(ModelConfig(**manifest["config"]), seed=0)
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("config"), dict)
+            and isinstance(manifest.get("blocks"), list)):
+        raise FormatError("manifest at byte 10 must be an object with a 'config' object and a 'blocks' list")
+    config = manifest["config"]
+    names = {f.name for f in fields(ModelConfig)}
+    if set(config) != names:
+        raise FormatError(f"manifest config: missing {sorted(names - set(config))}, "
+                          f"unknown {sorted(set(config) - names)}")
+    if not all(type(v) is int for v in config.values()):
+        raise FormatError("manifest config: every value must be an integer")
+    try:
+        cfg = ModelConfig(**config)
+    except ConfigError as e:
+        raise FormatError(f"manifest config: {e}") from e
+    shapes: dict[str, tuple] = {}
+    for i, entry in enumerate(manifest["blocks"]):
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(type(d) is int and d >= 0 for d in entry["shape"])):
+            raise FormatError(f"manifest block {i}: need a 'name' string and a 'shape' of sizes")
+        if entry["name"] in shapes:
+            raise FormatError(f"manifest block {i}: duplicate name {entry['name']!r}")
+        shapes[entry["name"]] = tuple(entry["shape"])
+    return cfg, shapes
+
+
+def load_checkpoint(path) -> VlmModel:
+    reader = Reader(Path(path).read_bytes())
+    reader.header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    cfg, shapes = _read_manifest(reader)
+    reader.need(4 * sum(math.prod(shape) for shape in shapes.values()), "parameter blocks")
+    model = init_model(cfg, seed=0)
     named = dict(model.named_parameters())
-    offset = 10 + manifest_len
-    for entry in manifest["blocks"]:
-        name, shape = entry["name"], tuple(entry["shape"])
-        if name not in named:
-            raise FormatError(f"unknown parameter block {name!r} in manifest")
+    if shapes.keys() != named.keys():
+        raise FormatError(f"manifest blocks: missing {sorted(named.keys() - shapes.keys())}, "
+                          f"unknown {sorted(shapes.keys() - named.keys())}")
+    for name, shape in shapes.items():
         t = named[name]
         if t.value.shape != shape:
             raise FormatError(f"block {name!r}: manifest shape {shape} != model shape {t.value.shape}")
-        n = int(np.prod(shape))
-        end = offset + 4 * n
-        if end > len(data):
-            raise FormatError(f"truncated payload reading {name!r} at byte {offset}")
-        t.value = np.frombuffer(data[offset:end], dtype="<f4").astype(np.float64).reshape(shape)
-        offset = end
-    if offset != len(data):
-        raise FormatError(f"trailing {len(data) - offset} bytes at byte {offset}")
+        t.value = reader.f32_block(shape, name)
+    reader.end()
     return model

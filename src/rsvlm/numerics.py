@@ -1,9 +1,11 @@
-"""Deterministic dense linear algebra, attention primitive, PRNG, and
-finite-difference gradient oracles.
+"""Reference softmax and attention, PRNG, and finite-difference gradient
+oracles.
 
 Matrices are plain 2-D numpy arrays in row-major (C) order. Oracle and test
 paths run at float64; no silent broadcasting is performed by the public
-operations here, shape mismatches raise ShapeError naming both shapes.
+operations here, shape mismatches raise ShapeError naming both shapes. The
+softmax and attention here share no code with the autodiff graph that tests
+compare against them.
 """
 
 from __future__ import annotations
@@ -40,15 +42,6 @@ def _check_finite(out: np.ndarray, op: str) -> np.ndarray:
     return out
 
 
-def matmul(a, b) -> Matrix:
-    """Matrix product of two 2-D arrays; raises ShapeError on inner-dim mismatch."""
-    a = _check_matrix(a, "a")
-    b = _check_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions disagree, {a.shape} x {b.shape}")
-    return _check_finite(a @ b, "matmul")
-
-
 def softmax_rows(m) -> Matrix:
     """Row-wise softmax with per-row max subtraction for overflow safety."""
     m = _check_matrix(m, "m")
@@ -70,19 +63,6 @@ def scaled_dot_attention(q, k, v) -> Matrix:
         raise ShapeError(f"attention: k/v row counts disagree, {k.shape} vs {v.shape}")
     weights = softmax_rows(q @ k.T / math.sqrt(q.shape[1]))
     return _check_finite(weights @ v, "scaled_dot_attention")
-
-
-def cosine_similarity(u, v) -> float:
-    """Cosine of the angle between two nonzero vectors, clipped into [-1, 1]."""
-    u = np.asarray(u, dtype=np.float64).reshape(-1)
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
-    if u.shape != v.shape:
-        raise ShapeError(f"cosine: length mismatch, {u.shape} vs {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise DomainError("cosine: zero-norm input")
-    return float(np.clip(float(u @ v) / (nu * nv), -1.0, 1.0))
 
 
 def finite_diff_gradient(f: Callable[[np.ndarray], float], x, eps: float = 1e-5) -> np.ndarray:

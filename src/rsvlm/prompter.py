@@ -80,13 +80,6 @@ class PrompterParams:
         return out
 
 
-@dataclass
-class PromptInputs:
-    f_user: np.ndarray      # N_u x d user query tokens
-    f_semantic: np.ndarray  # N_s x d retrieved semantic tokens
-    f_vis: list[np.ndarray]  # level l: N_l x d_l visual features
-
-
 def init_attn_block(d_q_in: int, d_ctx_in: int, d: int, rng: Rng) -> AttnBlockParams:
     """Fan-in scaled Gaussian init for all four projections."""
     return AttnBlockParams(
@@ -143,9 +136,10 @@ def attention_output(block: AttnBlockParams, q_in: Tensor, ctx: Tensor, heads: i
 
 
 def aggregate_query_graph(params: PrompterParams, f_user: Tensor) -> Tensor:
+    """Self-attend concat(f_agg, f_user) and keep the aggregation rows."""
     cfg = params.config
     if f_user.value.shape[1] != cfg.dim:
-        raise ShapeError(f"aggregate_query: f_user dim {f_user.value.shape[1]} != {cfg.dim}")
+        raise ShapeError(f"aggregate_query_graph: f_user dim {f_user.value.shape[1]} != {cfg.dim}")
     f_in = ad.concat([params.f_agg, f_user], axis=0)
     f_out = f_in + attention_output(params.self_attn, ad.layer_norm_rows(f_in), f_in, cfg.heads)
     return ad.narrow(f_out, 0, 0, cfg.n_agg)
@@ -154,18 +148,18 @@ def aggregate_query_graph(params: PrompterParams, f_user: Tensor) -> Tensor:
 def attend_semantics_graph(params: PrompterParams, z1: Tensor, f_semantic: Tensor) -> Tensor:
     cfg = params.config
     if f_semantic.value.shape[1] != cfg.dim:
-        raise ShapeError(f"attend_semantics: semantic dim {f_semantic.value.shape[1]} != {cfg.dim}")
+        raise ShapeError(f"attend_semantics_graph: semantic dim {f_semantic.value.shape[1]} != {cfg.dim}")
     return z1 + attention_output(params.sem_attn, ad.layer_norm_rows(z1), f_semantic, cfg.heads)
 
 
 def attend_level_graph(params: PrompterParams, z2: Tensor, f_vis_l: Tensor, level: int) -> Tensor:
     cfg = params.config
     if not 1 <= level <= cfg.levels:
-        raise ShapeError(f"attend_level: level {level} out of range 1..{cfg.levels}")
+        raise ShapeError(f"attend_level_graph: level {level} out of range 1..{cfg.levels}")
     expected = cfg.level_dims[level - 1]
     if f_vis_l.value.shape[1] != expected:
         raise ShapeError(
-            f"attend_level: level {level} features have dim {f_vis_l.value.shape[1]}, expected {expected}"
+            f"attend_level_graph: level {level} features have dim {f_vis_l.value.shape[1]}, expected {expected}"
         )
     block = params.level_attn[level - 1]
     return z2 + attention_output(block, ad.layer_norm_rows(z2), f_vis_l, cfg.heads)
@@ -173,53 +167,17 @@ def attend_level_graph(params: PrompterParams, z2: Tensor, f_vis_l: Tensor, leve
 
 def build_prompt_graph(params: PrompterParams, f_user: Tensor, f_semantic: Tensor,
                        f_vis: list[Tensor]) -> Tensor:
+    """Prompt matrix of shape (n_agg * levels, dim); row block l comes from
+    visual level l (level order preserved)."""
     cfg = params.config
     if len(f_vis) != cfg.levels:
-        raise ShapeError(f"build_prompt: got {len(f_vis)} visual levels, expected {cfg.levels}")
+        raise ShapeError(f"build_prompt_graph: got {len(f_vis)} visual levels, expected {cfg.levels}")
     z1 = aggregate_query_graph(params, f_user)
     z2 = attend_semantics_graph(params, z1, f_semantic)
     blocks = [attend_level_graph(params, z2, f_vis[l - 1], l) for l in range(1, cfg.levels + 1)]
     return ad.concat(blocks, axis=0)
 
 
-def aggregate_query(params: PrompterParams, f_user) -> np.ndarray:
-    """Self-attend concat(f_agg, f_user) and keep the aggregation rows."""
-    return aggregate_query_graph(params, ad.const(np.asarray(f_user, dtype=np.float64))).value
-
-
-def attend_semantics(params: PrompterParams, z1, f_semantic) -> np.ndarray:
-    return attend_semantics_graph(
-        params, ad.const(np.asarray(z1, dtype=np.float64)),
-        ad.const(np.asarray(f_semantic, dtype=np.float64))
-    ).value
-
-
-def attend_level(params: PrompterParams, z2, f_vis_l, level: int) -> np.ndarray:
-    return attend_level_graph(
-        params, ad.const(np.asarray(z2, dtype=np.float64)),
-        ad.const(np.asarray(f_vis_l, dtype=np.float64)), level
-    ).value
-
-
-def build_prompt(params: PrompterParams, inputs: PromptInputs) -> np.ndarray:
-    """Prompt matrix of shape (n_agg * levels, dim); row block l comes from
-    visual level l (level order preserved)."""
-    f_user = np.asarray(inputs.f_user, dtype=np.float64)
-    f_semantic = np.asarray(inputs.f_semantic, dtype=np.float64)
-    f_vis = [np.asarray(f, dtype=np.float64) for f in inputs.f_vis]
-    if f_user.shape[0] < 1 or f_semantic.shape[0] < 1:
-        raise ShapeError("build_prompt: f_user and f_semantic must be nonempty")
-    for l, f in enumerate(f_vis, start=1):
-        if f.shape[0] < 1:
-            raise ShapeError(f"build_prompt: visual level {l} is empty")
-    return build_prompt_graph(
-        params,
-        ad.const(f_user),
-        ad.const(f_semantic),
-        [ad.const(f) for f in f_vis],
-    ).value
-
-
 def prompt_shape(cfg: PrompterConfig) -> tuple[int, int]:
-    """Shape contract of build_prompt: (n_agg * levels, dim)."""
+    """Shape contract of build_prompt_graph: (n_agg * levels, dim)."""
     return (cfg.n_agg * cfg.levels, cfg.dim)

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifact import Reader
 from .errors import DomainError, FormatError, ShapeError
 
 MAGIC = b"RSDB"
@@ -110,76 +111,50 @@ class SemanticDatabase:
 
     @staticmethod
     def load(path) -> "SemanticDatabase":
-        data = Path(path).read_bytes()
-        reader = _Reader(data)
-        magic = reader.take(4, "magic")
-        if magic != MAGIC:
-            raise FormatError(f"bad magic {magic!r} at byte 0, expected {MAGIC!r}")
-        version = reader.u16("version")
-        if version != FORMAT_VERSION:
-            raise FormatError(f"unsupported format version {version} at byte 4")
+        reader = Reader(Path(path).read_bytes())
+        reader.header(MAGIC, FORMAT_VERSION)
         dim = reader.u32("dim")
         if dim <= 0:
             raise FormatError(f"non-positive dim {dim} at byte 6")
         count = reader.u64("count")
+        reader.need(count * (12 + 4 * dim), f"{count} records of dim {dim}")
         db = SemanticDatabase(dim)
         prev_id = -1
-        for i in range(count):
-            rec_id = reader.u64(f"record {i} id")
-            if rec_id <= prev_id:
-                raise FormatError(f"record ids not strictly increasing at byte {reader.offset - 8}")
-            prev_id = rec_id
-            text_len = reader.u32(f"record {i} text length")
-            text = reader.take(text_len, f"record {i} text").decode("utf-8")
-            emb_bytes = reader.take(4 * dim, f"record {i} embedding")
-            emb = np.frombuffer(emb_bytes, dtype="<f4").copy()
-            db.records.append(SemanticRecord(rec_id, text, emb))
-        if reader.offset != len(data):
-            raise FormatError(f"trailing {len(data) - reader.offset} bytes at byte {reader.offset}")
+        # One handler around the whole loop keeps the per-record path as it was.
+        try:
+            for i in range(count):
+                rec_id = reader.u64(f"record {i} id")
+                if rec_id <= prev_id:
+                    raise FormatError(f"record ids not strictly increasing at byte {reader.offset - 8}")
+                prev_id = rec_id
+                text_len = reader.u32(f"record {i} text length")
+                text = reader.take(text_len, f"record {i} text").decode("utf-8")
+                emb_bytes = reader.take(4 * dim, f"record {i} embedding")
+                emb = np.frombuffer(emb_bytes, dtype="<f4").copy()
+                db.records.append(SemanticRecord(rec_id, text, emb))
+        except UnicodeDecodeError as e:
+            start = reader.offset - text_len
+            raise FormatError(f"record {i}: invalid UTF-8 in text at byte {start + e.start}") from e
+        if prev_id >= 1 << 63:  # ids increase, so only the last can leave the int64 range
+            raise FormatError(f"record {count - 1}: id {prev_id} exceeds the int64 range")
+        reader.end()
         return db
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.offset = 0
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.offset + n > len(self.data):
-            raise FormatError(f"truncated payload reading {what} at byte {self.offset}")
-        chunk = self.data[self.offset : self.offset + n]
-        self.offset += n
-        return chunk
-
-    def u16(self, what: str) -> int:
-        return struct.unpack("<H", self.take(2, what))[0]
-
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
-
-    def u64(self, what: str) -> int:
-        return struct.unpack("<Q", self.take(8, what))[0]
-
-
 def iter_jsonl(path):
-    """Yield (line_number, object) pairs; malformed lines raise FormatError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    """Yield (line_number, object) pairs; a line that is not UTF-8 JSON
+    holding an object raises FormatError."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             try:
-                yield lineno, json.loads(line)
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                obj = json.loads(line)
+            except UnicodeDecodeError as e:
+                raise FormatError(f"line {lineno}: invalid UTF-8 at column {e.start + 1}") from e
             except json.JSONDecodeError as e:
                 raise FormatError(f"line {lineno}: invalid JSON ({e.msg})") from e
-
-
-def ingest_jsonl(db: SemanticDatabase, path) -> int:
-    """Ingest records from a JSONL file of {"text": str, "embedding": [..]}."""
-    added = 0
-    for lineno, obj in iter_jsonl(path):
-        if "text" not in obj or "embedding" not in obj:
-            raise FormatError(f"line {lineno}: need 'text' and 'embedding' fields")
-        db.ingest(obj["text"], obj["embedding"])
-        added += 1
-    return added
+            if not isinstance(obj, dict):
+                raise FormatError(f"line {lineno}: expected a JSON object, got {type(obj).__name__}")
+            yield lineno, obj

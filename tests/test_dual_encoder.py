@@ -79,23 +79,42 @@ def test_encode_gradients_match_finite_differences():
             assert report.max_relative_error < 1e-4, (name, report)
 
 
+def _loss(params, batch):
+    return float(de.contrastive_loss_graph(params, batch).value)
+
+
 def test_infonce_all_equal_logits_is_ln_b():
     for b, s in ((2, 0.3), (4, -1.2)):
-        logits = np.full((b, b), s)
-        assert de.infonce_from_logits(logits) == pytest.approx(math.log(b), abs=1e-12)
+        # zero output weights: every image embeds to v, every text to sign(s) v,
+        # so every logit is s
+        params = _params(1)
+        v = Rng(2).normal((1, D_E))
+        for mlp, bias in ((params.image_proj, v), (params.text_proj, math.copysign(1.0, s) * v)):
+            mlp.w2.value[:] = 0.0
+            mlp.b2.value = bias
+        params.log_temp.value[:] = -math.log(abs(s))
+        assert _loss(params, contrastive_corpus(9, n=b)) == pytest.approx(math.log(b), abs=1e-12)
 
 
 def test_infonce_separated_batch_approaches_zero():
     b = 4
-    sims = 2.0 * np.eye(b) - 1.0
-    loss = de.infonce_from_logits(sims / 0.01)
-    assert loss < 1e-12
+    # image i and text i both embed to the unit vector e_i; temperature 0.01
+    params = _params(1)
+    params.image_proj.w1.value = 3.0 * np.eye(D_IMG, HIDDEN)
+    params.text_proj.w1.value = 3.0 * np.eye(VOCAB, HIDDEN)
+    for mlp in (params.image_proj, params.text_proj):
+        mlp.b1.value[:] = 0.0
+        mlp.w2.value = np.eye(HIDDEN, D_E)
+        mlp.b2.value[:] = 0.0
+    params.log_temp.value[:] = math.log(0.01)
+    batch = [de.ContrastivePair(np.eye(D_IMG)[i], [i]) for i in range(b)]
+    assert _loss(params, batch) < 1e-12
 
 
 def test_contrastive_loss_matches_row_wise_oracle():
     params = _params(5)
     batch = contrastive_corpus(7, n=4)
-    loss = de.contrastive_loss(params, batch)
+    loss = _loss(params, batch)
 
     z_img = np.stack([de.encode_image(params, p.image_features) for p in batch])
     z_txt = np.stack([de.encode_text(params, p.text_tokens) for p in batch])
@@ -114,10 +133,10 @@ def test_contrastive_loss_preconditions():
     params = _params()
     batch = contrastive_corpus(1, n=2)
     with pytest.raises(DomainError):
-        de.contrastive_loss(params, batch[:1])
+        _loss(params, batch[:1])
     dup = [batch[0], de.ContrastivePair(batch[1].image_features, list(batch[0].text_tokens))]
     with pytest.raises(DomainError):
-        de.contrastive_loss(params, dup)
+        _loss(params, dup)
 
 
 def test_contrastive_gradients_match_finite_differences():

@@ -1,0 +1,258 @@
+"""Malformed artifacts and inputs fail closed: each loader raises FormatError
+naming a byte offset or a line, and each command that reads the input exits
+4 with a one-line message instead of a traceback."""
+
+import contextlib
+import io
+import json
+import re
+import struct
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from rsvlm import cli
+from rsvlm import dual_encoder as de
+from rsvlm import model as vlm
+from rsvlm import training
+from rsvlm.errors import FormatError
+from rsvlm.semantic_store import SemanticDatabase, iter_jsonl
+
+MODEL = dict(d_h=8, heads=2, lm_blocks=1, expert_stride=1, levels=2, d_r=2, d_i=8, n_agg=1,
+             prompter_heads=2, patch_dim=4, d_v=4, visual_blocks=2, visual_heads=2,
+             visual_inner=8, max_seq=64)
+ENCODER = dict(d_img_raw=4, d_e=4, bow_vocab=16, enc_hidden=6)
+KINDS = ["rsdb", "rsde", "rsck", "texts", "pairs", "caption", "instruction", "pred", "gt"]
+
+
+def _jsonl(path, rows):
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+
+
+def _write_inputs(d):
+    """One valid file of each kind the program reads, plus the side files
+    the commands that read them need."""
+    db = SemanticDatabase(4)
+    for i, text in enumerate(["river bend", "city block", "dry field"]):
+        db.ingest(text, [1.0, float(i), 0.5, -1.0])
+    db.save(d / "db.rsdb")
+    de.save_params(de.init_params(4, 4, 16, 6, seed=0), d / "enc.rsde")
+    vlm.save_checkpoint(vlm.init_model(vlm.ModelConfig(**MODEL), seed=0), d / "model.rsck")
+    rng = np.random.default_rng(0)
+    _jsonl(d / "texts.jsonl", [{"text": t, "embedding": rng.normal(size=4).round(3).tolist()}
+                               for t in ("lake shore", "road grid")])
+    _jsonl(d / "pairs.jsonl", [{"image": rng.normal(size=4).round(3).tolist(),
+                                "text": f"scene w{i} v{i % 3}"} for i in range(8)])
+    _jsonl(d / "caption.jsonl", [{"image": rng.normal(size=(2, 4)).round(3).tolist(),
+                                  "caption": f"cap {i}"} for i in range(2)])
+    _jsonl(d / "instruction.jsonl", [{"image": rng.normal(size=(2, 4)).round(3).tolist(),
+                                      "query": f"q{i}?", "response": f"r{i}"} for i in range(2)])
+    _jsonl(d / "pred.jsonl", [{"id": i, "output": f"class{i}"} for i in range(3)])
+    _jsonl(d / "gt.jsonl", [{"id": i, "label": f"class{i % 2}"} for i in range(3)])
+    _jsonl(d / "plain_texts.jsonl", [{"text": "river bend"}, {"text": "dry field"}])
+    (d / "query.json").write_text(json.dumps([0.5, 1.0, 0.0, -0.5]), encoding="utf-8")
+    (d / "train.json").write_text(json.dumps({**MODEL, "max_steps": 1, "batch_size": 1}),
+                                  encoding="utf-8")
+    (d / "encoder.json").write_text(json.dumps(ENCODER), encoding="utf-8")
+
+
+def _inputs(d):
+    """kind -> (file, library loader, CLI argv reading the file at `path`)."""
+    train = ["train", "--config", str(d / "train.json")]
+    return {
+        "rsdb": ("db.rsdb", SemanticDatabase.load,
+                 lambda p: ["retrieve", "--db", p, "--query", str(d / "query.json"), "--k", "2"]),
+        "rsde": ("enc.rsde", de.load_params,
+                 lambda p: ["build-db", "--input", str(d / "plain_texts.jsonl"),
+                            "--out", str(d / "out.rsdb"), "--encoder", p]),
+        "rsck": ("model.rsck", vlm.load_checkpoint,
+                 lambda p: train + ["--stage", "1", "--init", p, "--data", str(d / "caption.jsonl")]),
+        "texts": ("texts.jsonl", lambda p: list(iter_jsonl(p)),
+                  lambda p: ["build-db", "--input", p, "--out", str(d / "out.rsdb"), "--dim", "4"]),
+        "pairs": ("pairs.jsonl", lambda p: list(iter_jsonl(p)),
+                  lambda p: ["train-retriever", "--input", p, "--out", str(d / "out.rsde"),
+                             "--epochs", "1", "--config", str(d / "encoder.json")]),
+        "caption": ("caption.jsonl", lambda p: training.load_samples(p, training.STAGE_ALIGNMENT),
+                    lambda p: train + ["--stage", "1", "--data", p]),
+        "instruction": ("instruction.jsonl",
+                        lambda p: training.load_samples(p, training.STAGE_INSTRUCTION),
+                        lambda p: train + ["--stage", "2", "--data", p]),
+        "pred": ("pred.jsonl", lambda p: list(iter_jsonl(p)),
+                 lambda p: ["eval", "--task", "classify", "--pred", p, "--gt", str(d / "gt.jsonl")]),
+        "gt": ("gt.jsonl", lambda p: list(iter_jsonl(p)),
+               lambda p: ["eval", "--task", "classify", "--pred", str(d / "pred.jsonl"), "--gt", p]),
+    }
+
+
+def _run(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    return code, err.getvalue()
+
+
+def _assert_fails_closed(kind, d, path, match):
+    _, load, argv = _inputs(d)[kind]
+    with pytest.raises(FormatError, match=match):
+        load(path)
+    code, err = _run(argv(str(path)))
+    assert code == 4, err
+    assert err.startswith("format error: ") and err.count("\n") == 1, err
+
+
+@pytest.fixture(scope="module")
+def inputs_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("inputs")
+    _write_inputs(d)
+    return d
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_valid_inputs_load_and_run(inputs_dir, kind):
+    name, load, argv = _inputs(inputs_dir)[kind]
+    load(inputs_dir / name)
+    code, err = _run(argv(str(inputs_dir / name)))
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("kind,size", [("rsdb", 5), ("rsde", 5), ("rsde", 12), ("rsck", 5)])
+def test_short_header_reports_offset(inputs_dir, tmp_path, kind, size):
+    name = _inputs(inputs_dir)[kind][0]
+    path = tmp_path / name
+    path.write_bytes((inputs_dir / name).read_bytes()[:size])
+    _assert_fails_closed(kind, inputs_dir, path, r"truncated payload reading \w+ at byte \d+")
+
+
+def test_rsde_header_dims_checked_before_allocating(tmp_path):
+    # hidden = 2**18 in a 22-byte file: the header implies 31 MB of blocks
+    path = tmp_path / "big.rsde"
+    path.write_bytes(b"RSDE" + struct.pack("<HIIII", 1, 4, 4, 16, 1 << 18))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=r"need \d+ bytes at byte 22, 0 remain"):
+            de.load_params(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    path.write_bytes(b"RSDE" + struct.pack("<HIIII", 1, 4, 0, 16, 6))
+    with pytest.raises(FormatError, match=r"zero dimension in header .* = \(4, 0, 16, 6\) at byte 6"):
+        de.load_params(path)
+
+
+@pytest.mark.parametrize("kind", ["rsde", "rsck"])
+def test_non_finite_parameter_rejected(inputs_dir, tmp_path, kind):
+    name = _inputs(inputs_dir)[kind][0]
+    blob = bytearray((inputs_dir / name).read_bytes())
+    blob[-4:] = struct.pack("<f", float("nan"))
+    path = tmp_path / name
+    path.write_bytes(bytes(blob))
+    _assert_fails_closed(kind, inputs_dir, path, f"non-finite value in .* at byte {len(blob) - 4}")
+
+
+def test_rsdb_invalid_utf8_reports_record_offset(inputs_dir, tmp_path):
+    blob = bytearray((inputs_dir / "db.rsdb").read_bytes())
+    # header 18 bytes, then id u64 and text length u32: text 0 starts at byte 30
+    blob[31] = 0xFF
+    path = tmp_path / "db.rsdb"
+    path.write_bytes(bytes(blob))
+    _assert_fails_closed("rsdb", inputs_dir, path, "record 0: invalid UTF-8 in text at byte 31")
+
+
+def test_rsdb_id_beyond_int64_rejected(inputs_dir, tmp_path):
+    db = SemanticDatabase.load(inputs_dir / "db.rsdb")
+    db.records[-1].id = 1 << 63
+    db.save(tmp_path / "db.rsdb")
+    _assert_fails_closed("rsdb", inputs_dir, tmp_path / "db.rsdb", "record 2: id 9223372036854775808 exceeds")
+
+
+@pytest.mark.parametrize("kind,keep,edit,match", [
+    ("pairs", 7, None, "7 pairs, train-retriever needs at least 8"),
+    ("pairs", 8, ("[", "[0.5, "), r"line 1: 'image' has shape \(5,\), expected \(4,\)"),
+    ("pairs", 8, ("w0 v0", "w1 v1"), "line 2: text tokens repeat line 1"),
+    ("caption", 0, None, "no training samples"),
+    ("gt", 0, None, "classify eval: empty ground truth"),
+], ids=["too_few_pairs", "image_length", "repeated_text", "no_samples", "empty_ground_truth"])
+def test_unusable_jsonl_content_exit_4(inputs_dir, tmp_path, kind, keep, edit, match):
+    name, _, argv = _inputs(inputs_dir)[kind]
+    lines = (inputs_dir / name).read_text(encoding="utf-8").splitlines(keepends=True)[:keep]
+    if edit:
+        lines[0] = lines[0].replace(*edit, 1)
+    path = tmp_path / name
+    path.write_text("".join(lines), encoding="utf-8")
+    code, err = _run(argv(str(path)))
+    assert code == 4, err
+    assert err.startswith("format error: ") and err.count("\n") == 1, err
+    assert re.search(match, err), err
+
+
+def _head_bytes():
+    return 4 * MODEL["d_h"] * vlm.VOCAB_SIZE
+
+
+MANIFEST_FAULTS = {
+    # (manifest edit, payload edit, message)
+    "omits_head": (lambda m: {**m, "blocks": m["blocks"][:-1]},
+                   lambda p: p[:-_head_bytes()], r"blocks: missing \['lm.head'\], unknown \[\]"),
+    "duplicate_name": (lambda m: {**m, "blocks": m["blocks"] + m["blocks"][-1:]},
+                       lambda p: p + p[-_head_bytes():], "duplicate name 'lm.head'"),
+    "unknown_config_key": (lambda m: {**m, "config": {**m["config"], "colour": 1}},
+                           lambda p: p, r"unknown \['colour'\]"),
+    "missing_config": (lambda m: {"blocks": m["blocks"]}, lambda p: p, "'config' object"),
+    "list_manifest": (lambda m: [m], lambda p: p, "'config' object"),
+    "zero_d_h": (lambda m: {**m, "config": {**m["config"], "d_h": 0}},
+                 lambda p: p, "d_h must be positive"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(MANIFEST_FAULTS))
+def test_checkpoint_manifest_faults(inputs_dir, tmp_path, fault):
+    edit_manifest, edit_payload, match = MANIFEST_FAULTS[fault]
+    blob = (inputs_dir / "model.rsck").read_bytes()
+    (n,) = struct.unpack("<I", blob[6:10])
+    manifest = json.dumps(edit_manifest(json.loads(blob[10 : 10 + n]))).encode("utf-8")
+    path = tmp_path / "model.rsck"
+    path.write_bytes(blob[:6] + struct.pack("<I", len(manifest)) + manifest
+                     + edit_payload(blob[10 + n :]))
+    _assert_fails_closed("rsck", inputs_dir, path, match)
+
+
+@pytest.mark.parametrize("kind,line", [("texts", "5"), ("pairs", "5"), ("caption", "5"),
+                                       ("caption", "[1, 2]"), ("pred", "5"), ("gt", "5")])
+def test_jsonl_line_must_be_an_object(inputs_dir, tmp_path, kind, line):
+    path = tmp_path / f"{kind}.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    _assert_fails_closed(kind, inputs_dir, path, "line 1: expected a JSON object")
+
+
+@pytest.mark.parametrize("text", ['{"bad": ', '"abc"', '{"a": 1}'])
+def test_retrieve_query_must_be_a_number_array(inputs_dir, tmp_path, text):
+    query = tmp_path / "q.json"
+    query.write_text(text, encoding="utf-8")
+    code, err = _run(["retrieve", "--db", str(inputs_dir / "db.rsdb"), "--query", str(query)])
+    assert code == 4, err
+    assert err.startswith("format error: query ") and err.count("\n") == 1, err
+
+
+@given(kind=st.sampled_from(KINDS), data=st.data())
+def test_truncated_or_bit_flipped_input_fails_closed(inputs_dir, kind, data):
+    name, load, argv = _inputs(inputs_dir)[kind]
+    blob = bytearray((inputs_dir / name).read_bytes())
+    if data.draw(st.booleans(), label="truncate"):
+        blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        bit = data.draw(st.integers(0, 8 * len(blob) - 1), label="bit")
+        blob[bit // 8] ^= 1 << (bit % 8)
+    path = inputs_dir / f"mutated-{name}"
+    path.write_bytes(bytes(blob))
+    try:
+        load(path)
+    except FormatError:
+        pass
+    code, err = _run(argv(str(path)))
+    assert code in (0, 4), err
+    if code == 4:
+        assert err.startswith("format error: ") and err.count("\n") == 1, err

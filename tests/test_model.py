@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rsvlm import autodiff as ad
 from rsvlm import model as vlm
 from rsvlm.errors import ConfigError, ShapeError
 from rsvlm.expert_layer import IMAGE, QUERY, SEMANTIC
@@ -63,28 +64,42 @@ def test_expert_block_indices():
     assert _small_cfg().expert_block_indices() == [2]
 
 
+def _sequence(model, seed, n_img, ids):
+    """Assembled rows (projected image tokens, a random prompt, embedded ids)
+    and their segment tags."""
+    cfg = model.config
+    rng = Rng(seed)
+    img = rng.normal((n_img, cfg.d_v)) @ model.proj_w.value + model.proj_b.value
+    prompt = rng.normal((cfg.n_agg * cfg.levels, cfg.d_h))
+    hidden = np.concatenate([img, prompt, model.lm.embed.value[np.asarray(ids)]], axis=0)
+    return hidden, vlm._segments_for(model, n_img, len(ids))
+
+
+def _forward_lm(model, hidden, segments, targets):
+    logits = vlm._lm_logits_graph(model, ad.const(hidden), segments)
+    return float(ad.cross_entropy(logits, targets).value), logits.value
+
+
 def test_encode_multilevel_shapes_and_distinct_taps():
     cfg = _small_cfg(visual_blocks=6, levels=3)
     model = vlm.init_model(cfg, seed=1)
     patches = Rng(2).normal((5, cfg.patch_dim))
-    taps = vlm.encode_multilevel(model, patches)
+    taps = [t.value for t in vlm._encode_multilevel_graph(model, ad.const(patches))]
     assert len(taps) == 3
     assert all(t.shape == (5, cfg.d_v) for t in taps)
     assert not np.allclose(taps[0], taps[1])
     assert not np.allclose(taps[1], taps[2])
     with pytest.raises(ShapeError):
-        vlm.encode_multilevel(model, np.zeros((0, cfg.patch_dim)))
+        vlm._encode_multilevel_graph(model, ad.const(np.zeros((0, cfg.patch_dim))))
 
 
 def test_assemble_sequence_tags_and_counts():
     cfg = _small_cfg()
     model = vlm.init_model(cfg, seed=3)
-    rng = Rng(4)
-    image_tokens = rng.normal((2, cfg.d_v))
-    prompt = rng.normal((cfg.n_agg * cfg.levels, cfg.d_h))
-    seq = vlm.assemble_sequence(model, image_tokens, prompt, [5])
-    assert seq.hidden.shape == (2 + 4 + 1, cfg.d_h)
-    kinds = [(s.kind, s.level) for s in seq.segments]
+    sample = Sample(patches=Rng(4).normal((2, cfg.patch_dim)), query_ids=[5])
+    hidden, segments = vlm._sequence_graph(model, sample, [5])
+    assert hidden.value.shape == (2 + 4 + 1, cfg.d_h)
+    kinds = [(s.kind, s.level) for s in segments]
     assert kinds == [(IMAGE, 0), (IMAGE, 0), (SEMANTIC, 1), (SEMANTIC, 1),
                      (SEMANTIC, 2), (SEMANTIC, 2), (QUERY, 0)]
 
@@ -95,12 +110,10 @@ def test_assemble_sequence_full_scale_arithmetic():
                       d_v=8, visual_blocks=3, visual_heads=2, visual_inner=16,
                       max_seq=512)
     model = vlm.init_model(cfg, seed=5)
-    rng = Rng(6)
-    seq = vlm.assemble_sequence(model, rng.normal((10, cfg.d_v)),
-                                rng.normal((432, cfg.d_h)), list(range(7)))
-    assert seq.hidden.shape[0] == 449
+    segments = vlm._segments_for(model, 10, 7)
+    assert len(segments) == 449
     counts = {}
-    for s in seq.segments:
+    for s in segments:
         counts[(s.kind, s.level)] = counts.get((s.kind, s.level), 0) + 1
     assert counts[(IMAGE, 0)] == 10
     assert counts[(SEMANTIC, 1)] == counts[(SEMANTIC, 2)] == counts[(SEMANTIC, 3)] == 144
@@ -111,47 +124,42 @@ def test_assemble_sequence_validations():
     cfg = _small_cfg()
     model = vlm.init_model(cfg, seed=7)
     rng = Rng(8)
-    good_prompt = rng.normal((cfg.n_agg * cfg.levels, cfg.d_h))
     with pytest.raises(ShapeError):
-        vlm.assemble_sequence(model, np.zeros((0, cfg.d_v)), good_prompt, [1])
+        Sample(patches=np.zeros((0, cfg.patch_dim)), query_ids=[1])
+    hidden, segments = _sequence(model, 8, 2, [1])
+    extra = np.concatenate([hidden, rng.normal((1, cfg.d_h))], axis=0)
     with pytest.raises(ShapeError):
-        vlm.assemble_sequence(model, rng.normal((2, cfg.d_v)),
-                              rng.normal((cfg.n_agg * cfg.levels + 1, cfg.d_h)), [1])
+        vlm._lm_logits_graph(model, ad.const(extra), segments)
     with pytest.raises(ShapeError):
-        vlm.assemble_sequence(model, rng.normal((2, cfg.d_v)), good_prompt, [])
+        Sample(patches=rng.normal((2, cfg.patch_dim)), query_ids=[])
 
 
 def test_forward_lm_uniform_baseline():
     cfg = _small_cfg(vocab=11)
     model = vlm.init_model(cfg, seed=9)
-    rng = Rng(10)
-    seq = vlm.assemble_sequence(model, rng.normal((3, cfg.d_v)),
-                                rng.normal((cfg.n_agg * cfg.levels, cfg.d_h)), [1, 2, 3])
-    targets = np.full(seq.hidden.shape[0], -1)
+    hidden, segments = _sequence(model, 10, 3, [1, 2, 3])
+    targets = np.full(hidden.shape[0], -1)
     targets[-3:] = [2, 3, 4]
     # zero head: logits exactly uniform, loss exactly ln(vocab)
     model.lm.head.value[:] = 0.0
-    loss, logits = vlm.forward_lm(model, seq, targets)
+    loss, logits = _forward_lm(model, hidden, segments, targets)
     assert loss == pytest.approx(math.log(cfg.vocab), abs=1e-12)
-    assert logits.shape == (seq.hidden.shape[0], cfg.vocab)
+    assert logits.shape == (hidden.shape[0], cfg.vocab)
     # fresh random weights stay near the uniform baseline
     model2 = vlm.init_model(cfg, seed=11)
-    loss2, _ = vlm.forward_lm(model2, seq, targets)
+    loss2, _ = _forward_lm(model2, hidden, segments, targets)
     assert abs(loss2 - math.log(cfg.vocab)) < 0.75
 
 
 def test_forward_lm_matches_per_position_oracle():
     cfg = _small_cfg(vocab=13)
     model = vlm.init_model(cfg, seed=12)
-    rng = Rng(13)
-    seq = vlm.assemble_sequence(model, rng.normal((2, cfg.d_v)),
-                                rng.normal((cfg.n_agg * cfg.levels, cfg.d_h)),
-                                [1, 2, 3, 4])
-    targets = np.full(seq.hidden.shape[0], -1)
+    hidden, segments = _sequence(model, 13, 2, [1, 2, 3, 4])
+    targets = np.full(hidden.shape[0], -1)
     targets[-4:] = [2, 3, 4, 5]
-    loss, logits = vlm.forward_lm(model, seq, targets)
+    loss, logits = _forward_lm(model, hidden, segments, targets)
     total = 0.0
-    for pos in range(seq.hidden.shape[0]):
+    for pos in range(hidden.shape[0]):
         if targets[pos] < 0:
             continue
         row = logits[pos]
@@ -162,27 +170,21 @@ def test_forward_lm_matches_per_position_oracle():
 def test_forward_lm_target_misalignment():
     cfg = _small_cfg()
     model = vlm.init_model(cfg, seed=14)
-    rng = Rng(15)
-    seq = vlm.assemble_sequence(model, rng.normal((2, cfg.d_v)),
-                                rng.normal((cfg.n_agg * cfg.levels, cfg.d_h)), [1])
+    hidden, segments = _sequence(model, 15, 2, [1])
     with pytest.raises(ShapeError):
-        vlm.forward_lm(model, seq, np.array([1, 2]))
+        _forward_lm(model, hidden, segments, np.array([1, 2]))
 
 
 def test_causality_future_perturbation_bit_exact():
     cfg = _small_cfg()
     model = vlm.init_model(cfg, seed=16)
-    rng = Rng(17)
-    seq = vlm.assemble_sequence(model, rng.normal((2, cfg.d_v)),
-                                rng.normal((cfg.n_agg * cfg.levels, cfg.d_h)),
-                                [1, 2, 3, 4, 5])
-    targets = np.full(seq.hidden.shape[0], -1)
+    hidden, segments = _sequence(model, 17, 2, [1, 2, 3, 4, 5])
+    targets = np.full(hidden.shape[0], -1)
     targets[-1] = 1
-    _, logits = vlm.forward_lm(model, seq, targets)
-    bumped = seq.hidden.copy()
+    _, logits = _forward_lm(model, hidden, segments, targets)
+    bumped = hidden.copy()
     bumped[-1] += Rng(99).normal((cfg.d_h,))  # perturb the final position only
-    seq2 = vlm.SegmentedTokens(bumped, seq.segments)
-    _, logits2 = vlm.forward_lm(model, seq2, targets)
+    _, logits2 = _forward_lm(model, bumped, segments, targets)
     assert np.array_equal(logits[:-1], logits2[:-1])
     assert not np.allclose(logits[-1], logits2[-1])
 
@@ -255,3 +257,15 @@ def test_max_seq_enforced():
     sample = _sample(cfg, seed=26)
     with pytest.raises(ShapeError, match="max_seq"):
         vlm.sample_loss(model, sample)
+
+
+def test_generate_stops_at_max_seq():
+    cfg = _small_cfg(max_seq=16)
+    model = vlm.init_model(cfg, seed=27)
+    model.lm.head.value[:] = 0.0  # uniform logits: argmax is id 0, never EOS
+    patches = Rng(28).normal((3, cfg.patch_dim))
+    # 3 patches + 2 * 2 prompt rows + 3 query tokens + SEP = an 11-row prefix
+    assert vlm.generate(model, patches, [1, 2, 3], 6) == [0] * 6
+    assert vlm.generate(model, patches, [1, 2, 3], 7) == [0] * 6
+    with pytest.raises(ShapeError, match="prefix of 21 rows"):
+        vlm.generate(model, patches, list(range(1, 14)), 1)

@@ -37,6 +37,24 @@ def _mha_ref(block, q_in, ctx, heads):
     return np.concatenate(outs, axis=1) @ block.wo.value
 
 
+def _agg(params, f_user):
+    return pr.aggregate_query_graph(params, ad.const(f_user)).value
+
+
+def _sem(params, z1, f_sem):
+    return pr.attend_semantics_graph(params, ad.const(z1), ad.const(f_sem)).value
+
+
+def _lvl(params, z2, f_vis_l, level):
+    return pr.attend_level_graph(params, ad.const(z2), ad.const(f_vis_l), level).value
+
+
+def _prompt(params, inputs):
+    f_user, f_sem, f_vis = inputs
+    return pr.build_prompt_graph(params, ad.const(f_user), ad.const(f_sem),
+                                 [ad.const(f) for f in f_vis]).value
+
+
 def test_config_validation():
     with pytest.raises(ShapeError):
         _cfg(n_agg=0)
@@ -50,11 +68,11 @@ def test_aggregate_query_shapes():
     cfg = _cfg(n_agg=4, dim=8)
     params = _params(cfg)
     f_user = Rng(1).normal((3, 8))
-    z1 = pr.aggregate_query(params, f_user)
+    z1 = _agg(params, f_user)
     assert z1.shape == (4, 8)
     # the intermediate concat is (4+3) x 8; dim mismatch raises
     with pytest.raises(ShapeError):
-        pr.aggregate_query(params, Rng(1).normal((3, 9)))
+        _agg(params, Rng(1).normal((3, 9)))
 
 
 def test_attention_convexity_with_identity_projections():
@@ -74,7 +92,7 @@ def test_aggregate_query_matches_per_head_oracle():
     f_user = Rng(4).normal((5, 8))
     f_in = np.concatenate([params.f_agg.value, f_user], axis=0)
     expected = (f_in + _mha_ref(params.self_attn, _layer_norm_ref(f_in), f_in, 2))[:4]
-    got = pr.aggregate_query(params, f_user)
+    got = _agg(params, f_user)
     assert np.max(np.abs(got - expected)) < 1e-10
 
 
@@ -89,7 +107,7 @@ def test_attend_semantics_single_row_pre_residual():
     # projected semantic row
     projected = (f_sem @ params.sem_attn.wv.value) @ params.sem_attn.wo.value
     assert np.max(np.abs(pre - np.repeat(projected, 3, axis=0))) < 1e-12
-    full = pr.attend_semantics(params, z1, f_sem)
+    full = _sem(params, z1, f_sem)
     assert np.max(np.abs(full - (z1 + pre))) < 1e-12
 
 
@@ -98,10 +116,10 @@ def test_attend_semantics_sensitive_to_semantics():
     params = _params(cfg, seed=8)
     z1 = Rng(9).normal((4, 8))
     f_sem = Rng(10).normal((3, 8))
-    base = pr.attend_semantics(params, z1, f_sem)
+    base = _sem(params, z1, f_sem)
     bumped = f_sem.copy()
     bumped[1] += 0.5
-    assert not np.allclose(base, pr.attend_semantics(params, z1, bumped))
+    assert not np.allclose(base, _sem(params, z1, bumped))
 
 
 def test_attend_semantics_matches_per_head_oracle():
@@ -110,7 +128,7 @@ def test_attend_semantics_matches_per_head_oracle():
     z1 = Rng(12).normal((4, 8))
     f_sem = Rng(13).normal((6, 8))
     expected = z1 + _mha_ref(params.sem_attn, _layer_norm_ref(z1), f_sem, 2)
-    assert np.max(np.abs(pr.attend_semantics(params, z1, f_sem) - expected)) < 1e-10
+    assert np.max(np.abs(_sem(params, z1, f_sem) - expected)) < 1e-10
 
 
 def test_attend_level_reduces_to_semantic_attention_when_dims_match():
@@ -123,7 +141,7 @@ def test_attend_level_reduces_to_semantic_attention_when_dims_match():
     z2 = Rng(15).normal((3, 8))
     feats = Rng(16).normal((5, 8))
     assert np.max(np.abs(
-        pr.attend_level(params, z2, feats, level=1) - pr.attend_semantics(params, z2, feats)
+        _lvl(params, z2, feats, level=1) - _sem(params, z2, feats)
     )) < 1e-12
 
 
@@ -143,9 +161,9 @@ def test_attend_level_validations():
     params = _params(cfg)
     z2 = Rng(20).normal((4, 8))
     with pytest.raises(ShapeError):
-        pr.attend_level(params, z2, Rng(21).normal((3, 6)), level=3)
+        _lvl(params, z2, Rng(21).normal((3, 6)), level=3)
     with pytest.raises(ShapeError):
-        pr.attend_level(params, z2, Rng(21).normal((3, 8)), level=2)
+        _lvl(params, z2, Rng(21).normal((3, 8)), level=2)
 
 
 def test_attend_level_matches_per_head_oracle():
@@ -154,28 +172,27 @@ def test_attend_level_matches_per_head_oracle():
     z2 = Rng(23).normal((3, 8))
     feats = Rng(24).normal((6, 7))
     expected = z2 + _mha_ref(params.level_attn[1], _layer_norm_ref(z2), feats, 2)
-    assert np.max(np.abs(pr.attend_level(params, z2, feats, level=2) - expected)) < 1e-10
+    assert np.max(np.abs(_lvl(params, z2, feats, level=2) - expected)) < 1e-10
 
 
 def _toy_inputs(cfg, seed=30):
     rng = Rng(seed)
-    return pr.PromptInputs(
-        f_user=rng.normal((3, cfg.dim)),
-        f_semantic=rng.normal((5, cfg.dim)),
-        f_vis=[rng.normal((4 + l, cfg.level_dims[l])) for l in range(cfg.levels)],
-    )
+    f_user = rng.normal((3, cfg.dim))
+    f_semantic = rng.normal((5, cfg.dim))
+    return f_user, f_semantic, [rng.normal((4 + l, cfg.level_dims[l])) for l in range(cfg.levels)]
 
 
 def test_build_prompt_toy_shape_and_level_blocks():
     cfg = _cfg(n_agg=4, dim=8, levels=2)
     params = _params(cfg, seed=31)
     inputs = _toy_inputs(cfg)
-    s = pr.build_prompt(params, inputs)
+    s = _prompt(params, inputs)
     assert s.shape == (8, 8)
-    z1 = pr.aggregate_query(params, inputs.f_user)
-    z2 = pr.attend_semantics(params, z1, inputs.f_semantic)
-    assert np.array_equal(s[0:4], pr.attend_level(params, z2, inputs.f_vis[0], 1))
-    assert np.array_equal(s[4:8], pr.attend_level(params, z2, inputs.f_vis[1], 2))
+    f_user, f_semantic, f_vis = inputs
+    z1 = _agg(params, f_user)
+    z2 = _sem(params, z1, f_semantic)
+    assert np.array_equal(s[0:4], _lvl(params, z2, f_vis[0], 1))
+    assert np.array_equal(s[4:8], _lvl(params, z2, f_vis[1], 2))
 
 
 def test_build_prompt_shape_contract_sweep():
@@ -183,7 +200,7 @@ def test_build_prompt_shape_contract_sweep():
         cfg = _cfg(n_agg=n_agg, dim=8, levels=levels, heads=2,
                    level_dims=[6] * levels)
         params = _params(cfg, seed=32)
-        s = pr.build_prompt(params, _toy_inputs(cfg))
+        s = _prompt(params, _toy_inputs(cfg))
         assert s.shape == pr.prompt_shape(cfg) == (n_agg * levels, 8)
 
 
@@ -191,13 +208,10 @@ def test_per_level_locality_bit_exact():
     cfg = _cfg(n_agg=3, dim=8, levels=3, level_dims=[4, 5, 6])
     params = _params(cfg, seed=33)
     inputs = _toy_inputs(cfg, seed=34)
-    base = pr.build_prompt(params, inputs)
-    bumped = pr.PromptInputs(
-        f_user=inputs.f_user,
-        f_semantic=inputs.f_semantic,
-        f_vis=[inputs.f_vis[0], inputs.f_vis[1], inputs.f_vis[2] + 1.5],
-    )
-    other = pr.build_prompt(params, bumped)
+    base = _prompt(params, inputs)
+    f_user, f_semantic, f_vis = inputs
+    bumped = (f_user, f_semantic, [f_vis[0], f_vis[1], f_vis[2] + 1.5])
+    other = _prompt(params, bumped)
     assert np.array_equal(base[0:3], other[0:3])
     assert np.array_equal(base[3:6], other[3:6])
     assert not np.allclose(base[6:9], other[6:9])
@@ -207,15 +221,15 @@ def test_build_prompt_deterministic():
     cfg = _cfg()
     params = _params(cfg, seed=35)
     inputs = _toy_inputs(cfg, seed=36)
-    assert np.array_equal(pr.build_prompt(params, inputs), pr.build_prompt(params, inputs))
+    assert np.array_equal(_prompt(params, inputs), _prompt(params, inputs))
 
 
 def test_prompter_gradients_match_finite_differences():
     cfg = pr.PrompterConfig(3, 8, 2, 2, [5, 6])
     params = _params(cfg, seed=37)
     inputs = _toy_inputs(cfg, seed=38)
-    consts = (ad.const(inputs.f_user), ad.const(inputs.f_semantic),
-              [ad.const(f) for f in inputs.f_vis])
+    f_user, f_semantic, f_vis = inputs
+    consts = (ad.const(f_user), ad.const(f_semantic), [ad.const(f) for f in f_vis])
 
     def build():
         return ad.sum_all(pr.build_prompt_graph(params, consts[0], consts[1], consts[2]))

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from rsvlm import cli
 from rsvlm.errors import DomainError, FormatError, ShapeError
 from rsvlm.numerics import Rng
-from rsvlm.semantic_store import SemanticDatabase, ingest_jsonl
+from rsvlm.semantic_store import SemanticDatabase, iter_jsonl
 
 
 def _unit_rows(rng, n, dim):
@@ -208,21 +209,21 @@ def test_load_rejects_bad_version(tmp_path):
         SemanticDatabase.load(path)
 
 
-def test_ingest_jsonl(tmp_path):
+def test_ingest_jsonl(tmp_path, capsys):
     path = tmp_path / "recs.jsonl"
     lines = [
         json.dumps({"text": "alpha", "embedding": [1.0, 0.0]}),
         json.dumps({"text": "beta", "embedding": [0.0, 2.0]}),
     ]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    db = SemanticDatabase(2)
-    assert ingest_jsonl(db, path) == 2
-    assert db.get(1).text == "beta"
+    out = tmp_path / "recs.rsdb"
+    assert cli.run(["build-db", "--input", str(path), "--out", str(out), "--dim", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 2
+    assert SemanticDatabase.load(out).get(1).text == "beta"
 
 
 def test_ingest_jsonl_reports_line_number(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"text": "ok", "embedding": [1, 0]}\nnot json\n', encoding="utf-8")
-    db = SemanticDatabase(2)
     with pytest.raises(FormatError, match="line 2"):
-        ingest_jsonl(db, path)
+        list(iter_jsonl(path))
