@@ -91,9 +91,9 @@ class ExpertLayerParams:
 def init_ffn(d_in: int, d_inner: int, d_out: int, rng: Rng) -> FfnParams:
     return FfnParams(
         w1=ad.param(rng.normal((d_in, d_inner), std=1.0 / np.sqrt(d_in))),
-        b1=ad.param(np.zeros((1, d_inner))),
+        b1=ad.param(rng.zeros((1, d_inner))),
         w2=ad.param(rng.normal((d_inner, d_out), std=1.0 / np.sqrt(d_inner))),
-        b2=ad.param(np.zeros((1, d_out))),
+        b2=ad.param(rng.zeros((1, d_out))),
     )
 
 
@@ -104,13 +104,13 @@ def init_expert_layer(d_h: int, d_r: int, levels: int, d_inner: int, rng: Rng) -
     experts = [
         ExpertParams(
             u=ad.param(rng.spawn(l).normal((d_h, d_r), std=0.02)),
-            v=ad.param(np.zeros((d_r, d_h))),
+            v=ad.param(rng.zeros((d_r, d_h))),
         )
         for l in range(1, levels + 1)
     ]
     return ExpertLayerParams(
         experts=experts,
-        gate_w=ad.param(np.zeros((d_h, levels))),
+        gate_w=ad.param(rng.zeros((d_h, levels))),
         ffn=init_ffn(d_h, d_inner, d_h, rng.spawn(100)),
     )
 

@@ -9,6 +9,13 @@ causal mask, with the expert layer replacing the plain FFN in every
 plus EOS and SEP specials; retrieved semantic texts share the same LM
 embedding table.
 
+Training and generation share one LM forward, `_lm_logits_graph`.
+Generation prefills once: the visual encoder, the prompter and the prefix
+[image; prompt; query; SEP] run a single time and leave each block's keys
+and values in a cache. Every further token is one query-segment row through
+the same forward, attending to the cached rows; the expert layer and the FFN
+are row-local, so only attention reads the cache.
+
 Checkpoint format (little-endian)::
 
     magic "RSCK" | version u16 | manifest byte-length u32 | manifest UTF-8 JSON |
@@ -42,9 +49,10 @@ from .expert_layer import (
     init_ffn,
     sem_tag,
 )
-from .numerics import Rng
+from .numerics import Rng, ShapeRng
 from .prompter import (
     AttnBlockParams,
+    KvCache,
     PrompterConfig,
     PrompterParams,
     attention_output,
@@ -220,11 +228,16 @@ class Sample:
 
 
 def init_model(cfg: ModelConfig, seed: int) -> VlmModel:
-    master = Rng(seed)
+    return _init_model(cfg, Rng(seed))
+
+
+def _init_model(cfg: ModelConfig, master: Rng | ShapeRng) -> VlmModel:
+    """The model with every parameter drawn from `master`'s streams; with a
+    ShapeRng, a model of the right shapes that holds no parameter block."""
     vrng = master.spawn(1)
     visual = VisualEncoderParams(
         patch_w=ad.param(vrng.spawn(0).normal((cfg.patch_dim, cfg.d_v), std=1.0 / np.sqrt(cfg.patch_dim))),
-        patch_b=ad.param(np.zeros((1, cfg.d_v))),
+        patch_b=ad.param(vrng.zeros((1, cfg.d_v))),
         blocks=[
             VisualBlockParams(
                 attn=init_attn_block(cfg.d_v, cfg.d_v, cfg.d_v, vrng.spawn(10 + i)),
@@ -265,7 +278,7 @@ def init_model(cfg: ModelConfig, seed: int) -> VlmModel:
         visual=visual,
         prompter=prompter,
         proj_w=ad.param(prng.normal((cfg.d_v, cfg.d_h), std=1.0 / np.sqrt(cfg.d_v))),
-        proj_b=ad.param(np.zeros((1, cfg.d_h))),
+        proj_b=ad.param(prng.zeros((1, cfg.d_h))),
         lm=lm,
     )
 
@@ -288,22 +301,30 @@ def _encode_multilevel_graph(model: VlmModel, patches: Tensor) -> list[Tensor]:
     return taps
 
 
-def _causal_bias(t: int) -> np.ndarray:
-    return np.triu(np.full((t, t), CAUSAL_BIAS), k=1)
+def _causal_bias(t: int, p: int) -> np.ndarray:
+    """Bias of t new rows over p cached rows and themselves: row i sees
+    columns up to p + i."""
+    return np.triu(np.full((t, p + t), CAUSAL_BIAS), k=p + 1)
 
 
-def _lm_logits_graph(model: VlmModel, hidden: Tensor, segments) -> Tensor:
+def _lm_logits_graph(model: VlmModel, hidden: Tensor, segments,
+                     cache: list[KvCache] | None = None) -> Tensor:
     """Causal LM over the assembled rows, one segment tag per row; returns
-    T x vocab logits."""
+    T x vocab logits. With `cache` (one KvCache per block), the rows follow
+    the cached ones: they take the next positions, attend to the cached
+    rows, and join the cache. The expert layer and the FFN are row-local,
+    so only attention reads the cache."""
     cfg = model.config
     t = hidden.value.shape[0]
-    if t > cfg.max_seq:
-        raise ShapeError(f"sequence length {t} exceeds max_seq {cfg.max_seq}")
-    x = hidden + ad.narrow(model.lm.pos, 0, 0, t)
-    bias = _causal_bias(t)
-    for blk in model.lm.blocks:
+    offset = cache[0].rows if cache is not None else 0
+    if offset + t > cfg.max_seq:
+        raise ShapeError(f"sequence length {offset + t} exceeds max_seq {cfg.max_seq}")
+    x = hidden + ad.narrow(model.lm.pos, 0, offset, t)
+    bias = _causal_bias(t, offset) if t > 1 else None  # a lone row sees every row
+    for i, blk in enumerate(model.lm.blocks):
         a = ad.layer_norm_rows(x)
-        x = x + attention_output(blk.attn, a, a, cfg.heads, causal_bias=bias)
+        kv = cache[i] if cache is not None else None
+        x = x + attention_output(blk.attn, a, a, cfg.heads, causal_bias=bias, cache=kv)
         h = ad.layer_norm_rows(x)
         if blk.experts is not None:
             x = x + expert_block_graph(blk.experts, h, segments)
@@ -367,7 +388,11 @@ def generate(model: VlmModel, patches, query_ids, max_tokens: int,
              semantic_ids=None) -> list[int]:
     """Greedy argmax decoding; stops at EOS, after max_tokens ids, or when
     the next step would exceed max_seq rows. Raises ShapeError before any
-    forward pass when the prefix alone exceeds max_seq."""
+    forward pass when the prefix alone exceeds max_seq.
+
+    One prefill runs the visual encoder, the prompter and the prefix
+    [image; prompt; query; SEP] through the LM, filling a per-block K/V
+    cache; each further token is one query row through the same LM path."""
     if max_tokens <= 0:
         return []
     sample = Sample(
@@ -382,16 +407,19 @@ def generate(model: VlmModel, patches, query_ids, max_tokens: int,
         raise ShapeError(f"generate: prefix of {prefix} rows exceeds max_seq {cfg.max_seq}")
     # The step that decodes token j runs prefix + j - 1 rows.
     max_tokens = min(max_tokens, cfg.max_seq - prefix + 1)
+    cache = [KvCache() for _ in model.lm.blocks]
+    hidden, segments = _sequence_graph(model, sample, list(sample.query_ids) + [SEP_ID])
+    logits = _lm_logits_graph(model, hidden, segments, cache).value
     out: list[int] = []
-    while len(out) < max_tokens:
-        seq_ids = list(sample.query_ids) + [SEP_ID] + out
-        hidden, segments = _sequence_graph(model, sample, seq_ids)
-        logits = _lm_logits_graph(model, hidden, segments).value
+    while True:
         nxt = int(np.argmax(logits[-1]))
         if nxt == EOS_ID:
-            break
+            return out
         out.append(nxt)
-    return out
+        if len(out) == max_tokens:
+            return out
+        row = ad.embedding(model.lm.embed, [nxt])
+        logits = _lm_logits_graph(model, row, [QUERY_TAG], cache).value
 
 
 def save_checkpoint(model: VlmModel, path) -> None:
@@ -453,15 +481,20 @@ def load_checkpoint(path) -> VlmModel:
     reader.header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     cfg, shapes = _read_manifest(reader)
     reader.need(4 * sum(math.prod(shape) for shape in shapes.values()), "parameter blocks")
-    model = init_model(cfg, seed=0)
+    # Shapes first: the config's blocks are compared before any is allocated.
+    try:
+        model = _init_model(cfg, ShapeRng())
+    except ValueError as e:  # a block too large to address
+        raise FormatError(f"manifest config: {e}") from e
     named = dict(model.named_parameters())
     if shapes.keys() != named.keys():
         raise FormatError(f"manifest blocks: missing {sorted(named.keys() - shapes.keys())}, "
                           f"unknown {sorted(shapes.keys() - named.keys())}")
     for name, shape in shapes.items():
-        t = named[name]
-        if t.value.shape != shape:
-            raise FormatError(f"block {name!r}: manifest shape {shape} != model shape {t.value.shape}")
-        t.value = reader.f32_block(shape, name)
+        have = named[name].value.shape
+        if have != shape:
+            raise FormatError(f"block {name!r}: manifest shape {shape} != model shape {have}")
+    for name, shape in shapes.items():
+        named[name].value = reader.f32_block(shape, name)
     reader.end()
     return model

@@ -187,6 +187,10 @@ class Rng:
         z = np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])[:size]
         return (mean + std * z).reshape(shape)
 
+    def zeros(self, shape) -> np.ndarray:
+        """An all-zero block; draws nothing, so the stream is unchanged."""
+        return np.zeros(shape)
+
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates shuffle of range(n) driven by the u64 stream."""
         draws = self.u64(max(n - 1, 0))
@@ -199,3 +203,18 @@ class Rng:
     def spawn(self, tag: int) -> "Rng":
         """Independent child stream for component `tag` of the same master seed."""
         return Rng(_mix64(self.seed ^ _mix64((_GOLDEN * (int(tag) + 1)) & _MASK64)))
+
+
+class ShapeRng:
+    """Stands in for Rng where only the shapes of the draws matter: each
+    draw is a read-only broadcast of one number, so an initializer run with
+    it allocates no parameter block."""
+
+    def spawn(self, tag: int) -> "ShapeRng":
+        return self
+
+    def normal(self, shape, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
+        return np.broadcast_to(np.float64(mean), shape)
+
+    def zeros(self, shape) -> np.ndarray:
+        return np.broadcast_to(np.float64(0.0), shape)

@@ -103,10 +103,35 @@ def init_prompter(cfg: PrompterConfig, rng: Rng) -> PrompterParams:
     )
 
 
+@dataclass
+class KvCache:
+    """Keys and values an attention block has projected so far. They are
+    held as constants, so a later call's graph does not reach back into the
+    graph of the call that projected them."""
+
+    k: Tensor | None = None
+    v: Tensor | None = None
+
+    @property
+    def rows(self) -> int:
+        return 0 if self.k is None else self.k.value.shape[0]
+
+    def extend(self, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+        """The cached keys and values followed by k and v; the cache keeps
+        the result for the next call."""
+        if self.k is not None:
+            k = ad.concat([self.k, k], axis=0)
+            v = ad.concat([self.v, v], axis=0)
+        self.k, self.v = ad.const(k.value), ad.const(v.value)
+        return k, v
+
+
 def attention_output(block: AttnBlockParams, q_in: Tensor, ctx: Tensor, heads: int,
-                     causal_bias: np.ndarray | None = None) -> Tensor:
+                     causal_bias: np.ndarray | None = None, cache: KvCache | None = None) -> Tensor:
     """Multi-head attention without residual: project, split columns into
-    heads, scaled-dot attention per head, concatenate, output-project."""
+    heads, scaled-dot attention per head, concatenate, output-project. With
+    `cache`, the queries attend to the cached keys and values followed by
+    those of `ctx`, which join the cache."""
     d = block.wq.value.shape[1]
     if d % heads != 0:
         raise ShapeError(f"attention: dim {d} not divisible by heads {heads}")
@@ -122,6 +147,8 @@ def attention_output(block: AttnBlockParams, q_in: Tensor, ctx: Tensor, heads: i
     q = ad.matmul(q_in, block.wq)
     k = ad.matmul(ctx, block.wk)
     v = ad.matmul(ctx, block.wv)
+    if cache is not None:
+        k, v = cache.extend(k, v)
     inv_sqrt = 1.0 / math.sqrt(dk)
     head_outs = []
     for h in range(heads):

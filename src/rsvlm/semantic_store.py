@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import json
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -51,9 +53,10 @@ class SemanticDatabase:
         return len(self.records)
 
     def get(self, record_id: int) -> SemanticRecord:
-        for rec in self.records:
-            if rec.id == record_id:
-                return rec
+        """The record with this id, found by bisection: ids strictly increase."""
+        i = bisect_left(self.records, record_id, key=attrgetter("id"))
+        if i < len(self.records) and self.records[i].id == record_id:
+            return self.records[i]
         raise KeyError(record_id)
 
     def ingest(self, text: str, embedding) -> int:

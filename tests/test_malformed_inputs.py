@@ -220,6 +220,30 @@ def test_checkpoint_manifest_faults(inputs_dir, tmp_path, fault):
     _assert_fails_closed("rsck", inputs_dir, path, match)
 
 
+@pytest.mark.parametrize("key,value,match", [
+    ("max_seq", 1 << 20, r"block 'lm.pos': manifest shape \(64, 8\) != model shape \(1048576, 8\)"),
+    ("d_i", 1 << 62, "manifest config: "),
+])
+def test_checkpoint_config_checked_before_allocating(inputs_dir, tmp_path, key, value, match):
+    # A 28 KB checkpoint whose config implies blocks far larger than its own
+    blob = (inputs_dir / "model.rsck").read_bytes()
+    (n,) = struct.unpack("<I", blob[6:10])
+    manifest = json.loads(blob[10 : 10 + n])
+    manifest["config"][key] = value
+    raw = json.dumps(manifest).encode("utf-8")
+    path = tmp_path / "model.rsck"
+    path.write_bytes(blob[:6] + struct.pack("<I", len(raw)) + raw + blob[10 + n :])
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=match):
+            vlm.load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+    _assert_fails_closed("rsck", inputs_dir, path, match)
+
+
 @pytest.mark.parametrize("kind,line", [("texts", "5"), ("pairs", "5"), ("caption", "5"),
                                        ("caption", "[1, 2]"), ("pred", "5"), ("gt", "5")])
 def test_jsonl_line_must_be_an_object(inputs_dir, tmp_path, kind, line):

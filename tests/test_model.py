@@ -269,3 +269,117 @@ def test_generate_stops_at_max_seq():
     assert vlm.generate(model, patches, [1, 2, 3], 7) == [0] * 6
     with pytest.raises(ShapeError, match="prefix of 21 rows"):
         vlm.generate(model, patches, list(range(1, 14)), 1)
+
+
+def _with_experts(model, seed):
+    """Non-zero expert V and gate, so the routed experts change the logits."""
+    rng = Rng(seed)
+    for name, t in model.named_parameters():
+        if ".experts.v" in name or name.endswith(".gate.wg"):
+            t.value = rng.normal(t.value.shape, std=0.3)
+    return model
+
+
+def _recorded_logits(monkeypatch, record):
+    """Wrap the module's LM forward so each call's result is passed to `record`."""
+    forward = vlm._lm_logits_graph
+
+    def wrapped(*args, **kwargs):
+        logits = forward(*args, **kwargs)
+        record(logits)
+        return logits
+
+    monkeypatch.setattr(vlm, "_lm_logits_graph", wrapped)
+
+
+def _recompute_oracle(model, sample, max_tokens):
+    """Greedy decoding that reruns the whole sequence for every token; the
+    tokens and each step's last-row logits."""
+    out, steps = [], []
+    while len(out) < max_tokens:
+        hidden, segments = vlm._sequence_graph(model, sample, list(sample.query_ids) + [SEP_ID] + out)
+        steps.append(vlm._lm_logits_graph(model, hidden, segments).value[-1])
+        nxt = int(np.argmax(steps[-1]))
+        if nxt == EOS_ID:
+            break
+        out.append(nxt)
+    return out, steps
+
+
+@pytest.mark.parametrize("expert_stride,seed", [(1, 40), (2, 41), (1, 42), (2, 43)])
+def test_cached_generate_matches_recompute_oracle(monkeypatch, expert_stride, seed):
+    cfg = _small_cfg(expert_stride=expert_stride, heads=4, max_seq=48)
+    model = _with_experts(vlm.init_model(cfg, seed=seed), seed)
+    sample = _sample(cfg, seed=seed + 100)
+    want, want_steps = _recompute_oracle(model, sample, 20)
+    steps = []
+    _recorded_logits(monkeypatch, lambda logits: steps.append(logits.value[-1]))
+    got = vlm.generate(model, sample.patches, sample.query_ids, 20, semantic_ids=sample.semantic_ids)
+    assert got == want
+    assert len(steps) == len(want_steps)
+    for a, b in zip(steps, want_steps):
+        assert np.max(np.abs(a - b)) <= 1e-10
+
+
+@pytest.mark.parametrize("expert_stride", [1, 2])
+def test_cached_generate_ends_exactly_at_max_seq(monkeypatch, expert_stride):
+    cfg = _small_cfg(expert_stride=expert_stride, max_seq=24)
+    model = _with_experts(vlm.init_model(cfg, seed=44), 44)
+    model.lm.head.value[:, EOS_ID] = 0.0  # EOS logit 0, below the largest of the 257 others
+    sample = _sample(cfg, seed=45)
+    # 3 patches + 2 * 2 prompt rows + 5 query tokens + SEP = a 13-row prefix
+    fits = cfg.max_seq - 13 + 1
+    want, want_steps = _recompute_oracle(model, sample, fits)
+    assert len(want) == fits
+    rows, steps = [], []
+
+    def record(logits):
+        rows.append(logits.value.shape[0])
+        steps.append(logits.value[-1])
+
+    _recorded_logits(monkeypatch, record)
+    got = vlm.generate(model, sample.patches, sample.query_ids, fits + 5, semantic_ids=sample.semantic_ids)
+    assert got == want
+    assert rows == [13] + [1] * (fits - 1)  # no step after the last token
+    assert 13 + len(rows) - 1 == cfg.max_seq
+    for a, b in zip(steps, want_steps):
+        assert np.max(np.abs(a - b)) <= 1e-10
+
+
+def test_cached_chunks_match_one_pass():
+    cfg = _small_cfg(heads=4)
+    model = _with_experts(vlm.init_model(cfg, seed=46), 46)
+    hidden, segments = _sequence(model, 47, 3, [1, 2, 3, 4, 5, 6])
+    whole = vlm._lm_logits_graph(model, ad.const(hidden), segments).value
+    cache = [vlm.KvCache() for _ in model.lm.blocks]
+    head = vlm._lm_logits_graph(model, ad.const(hidden[:9]), segments[:9], cache).value
+    tail = vlm._lm_logits_graph(model, ad.const(hidden[9:]), segments[9:], cache).value
+    assert cache[0].rows == hidden.shape[0]
+    assert np.max(np.abs(np.concatenate([head, tail]) - whole)) <= 1e-10
+    with pytest.raises(ShapeError, match="sequence length 129 exceeds max_seq 128"):
+        vlm._lm_logits_graph(model, ad.const(np.zeros((cfg.max_seq - 12, cfg.d_h))),
+                             segments[-1:] * (cfg.max_seq - 12), cache)
+
+
+def _graph_nodes(root) -> int:
+    seen, stack = {id(root)}, [root]
+    while stack:
+        for p in stack.pop()._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return len(seen)
+
+
+def test_decode_step_graph_does_not_grow(monkeypatch):
+    cfg = _small_cfg()
+    model = _with_experts(vlm.init_model(cfg, seed=48), 48)
+    model.lm.head.value[:, EOS_ID] = 0.0
+    sample = _sample(cfg, seed=49)
+    nodes = []
+    _recorded_logits(monkeypatch, lambda logits: nodes.append(_graph_nodes(logits)))
+    assert len(vlm.generate(model, sample.patches, sample.query_ids, 31)) == 31
+    prefill, decode = nodes[0], nodes[1:]
+    assert len(decode) == 30
+    assert decode[0] == decode[29] and len(set(decode)) == 1
+    assert decode[0] < prefill

@@ -1,7 +1,10 @@
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsvlm import cli
 from rsvlm.errors import DomainError, FormatError, ShapeError
@@ -227,3 +230,36 @@ def test_ingest_jsonl_reports_line_number(tmp_path):
     path.write_text('{"text": "ok", "embedding": [1, 0]}\nnot json\n', encoding="utf-8")
     with pytest.raises(FormatError, match="line 2"):
         list(iter_jsonl(path))
+
+
+def _rsdb_with_ids(path, ids, dim=2):
+    """An RSDB file whose records carry the given strictly increasing ids."""
+    blob = b"RSDB" + struct.pack("<HIQ", 1, dim, len(ids))
+    for rec_id in ids:
+        blob += struct.pack("<QI", rec_id, 1) + b"x" + np.ones(dim, dtype="<f4").tobytes()
+    path.write_bytes(blob)
+
+
+def _scan(db, record_id):
+    return next((rec for rec in db.records if rec.id == record_id), None)
+
+
+@settings(max_examples=100)
+@given(ids=st.lists(st.integers(0, (1 << 63) - 2), unique=True, max_size=40).map(sorted),
+       data=st.data())
+def test_get_matches_linear_scan(tmp_path_factory, ids, data):
+    path = tmp_path_factory.getbasetemp() / "ids.rsdb"
+    _rsdb_with_ids(path, ids)
+    db = SemanticDatabase.load(path)
+    db.ingest("appended", [1.0, 0.0])  # id one past the last loaded id
+    present = [rec.id for rec in db.records]
+    probes = [present[0], present[-1], present[-1] + 1, -1]
+    probes += data.draw(st.lists(st.sampled_from(present), max_size=5), label="present")
+    probes += data.draw(st.lists(st.integers(-2, 1 << 63), max_size=5), label="any")
+    for record_id in probes:
+        want = _scan(db, record_id)
+        if want is None:
+            with pytest.raises(KeyError):
+                db.get(record_id)
+        else:
+            assert db.get(record_id) is want
