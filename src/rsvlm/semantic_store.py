@@ -1,9 +1,20 @@
 """Semantic knowledge database: textual scene descriptions with unit-norm
 embeddings, exact top-k cosine retrieval, and a fixed binary file format.
 
-Retrieval is an exact flat scan (no approximate index). Embeddings are
-L2-normalized at ingest and stored as float32, so cosine similarity against a
-normalized query reduces to a dot product. Ties are broken by ascending id.
+Embeddings are L2-normalized at ingest and stored as float32, so cosine
+similarity against a normalized query reduces to a dot product. The exact
+score of a record is its float32 embedding widened to float64, dotted with the
+unit query on its own, and clipped to [-1, 1]; results are sorted by score
+descending, ties by ascending id.
+
+Retrieval is exact without scoring every record that way. The database keeps
+all embeddings, widened, in one contiguous (n, dim) matrix (the flat
+inner-product layout of FAISS, arXiv:1702.08734) and scores a query with one
+matrix-vector product. Those scores may differ from the per-row ones in the
+last bits, by at most a margin that follows from the dot-product rounding
+bound (see `retrieve_top_k`); only the rows within that margin of the k-th
+best are rescored exactly, so the result is identical to a full sort of the
+exact scores.
 
 File format (all little-endian)::
 
@@ -14,6 +25,7 @@ File format (all little-endian)::
 from __future__ import annotations
 
 import json
+import math
 import struct
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -27,6 +39,10 @@ from .errors import DomainError, FormatError, ShapeError
 
 MAGIC = b"RSDB"
 FORMAT_VERSION = 1
+# An embedding whose norm is at least MIN_NORM has x.x clear of underflow, so
+# ingest normalizes it to a float32 row whose norm is at most UNIT_ROW_NORM.
+MIN_NORM = 2.0**-500
+UNIT_ROW_NORM = 1.0 + 2.0**-20
 
 
 @dataclass
@@ -48,6 +64,11 @@ class SemanticDatabase:
             raise ShapeError(f"database dim must be positive, got {dim}")
         self.dim = int(dim)
         self.records: list[SemanticRecord] = []
+        # Row i of _emb is records[i].embedding widened to float64 and _ids[i]
+        # its id; rows past len(records) are spare capacity for ingest.
+        self._emb = np.empty((0, self.dim))
+        self._ids = np.empty(0, dtype=np.int64)
+        self._max_norm = UNIT_ROW_NORM  # bounds every stored row's L2 norm
 
     def __len__(self) -> int:
         return len(self.records)
@@ -66,11 +87,22 @@ class SemanticDatabase:
         emb = np.asarray(embedding, dtype=np.float64).reshape(-1)
         if emb.shape[0] != self.dim:
             raise ShapeError(f"ingest: embedding length {emb.shape[0]} != db dim {self.dim}")
-        norm = float(np.linalg.norm(emb))
-        if norm == 0.0:
-            raise DomainError("ingest: zero embedding vector")
+        norm = math.sqrt(emb.dot(emb))  # what np.linalg.norm computes
+        if not math.isfinite(norm):
+            raise DomainError("ingest: embedding is non-finite or its norm overflows")
+        if norm < MIN_NORM:
+            raise DomainError(f"ingest: zero or near-zero embedding vector (norm {norm:.3g} < 2^-500)")
         unit = (emb / norm).astype(np.float32)
         new_id = self.records[-1].id + 1 if self.records else 0
+        if new_id >= 1 << 63:
+            raise DomainError(f"ingest: id {new_id} exceeds the int64 range")
+        n = len(self.records)
+        if n == len(self._ids):  # full: double the capacity
+            cap = max(16, 2 * n)
+            self._emb = np.concatenate([self._emb[:n], np.empty((cap - n, self.dim))])
+            self._ids = np.concatenate([self._ids[:n], np.empty(cap - n, dtype=np.int64)])
+        self._emb[n] = unit
+        self._ids[n] = new_id
         self.records.append(SemanticRecord(new_id, text, unit))
         return new_id
 
@@ -80,22 +112,37 @@ class SemanticDatabase:
         if q.shape[0] != self.dim:
             raise ShapeError(f"retrieve: query length {q.shape[0]} != db dim {self.dim}")
         qn = float(np.linalg.norm(q))
+        if not math.isfinite(qn):
+            raise DomainError("retrieve: query is non-finite or its norm overflows")
         if qn == 0.0:
             raise DomainError("retrieve: zero query vector")
         if k < 0:
             raise DomainError(f"retrieve: k must be >= 0, got {k}")
-        if not self.records or k == 0:
+        n = len(self.records)
+        if n == 0 or k == 0:
             return []
-        # Score each record with an individual float64 dot product so the
-        # exact values are reproducible by any independent scorer (a fused
-        # matrix-vector product may round differently in the last ulp).
         unit = q / qn
-        scores = np.array([
-            np.clip(rec.embedding.astype(np.float64) @ unit, -1.0, 1.0)
-            for rec in self.records
-        ])
-        ids = np.array([rec.id for rec in self.records], dtype=np.int64)
-        order = np.lexsort((ids, -scores))[: min(k, len(self.records))]
+        emb = self._emb[:n]
+        cand = np.arange(n)
+        if k < n:
+            # Any float64 dot product of finite d-vectors, in any summation
+            # order, with or without FMA, is within g*|x|*|u| of the true x.u,
+            # where g = d*2^-53 / (1 - d*2^-53). So a row's matvec score and
+            # its per-row score are each within e = g*M*|u| of its true score,
+            # where M = _max_norm bounds every stored row norm; clipping to
+            # [-1, 1] widens no gap. Each of the k rows at or above the k-th
+            # clipped matvec score `kth` then scores >= kth - 2e, and a row
+            # below kth - 4e scores < kth - 2e: k rows precede it, whatever
+            # the ids. The margin is 4*g*M plus 2^-50*M, which covers |u| ~ 1,
+            # the rounding of M and of kth - margin, and underflow (at most
+            # d*2^-1074 per dot, while M >= 1).
+            approx = np.clip(emb @ unit, -1.0, 1.0)
+            kth = np.partition(approx, n - k)[n - k]
+            g = self.dim * 2.0**-53 / (1.0 - self.dim * 2.0**-53)
+            cand = np.flatnonzero(approx >= kth - (4.0 * g + 2.0**-50) * self._max_norm)
+        scores = np.array([np.clip(emb[i] @ unit, -1.0, 1.0) for i in cand])
+        ids = self._ids[cand]
+        order = np.lexsort((ids, -scores))[:k]
         return [RetrievalResult(int(ids[i]), float(scores[i])) for i in order]
 
     def save(self, path) -> None:
@@ -114,7 +161,8 @@ class SemanticDatabase:
 
     @staticmethod
     def load(path) -> "SemanticDatabase":
-        reader = Reader(Path(path).read_bytes())
+        data = Path(path).read_bytes()
+        reader = Reader(data)
         reader.header(MAGIC, FORMAT_VERSION)
         dim = reader.u32("dim")
         if dim <= 0:
@@ -122,6 +170,7 @@ class SemanticDatabase:
         count = reader.u64("count")
         reader.need(count * (12 + 4 * dim), f"{count} records of dim {dim}")
         db = SemanticDatabase(dim)
+        ids, texts, offsets = [], [], []
         prev_id = -1
         # One handler around the whole loop keeps the per-record path as it was.
         try:
@@ -131,16 +180,30 @@ class SemanticDatabase:
                     raise FormatError(f"record ids not strictly increasing at byte {reader.offset - 8}")
                 prev_id = rec_id
                 text_len = reader.u32(f"record {i} text length")
-                text = reader.take(text_len, f"record {i} text").decode("utf-8")
-                emb_bytes = reader.take(4 * dim, f"record {i} embedding")
-                emb = np.frombuffer(emb_bytes, dtype="<f4").copy()
-                db.records.append(SemanticRecord(rec_id, text, emb))
+                texts.append(reader.take(text_len, f"record {i} text").decode("utf-8"))
+                ids.append(rec_id)
+                offsets.append(reader.offset)
+                reader.take(4 * dim, f"record {i} embedding")
         except UnicodeDecodeError as e:
             start = reader.offset - text_len
             raise FormatError(f"record {i}: invalid UTF-8 in text at byte {start + e.start}") from e
         if prev_id >= 1 << 63:  # ids increase, so only the last can leave the int64 range
             raise FormatError(f"record {count - 1}: id {prev_id} exceeds the int64 range")
         reader.end()
+        if not count:
+            return db
+        # One gather of every embedding's bytes: row i of the window view is
+        # the 4*dim bytes that start at byte i of the file.
+        windows = np.lib.stride_tricks.sliding_window_view(np.frombuffer(data, np.uint8), 4 * dim)
+        rows = windows[np.array(offsets)].view("<f4")
+        finite = np.isfinite(rows)
+        if not finite.all():
+            i, j = divmod(int(np.argmin(finite)), dim)
+            raise FormatError(f"non-finite value in record {i} embedding at byte {offsets[i] + 4 * j}")
+        db.records = [SemanticRecord(*rec) for rec in zip(ids, texts, rows)]
+        db._emb = rows.astype(np.float64)
+        db._ids = np.array(ids, dtype=np.int64)
+        db._max_norm = max(UNIT_ROW_NORM, float(np.linalg.norm(db._emb, axis=1).max()))
         return db
 
 

@@ -153,6 +153,36 @@ def test_non_finite_parameter_rejected(inputs_dir, tmp_path, kind):
     _assert_fails_closed(kind, inputs_dir, path, f"non-finite value in .* at byte {len(blob) - 4}")
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_rsdb_non_finite_embedding_reports_record_offset(inputs_dir, tmp_path, value):
+    blob = bytearray((inputs_dir / "db.rsdb").read_bytes())
+    # header 18 bytes, record 0 is 12 + 10 + 16 bytes, record 1's embedding
+    # starts after its 12 + 10: its element 2 is at byte 18 + 38 + 22 + 8 = 86
+    blob[86:90] = struct.pack("<f", value)
+    path = tmp_path / "db.rsdb"
+    path.write_bytes(bytes(blob))
+    _assert_fails_closed("rsdb", inputs_dir, path, "non-finite value in record 1 embedding at byte 86")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_build_db_non_finite_embedding_exit_4(inputs_dir, tmp_path, value):
+    path = tmp_path / "texts.jsonl"
+    _jsonl(path, [{"text": "lake shore", "embedding": [0.5, 1.0, 0.0, 0.0]},
+                  {"text": "road grid", "embedding": [value, 1.0, 0.0, 0.0]}])
+    code, err = _run(_inputs(inputs_dir)["texts"][2](str(path)))
+    assert code == 4, err
+    assert err == "format error: line 2: ingest: embedding is non-finite or its norm overflows\n"
+
+
+@pytest.mark.parametrize("text", ["[NaN, 1.0, 0.0, 0.0]", "[1.0, Infinity, 0.0, 0.0]"])
+def test_retrieve_non_finite_query_exit_3(inputs_dir, tmp_path, text):
+    query = tmp_path / "q.json"
+    query.write_text(text, encoding="utf-8")
+    code, err = _run(["retrieve", "--db", str(inputs_dir / "db.rsdb"), "--query", str(query)])
+    assert code == 3, err
+    assert err == "numeric error: retrieve: query is non-finite or its norm overflows\n"
+
+
 def test_rsdb_invalid_utf8_reports_record_offset(inputs_dir, tmp_path):
     blob = bytearray((inputs_dir / "db.rsdb").read_bytes())
     # header 18 bytes, then id u64 and text length u32: text 0 starts at byte 30

@@ -3,18 +3,31 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rsvlm import cli
 from rsvlm.errors import DomainError, FormatError, ShapeError
 from rsvlm.numerics import Rng
-from rsvlm.semantic_store import SemanticDatabase, iter_jsonl
+from rsvlm.semantic_store import UNIT_ROW_NORM, SemanticDatabase, iter_jsonl
 
 
 def _unit_rows(rng, n, dim):
     m = rng.normal((n, dim))
     return m / np.linalg.norm(m, axis=1, keepdims=True)
+
+
+def _oracle_top_k(db, query, k):
+    """Every record scored on its own and fully sorted by (-score, id)."""
+    q = np.asarray(query, dtype=np.float64)
+    unit = q / np.linalg.norm(q)
+    scored = [(rec.id, float(np.clip(rec.embedding.astype(np.float64) @ unit, -1.0, 1.0)))
+              for rec in db.records]
+    return sorted(scored, key=lambda t: (-t[1], t[0]))[:k]
+
+
+def _top_k(db, query, k):
+    return [(r.id, r.score) for r in db.retrieve_top_k(query, k)]
 
 
 def test_first_ingest_gets_id_zero():
@@ -36,6 +49,7 @@ def test_ids_are_sequential():
     assert ids == list(range(100))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_ingest_validations():
     db = SemanticDatabase(2)
     with pytest.raises(ShapeError):
@@ -44,6 +58,38 @@ def test_ingest_validations():
         db.ingest("zero", [0.0, 0.0])
     with pytest.raises(DomainError):
         db.ingest("", [1.0, 0.0])
+    for bad in ([np.inf, 0.0], [1.0, -np.inf], [np.nan, 1.0], [1e200, 1e200]):
+        with pytest.raises(DomainError, match="non-finite"):
+            db.ingest("bad", bad)
+    assert len(db) == 0
+
+
+def test_ingest_rejects_near_zero_embedding():
+    db = SemanticDatabase(2)
+    db.ingest("smallest accepted", [2.0**-499, 0.0])
+    assert db.records[0].embedding.tolist() == [1.0, 0.0]
+    for tiny in ([2.0**-501, 0.0], [1e-200, 1e-210]):  # x.x underflows, so norm(x) would be wrong
+        with pytest.raises(DomainError, match="near-zero"):
+            db.ingest("too small", tiny)
+    assert len(db) == 1
+
+
+@given(values=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8), exp=st.integers(-480, 500))
+def test_ingested_rows_keep_the_norm_bound_retrieval_assumes(values, exp):
+    assume(max(map(abs, values)) >= 2.0**-10)
+    db = SemanticDatabase(len(values))
+    db.ingest("scaled", np.array(values) * 2.0**exp)
+    row = db.records[0].embedding.astype(np.float64)
+    assert np.linalg.norm(row) <= UNIT_ROW_NORM
+
+
+def test_ingest_rejects_id_beyond_int64(tmp_path):
+    path = tmp_path / "last.rsdb"
+    _rsdb_with_ids(path, [(1 << 63) - 1])
+    db = SemanticDatabase.load(path)
+    with pytest.raises(DomainError, match="int64"):
+        db.ingest("one more", [1.0, 0.0])
+    assert len(db) == 1
 
 
 def test_retrieve_exact_match_ranks_first():
@@ -75,6 +121,7 @@ def test_retrieve_empty_db_and_k_zero():
     assert db.retrieve_top_k([1.0, 0.0], k=0) == []
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_retrieve_validations():
     db = SemanticDatabase(2)
     db.ingest("x", [1.0, 0.0])
@@ -82,6 +129,9 @@ def test_retrieve_validations():
         db.retrieve_top_k([1.0, 0.0, 0.0], k=1)
     with pytest.raises(DomainError):
         db.retrieve_top_k([0.0, 0.0], k=1)
+    for bad in ([np.nan, 1.0], [np.inf, 0.0], [1e200, 1e200]):
+        with pytest.raises(DomainError, match="non-finite"):
+            db.retrieve_top_k(bad, k=1)
 
 
 def test_retrieve_matches_full_sort_oracle():
@@ -263,3 +313,101 @@ def test_get_matches_linear_scan(tmp_path_factory, ids, data):
                 db.get(record_id)
         else:
             assert db.get(record_id) is want
+
+
+def _check_against_oracle(db, rng):
+    # A flat query ties rows that permute one another, up to rounding.
+    queries = [rng.normal((db.dim,)), np.ones(db.dim)] + [db.records[len(db) // 2].embedding]
+    for q in queries:
+        want = _oracle_top_k(db, q, len(db))
+        for k in range(len(db) + 2):
+            assert _top_k(db, q, k) == want[:k]
+
+
+def _ingest_some(db, rng, n, label):
+    """Random rows, every third one a permutation of the row before it."""
+    for i in range(n):
+        if i % 3 == 2:
+            row = db.records[-1].embedding[rng.permutation(db.dim)]
+        else:
+            row = rng.normal((db.dim,))
+        db.ingest(f"{label} {i}", row)
+        _check_against_oracle(db, rng)
+
+
+def test_retrieval_follows_every_way_records_arrive(tmp_path):
+    rng = Rng(12)
+    db = SemanticDatabase(5)
+    _ingest_some(db, rng, 40, "built")  # past the first two capacity doublings
+    db.save(tmp_path / "a.rsdb")
+    loaded = SemanticDatabase.load(tmp_path / "a.rsdb")
+    _check_against_oracle(loaded, rng)
+    _ingest_some(loaded, rng, 20, "added")  # a loaded matrix has no spare rows
+    loaded.save(tmp_path / "b.rsdb")
+    again = SemanticDatabase.load(tmp_path / "b.rsdb")
+    _check_against_oracle(again, rng)
+    assert [(r.id, r.text) for r in again.records] == [(r.id, r.text) for r in loaded.records]
+    again.save(tmp_path / "c.rsdb")
+    assert (tmp_path / "b.rsdb").read_bytes() == (tmp_path / "c.rsdb").read_bytes()
+
+
+# float32 values in [-1, 1] with up to 24 significant bits, so that products
+# and sums round
+_F32 = st.integers(-(1 << 24), 1 << 24).map(lambda m: m * 2.0**-24)
+
+
+@st.composite
+def _adversarial_rows(draw):
+    """float32 rows of any norm, then rows that repeat an earlier row,
+    permute its coordinates (a tie under a flat query, up to rounding), sit
+    1 ulp from it in one coordinate, are it scaled to unit norm, or add and
+    take 1024 in two coordinates (a large norm, and rounding errors in the
+    dot products far above those of a unit row)."""
+    dim = draw(st.integers(1, 8), label="dim")
+    rows = draw(st.lists(st.lists(_F32, min_size=dim, max_size=dim), min_size=1, max_size=6))
+    rows = [np.array(r, dtype=np.float32) for r in rows]
+    for _ in range(draw(st.integers(0, 16), label="derived")):
+        base = rows[draw(st.integers(0, len(rows) - 1))]
+        kind = draw(st.sampled_from(["same", "perm", "ulp", "unit", "spread"]))
+        if kind == "same":
+            rows.append(base.copy())
+        elif kind == "perm":
+            rows.append(base[draw(st.permutations(range(dim)))])
+        elif kind == "ulp":
+            j = draw(st.integers(0, dim - 1))
+            row = base.copy()
+            row[j] = np.nextafter(row[j], np.float32(draw(st.sampled_from([-np.inf, np.inf]))))
+            rows.append(row)
+        elif kind == "unit" and np.any(base):
+            rows.append((base / np.linalg.norm(base.astype(np.float64))).astype(np.float32))
+        elif kind == "spread" and dim > 1:
+            j, j2 = draw(st.permutations(range(dim)))[:2]
+            row = base.copy()
+            row[j] += np.float32(1024.0)
+            row[j2] -= np.float32(1024.0)
+            rows.append(row)
+    order = draw(st.permutations(range(len(rows))))
+    return dim, [rows[i] for i in order]
+
+
+@given(case=_adversarial_rows(), data=st.data())
+def test_retrieve_matches_oracle_on_adversarial_rows(tmp_path_factory, case, data):
+    dim, rows = case
+    gaps = data.draw(st.lists(st.integers(1, 3), min_size=len(rows), max_size=len(rows)), label="gaps")
+    blob = b"RSDB" + struct.pack("<HIQ", 1, dim, len(rows))
+    for rec_id, row in zip(np.cumsum(gaps), rows):
+        blob += struct.pack("<QI", int(rec_id), 1) + b"x" + row.astype("<f4").tobytes()
+    path = tmp_path_factory.getbasetemp() / "adversarial.rsdb"
+    path.write_bytes(blob)
+    db = SemanticDatabase.load(path)
+    kind = data.draw(st.sampled_from(["stored", "flat", "any"]), label="query")
+    if kind == "stored":
+        query = rows[data.draw(st.integers(0, len(rows) - 1), label="row")].astype(np.float64)
+    elif kind == "flat":
+        query = np.full(dim, data.draw(_F32, label="value"))
+    else:
+        query = np.array(data.draw(st.lists(_F32, min_size=dim, max_size=dim), label="values"))
+    assume(np.any(query))
+    n = len(rows)
+    for k in sorted({0, 1, n, n + 3, data.draw(st.integers(0, n), label="k")}):
+        assert _top_k(db, query, k) == _oracle_top_k(db, query, k)
