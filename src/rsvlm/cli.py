@@ -156,19 +156,21 @@ def cmd_build_db(args) -> int:
     encoder = _load_retriever(args.encoder)
     dim = args.dim or (encoder.d_e if encoder else cfg.values["d_e"])
     db = SemanticDatabase(dim)
-    for lineno, obj in iter_jsonl(args.input):
-        if "text" not in obj:
-            raise FormatError(f"line {lineno}: missing 'text' field")
-        if "embedding" in obj:
-            emb = obj["embedding"]
-        elif encoder is not None:
-            emb = de.encode_text(encoder, de.tokenize_text(obj["text"], encoder.vocab))
-        else:
-            raise FormatError(f"line {lineno}: no 'embedding' field and no --encoder given")
-        try:
-            db.ingest(obj["text"], emb)
-        except (ShapeError, DomainError) as e:
-            raise FormatError(f"line {lineno}: {e}") from e
+    # an embedding whose squared norm overflows is rejected by ingest
+    with np.errstate(over="ignore"):
+        for lineno, obj in iter_jsonl(args.input):
+            if "text" not in obj:
+                raise FormatError(f"line {lineno}: missing 'text' field")
+            if "embedding" in obj:
+                emb = obj["embedding"]
+            elif encoder is not None:
+                emb = de.encode_text(encoder, de.tokenize_text(obj["text"], encoder.vocab))
+            else:
+                raise FormatError(f"line {lineno}: no 'embedding' field and no --encoder given")
+            try:
+                db.ingest(obj["text"], emb)
+            except (ShapeError, DomainError) as e:
+                raise FormatError(f"line {lineno}: {e}") from e
     db.save(args.out)
     _print_json({"count": len(db), "dim": db.dim, "path": str(args.out)})
     return EXIT_OK
@@ -188,6 +190,8 @@ def cmd_train_retriever(args) -> int:
             raise FormatError(f"line {lineno}: 'image' must be an array of numbers") from e
         if image.shape != (v["d_img_raw"],):
             raise FormatError(f"line {lineno}: 'image' has shape {image.shape}, expected ({v['d_img_raw']},)")
+        if not np.isfinite(image).all():
+            raise FormatError(f"line {lineno}: 'image' holds a non-finite value")
         tokens = de.tokenize_text(obj["text"], v["bow_vocab"])
         # one contrastive batch holds every pair, and it may not repeat a text
         if tuple(tokens) in lines_by_text:
@@ -219,7 +223,8 @@ def cmd_retrieve(args) -> int:
     encoder = _load_retriever(args.encoder)
     if encoder is not None:
         query = de.encode_image(encoder, query)
-    results = db.retrieve_top_k(query, args.k)
+    with np.errstate(over="ignore"):  # a query whose norm overflows is rejected
+        results = db.retrieve_top_k(query, args.k)
     lines = []
     for rank, res in enumerate(results, start=1):
         lines.append(json.dumps(
@@ -362,7 +367,7 @@ def micro_sample(seed: int) -> vlm.Sample:
 def micro_loss_builder(model: vlm.VlmModel, sample: vlm.Sample):
     """Next-token loss over the query segment, valid for any vocab size."""
     seq_ids = list(sample.query_ids) + list(sample.response_ids)
-    n_prefix = sample.patches.shape[0] + model.config.n_agg * model.config.levels
+    n_prefix = sum(vlm._segments_for(model, sample.patches.shape[0], 0))
     targets = np.full(n_prefix + len(seq_ids), -1, dtype=np.int64)
     for j in range(len(seq_ids) - 1):
         targets[n_prefix + j] = seq_ids[j + 1]

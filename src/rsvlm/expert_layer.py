@@ -1,13 +1,15 @@
 """Level-routed low-rank expert layer.
 
-Token sequences are tagged by segment: image tokens, semantic prompt tokens
-of level l, and query tokens. Each of the L experts is a bias-free linear
-bottleneck (rank-reduction u: d_h x d_r followed by rank-expansion
-v: d_r x d_h, applied to row tokens as x @ u @ v). The deterministic router
-zeroes every token outside {image, semantic level l, query} before expert l.
-Image and query tokens mix expert outputs through a per-token softmax gate;
-semantic tokens take their own level's output with coefficient one. The
-merged expert output is added to a standard two-layer FFN of the same input.
+A token sequence is laid out as contiguous row blocks, described by one
+tuple of row counts (n_image, n_level_1, ..., n_level_L, n_query): image
+rows, then the semantic prompt rows of each level in level order, then the
+query rows. Each of the L experts is a bias-free linear bottleneck
+(rank-reduction u: d_h x d_r followed by rank-expansion v: d_r x d_h,
+applied to row tokens as x @ u @ v). The deterministic router zeroes every
+row outside {image, semantic level l, query} before expert l. Image and
+query rows mix expert outputs through a per-row softmax gate; semantic rows
+take their own level's output with coefficient one. The merged expert output
+is added to a standard two-layer FFN of the same input.
 """
 
 from __future__ import annotations
@@ -20,26 +22,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ShapeError
 from .numerics import Rng
-
-IMAGE = "image"
-SEMANTIC = "semantic"
-QUERY = "query"
-
-
-@dataclass(frozen=True)
-class Seg:
-    kind: str
-    level: int = 0
-
-
-IMG_TAG = Seg(IMAGE)
-QUERY_TAG = Seg(QUERY)
-
-
-def sem_tag(level: int) -> Seg:
-    if level < 1:
-        raise ShapeError(f"semantic level must be >= 1, got {level}")
-    return Seg(SEMANTIC, level)
 
 
 @dataclass
@@ -125,64 +107,61 @@ def baseline_moe_param_count(d_h: int, d_i: int) -> int:
     return 3 * d_h * d_i
 
 
-def build_mask(segments: list[Seg], level: int, num_levels: int) -> np.ndarray:
-    """Length-T 0/1 vector keeping image, query, and level-l semantic tokens."""
-    if not 1 <= level <= num_levels:
-        raise ShapeError(f"build_mask: level {level} out of range 1..{num_levels}")
-    for i, seg in enumerate(segments):
-        if seg.kind == SEMANTIC and not 1 <= seg.level <= num_levels:
-            raise ShapeError(f"segment {i}: semantic level {seg.level} out of range 1..{num_levels}")
-    return np.array(
-        [1.0 if seg.kind in (IMAGE, QUERY) or seg.level == level else 0.0 for seg in segments]
-    )
+def _check_counts(counts: tuple[int, ...], rows: int, levels: int) -> None:
+    """A layout is (n_image, n_level_1, ..., n_level_L, n_query): L + 2
+    non-negative row counts summing to the hidden rows."""
+    if len(counts) != levels + 2:
+        raise ShapeError(f"segment counts {counts} end at semantic level {len(counts) - 2}, "
+                         f"expected level {levels} (image, levels 1..{levels}, query)")
+    if min(counts) < 0:
+        raise ShapeError(f"segment counts {counts}: negative count")
+    if sum(counts) != rows:
+        raise ShapeError(f"segment counts {counts} sum to {sum(counts)} != hidden rows {rows}")
 
 
-def _check_segments(segments: list[Seg], rows: int, levels: int) -> None:
-    """One tag per row, in the contiguous image / semantic(1..L) / query
-    layout, with every semantic level an expert exists for."""
-    if len(segments) != rows:
-        raise ShapeError(f"segments length {len(segments)} != hidden rows {rows}")
-    phase = 0  # 0 image, 1.. semantic levels, -1 query
-    for i, seg in enumerate(segments):
-        if seg.kind == IMAGE:
-            if phase != 0:
-                raise ShapeError(f"segment {i}: image token after non-image tokens")
-        elif seg.kind == SEMANTIC:
-            if phase == -1:
-                raise ShapeError(f"segment {i}: semantic token after query tokens")
-            if not 1 <= seg.level <= levels:
-                raise ShapeError(f"segment {i}: semantic level {seg.level} out of range 1..{levels}")
-            if not phase <= seg.level <= phase + 1:
-                raise ShapeError(f"segment {i}: semantic level {seg.level} out of order after {phase}")
-            phase = seg.level
-        elif seg.kind == QUERY:
-            phase = -1
-        else:
-            raise ShapeError(f"segment {i}: unknown kind {seg.kind!r}")
+def route(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Routing arrays of a counts layout: the T x 1 keep column (1 on image
+    and query rows) and the T x L one-hot rows (1 at each semantic row's own
+    level)."""
+    t = sum(counts)
+    keep = np.zeros((t, 1))
+    keep[: counts[0]] = 1.0
+    keep[t - counts[-1] :] = 1.0
+    onehot = np.zeros((t, len(counts) - 2))
+    start = counts[0]
+    for l, n in enumerate(counts[1:-1]):
+        onehot[start : start + n, l] = 1.0
+        start += n
+    return keep, onehot
 
 
-def gate_weights_graph(gate_w: Tensor, hidden: Tensor, segments: list[Seg], levels: int) -> Tensor:
-    """Per-token mixture weights: softmax rows for image/query tokens, one-hot
-    at the token's own level for semantic tokens."""
+def build_mask(counts: tuple[int, ...], level: int) -> np.ndarray:
+    """Length-T 0/1 vector keeping image, query, and level-l semantic rows."""
+    levels = len(counts) - 2
+    if not 1 <= level <= levels:
+        raise ShapeError(f"build_mask: level {level} out of range 1..{levels}")
+    _check_counts(counts, sum(counts), levels)
+    keep, onehot = route(counts)
+    return keep[:, 0] + onehot[:, level - 1]
+
+
+def gate_weights_graph(gate_w: Tensor, hidden: Tensor, keep: np.ndarray, onehot: np.ndarray) -> Tensor:
+    """Per-row mixture weights: softmax rows where `keep` is 1 (image and
+    query rows), the `onehot` row of the row's own level elsewhere."""
     soft = ad.softmax_rows(ad.matmul(hidden, gate_w))
-    keep = np.array([[1.0] if seg.kind in (IMAGE, QUERY) else [0.0] for seg in segments])
-    onehot = np.zeros((len(segments), levels))
-    for t, seg in enumerate(segments):
-        if seg.kind == SEMANTIC:
-            onehot[t, seg.level - 1] = 1.0
     return ad.mul(soft, ad.const(keep)) + ad.const(onehot)
 
 
-def expert_block_graph(params: ExpertLayerParams, hidden: Tensor, segments: list[Seg]) -> Tensor:
+def expert_block_graph(params: ExpertLayerParams, hidden: Tensor, counts: tuple[int, ...]) -> Tensor:
     """FFN(hidden) plus the gated merge of all masked expert outputs."""
     if hidden.value.shape[1] != params.d_h:
         raise ShapeError(f"expert block: hidden dim {hidden.value.shape[1]} != d_h {params.d_h}")
-    _check_segments(segments, hidden.value.shape[0], params.levels)
-    gates = gate_weights_graph(params.gate_w, hidden, segments, params.levels)
+    _check_counts(counts, hidden.value.shape[0], params.levels)
+    keep, onehot = route(counts)
+    gates = gate_weights_graph(params.gate_w, hidden, keep, onehot)
     merged = None
     for l, ex in enumerate(params.experts, start=1):
-        bits = build_mask(segments, l, params.levels)[:, None]
-        masked = ad.mul(hidden, ad.const(bits))
+        masked = ad.mul(hidden, ad.const(keep + onehot[:, l - 1 : l]))
         h_l = ad.matmul(ad.matmul(masked, ex.u), ex.v)
         weighted = ad.mul(h_l, ad.narrow(gates, 1, l - 1, 1))
         merged = weighted if merged is None else merged + weighted

@@ -39,15 +39,12 @@ from .artifact import Reader
 from .autodiff import Tensor
 from .errors import ConfigError, FormatError, ShapeError
 from .expert_layer import (
-    IMG_TAG,
-    QUERY_TAG,
     ExpertLayerParams,
     FfnParams,
     expert_block_graph,
     ffn_graph,
     init_expert_layer,
     init_ffn,
-    sem_tag,
 )
 from .numerics import Rng, ShapeRng
 from .prompter import (
@@ -307,12 +304,14 @@ def _causal_bias(t: int, p: int) -> np.ndarray:
     return np.triu(np.full((t, p + t), CAUSAL_BIAS), k=p + 1)
 
 
-def _lm_logits_graph(model: VlmModel, hidden: Tensor, segments,
+def _lm_logits_graph(model: VlmModel, hidden: Tensor, counts: tuple[int, ...],
                      cache: list[KvCache] | None = None) -> Tensor:
-    """Causal LM over the assembled rows, one segment tag per row; returns
-    T x vocab logits. With `cache` (one KvCache per block), the rows follow
-    the cached ones: they take the next positions, attend to the cached
-    rows, and join the cache. The expert layer and the FFN are row-local,
+    """Causal LM over T assembled rows whose layout is the row-count tuple
+    `counts` (n_image, n_level_1, ..., n_level_L, n_query) of
+    `_segments_for`; returns T x vocab logits. With `cache` (one KvCache
+    per block), the rows follow the cached ones: they take the next
+    positions, attend to the cached rows, and join the cache, and `counts`
+    covers the new rows only. The expert layer and the FFN are row-local,
     so only attention reads the cache."""
     cfg = model.config
     t = hidden.value.shape[0]
@@ -327,24 +326,21 @@ def _lm_logits_graph(model: VlmModel, hidden: Tensor, segments,
         x = x + attention_output(blk.attn, a, a, cfg.heads, causal_bias=bias, cache=kv)
         h = ad.layer_norm_rows(x)
         if blk.experts is not None:
-            x = x + expert_block_graph(blk.experts, h, segments)
+            x = x + expert_block_graph(blk.experts, h, counts)
         else:
             x = x + ffn_graph(blk.ffn, h)
     return ad.matmul(ad.layer_norm_rows(x), model.lm.head)
 
 
-def _segments_for(model: VlmModel, n_img: int, n_seq: int) -> list:
-    """Tags of the assembled sequence: image tokens, n_agg prompt tokens per
-    level in level order, then the query-segment tokens."""
+def _segments_for(model: VlmModel, n_img: int, n_seq: int) -> tuple[int, ...]:
+    """Row counts of the assembled sequence, (n_image, n_level_1, ...,
+    n_level_L, n_query): image rows, n_agg prompt rows per level in level
+    order, then the query-segment rows."""
     cfg = model.config
-    segs = [IMG_TAG] * n_img
-    for level in range(1, cfg.levels + 1):
-        segs += [sem_tag(level)] * cfg.n_agg
-    segs += [QUERY_TAG] * n_seq
-    return segs
+    return (n_img,) + (cfg.n_agg,) * cfg.levels + (n_seq,)
 
 
-def _sequence_graph(model: VlmModel, sample: Sample, seq_ids: list[int]) -> tuple[Tensor, list]:
+def _sequence_graph(model: VlmModel, sample: Sample, seq_ids: list[int]) -> tuple[Tensor, tuple[int, ...]]:
     cfg = model.config
     taps = _encode_multilevel_graph(model, ad.const(sample.patches))
     f_user = ad.embedding(model.lm.embed, sample.query_ids)
@@ -361,11 +357,11 @@ def sample_loss_graph(model: VlmModel, sample: Sample) -> Tensor:
     if not sample.response_ids:
         raise ShapeError("sample_loss: sample has no response tokens")
     seq_ids = list(sample.query_ids) + [SEP_ID] + list(sample.response_ids) + [EOS_ID]
-    hidden, segments = _sequence_graph(model, sample, seq_ids)
-    logits = _lm_logits_graph(model, hidden, segments)
+    hidden, counts = _sequence_graph(model, sample, seq_ids)
+    logits = _lm_logits_graph(model, hidden, counts)
     t = hidden.value.shape[0]
     targets = np.full(t, -1, dtype=np.int64)
-    sep_row = sample.patches.shape[0] + model.config.n_agg * model.config.levels + len(sample.query_ids)
+    sep_row = sum(counts[:-1]) + len(sample.query_ids)
     supervised = list(sample.response_ids) + [EOS_ID]
     for j, tok in enumerate(supervised):
         targets[sep_row + j] = tok
@@ -379,8 +375,8 @@ def sample_loss(model: VlmModel, sample: Sample) -> float:
 def token_loss_graph(model: VlmModel, sample: Sample, seq_ids, targets) -> Tensor:
     """Loss with caller-supplied query-segment ids and per-position targets;
     used by harnesses whose vocabularies lack the byte specials."""
-    hidden, segments = _sequence_graph(model, sample, list(seq_ids))
-    logits = _lm_logits_graph(model, hidden, segments)
+    hidden, counts = _sequence_graph(model, sample, list(seq_ids))
+    logits = _lm_logits_graph(model, hidden, counts)
     return ad.cross_entropy(logits, targets)
 
 
@@ -402,14 +398,17 @@ def generate(model: VlmModel, patches, query_ids, max_tokens: int,
         semantic_ids=list(semantic_ids) if semantic_ids else [SEP_ID],
     )
     cfg = model.config
-    prefix = sample.patches.shape[0] + cfg.n_agg * cfg.levels + len(sample.query_ids) + 1
+    seq_ids = list(sample.query_ids) + [SEP_ID]
+    counts = _segments_for(model, sample.patches.shape[0], len(seq_ids))
+    prefix = sum(counts)
     if prefix > cfg.max_seq:
         raise ShapeError(f"generate: prefix of {prefix} rows exceeds max_seq {cfg.max_seq}")
     # The step that decodes token j runs prefix + j - 1 rows.
     max_tokens = min(max_tokens, cfg.max_seq - prefix + 1)
     cache = [KvCache() for _ in model.lm.blocks]
-    hidden, segments = _sequence_graph(model, sample, list(sample.query_ids) + [SEP_ID])
-    logits = _lm_logits_graph(model, hidden, segments, cache).value
+    hidden, _ = _sequence_graph(model, sample, seq_ids)
+    logits = _lm_logits_graph(model, hidden, counts, cache).value
+    one_query_row = (0,) * (len(counts) - 1) + (1,)
     out: list[int] = []
     while True:
         nxt = int(np.argmax(logits[-1]))
@@ -419,7 +418,7 @@ def generate(model: VlmModel, patches, query_ids, max_tokens: int,
         if len(out) == max_tokens:
             return out
         row = ad.embedding(model.lm.embed, [nxt])
-        logits = _lm_logits_graph(model, row, [QUERY_TAG], cache).value
+        logits = _lm_logits_graph(model, row, one_query_row, cache).value
 
 
 def save_checkpoint(model: VlmModel, path) -> None:

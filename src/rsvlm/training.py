@@ -201,6 +201,8 @@ def load_patches(source, base_dir=None) -> np.ndarray:
         arr = arr[None, :]
     if arr.ndim != 2:
         raise FormatError(f"image features must be 1-D or 2-D, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise FormatError("image features hold a non-finite value")
     return arr
 
 

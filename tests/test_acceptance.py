@@ -16,7 +16,6 @@ from rsvlm import metrics as mt
 from rsvlm import model as vlm
 from rsvlm import prompter as pr
 from rsvlm import training as tr
-from rsvlm.expert_layer import IMG_TAG, QUERY_TAG, sem_tag
 from rsvlm.model import ModelConfig
 from rsvlm.numerics import Rng
 from rsvlm.semantic_store import SemanticDatabase
@@ -81,17 +80,17 @@ def test_criterion_4_router_mask_invariants():
     cases = 0
     for _ in range(1000):
         levels = 1 + int(rng.u64(1)[0] % np.uint64(4))
-        counts = [1 + int(x % np.uint64(3)) for x in rng.u64(levels + 2)]
-        segments = [IMG_TAG] * counts[0]
+        counts = tuple(int(x % np.uint64(4)) for x in rng.u64(levels + 2))
+        row_levels = [0] * counts[0]
         for l in range(1, levels + 1):
-            segments += [sem_tag(l)] * counts[l]
-        segments += [QUERY_TAG] * counts[-1]
-        t = len(segments)
+            row_levels += [l] * counts[l]
+        row_levels += [0] * counts[-1]
+        t = len(row_levels)
 
-        masks = [ex.build_mask(segments, l, levels) for l in range(1, levels + 1)]
+        masks = [ex.build_mask(counts, l) for l in range(1, levels + 1)]
         stacked = np.sum(masks, axis=0)
-        for pos, seg in enumerate(segments):
-            expected = 1.0 if seg.kind == ex.SEMANTIC else float(levels)
+        for pos, level in enumerate(row_levels):
+            expected = 1.0 if level else float(levels)
             assert stacked[pos] == expected
 
         hidden = rng.normal((t, d_h))
@@ -101,8 +100,7 @@ def test_criterion_4_router_mask_invariants():
                    for l, (u, v) in enumerate(experts)]
         for j in range(1, levels + 1):
             perturbed = hidden.copy()
-            rows = [pos for pos, seg in enumerate(segments)
-                    if seg.kind == ex.SEMANTIC and seg.level == j]
+            rows = [pos for pos, level in enumerate(row_levels) if level == j]
             perturbed[rows] += rng.normal((len(rows), d_h))
             for i, (u, v) in enumerate(experts):
                 if i + 1 == j:

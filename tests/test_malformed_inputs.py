@@ -164,7 +164,7 @@ def test_rsdb_non_finite_embedding_reports_record_offset(inputs_dir, tmp_path, v
     _assert_fails_closed("rsdb", inputs_dir, path, "non-finite value in record 1 embedding at byte 86")
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 1e200])
 def test_build_db_non_finite_embedding_exit_4(inputs_dir, tmp_path, value):
     path = tmp_path / "texts.jsonl"
     _jsonl(path, [{"text": "lake shore", "embedding": [0.5, 1.0, 0.0, 0.0]},
@@ -174,13 +174,40 @@ def test_build_db_non_finite_embedding_exit_4(inputs_dir, tmp_path, value):
     assert err == "format error: line 2: ingest: embedding is non-finite or its norm overflows\n"
 
 
-@pytest.mark.parametrize("text", ["[NaN, 1.0, 0.0, 0.0]", "[1.0, Infinity, 0.0, 0.0]"])
+@pytest.mark.parametrize("text", ["[NaN, 1.0, 0.0, 0.0]", "[1.0, Infinity, 0.0, 0.0]",
+                                  "[1e200, 1e200, 0.0, 0.0]"])
 def test_retrieve_non_finite_query_exit_3(inputs_dir, tmp_path, text):
     query = tmp_path / "q.json"
     query.write_text(text, encoding="utf-8")
     code, err = _run(["retrieve", "--db", str(inputs_dir / "db.rsdb"), "--query", str(query)])
     assert code == 3, err
     assert err == "numeric error: retrieve: query is non-finite or its norm overflows\n"
+
+
+@pytest.mark.parametrize("kind,source,value,message", [
+    ("caption", "inline", float("nan"), "image features hold a non-finite value"),
+    ("caption", "npy", float("inf"), "image features hold a non-finite value"),
+    ("caption", "json", float("-inf"), "image features hold a non-finite value"),
+    ("pairs", "inline", float("inf"), "'image' holds a non-finite value"),
+], ids=["caption_inline", "caption_npy", "caption_json", "pairs_inline"])
+def test_non_finite_image_features_exit_4(inputs_dir, tmp_path, kind, source, value, message):
+    name, _, argv = _inputs(inputs_dir)[kind]
+    rows = [json.loads(line) for line in (inputs_dir / name).read_text(encoding="utf-8").splitlines()]
+    image = np.array(rows[1]["image"])
+    image.flat[1] = value
+    if source == "npy":
+        np.save(tmp_path / "image.npy", image)
+        rows[1]["image"] = str(tmp_path / "image.npy")
+    elif source == "json":
+        (tmp_path / "image.json").write_text(json.dumps(image.tolist()), encoding="utf-8")
+        rows[1]["image"] = str(tmp_path / "image.json")
+    else:
+        rows[1]["image"] = image.tolist()
+    path = tmp_path / name
+    _jsonl(path, rows)
+    code, err = _run(argv(str(path)))
+    assert code == 4, err
+    assert err == f"format error: line 2: {message}\n"
 
 
 def test_rsdb_invalid_utf8_reports_record_offset(inputs_dir, tmp_path):

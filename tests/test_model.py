@@ -6,7 +6,6 @@ import pytest
 from rsvlm import autodiff as ad
 from rsvlm import model as vlm
 from rsvlm.errors import ConfigError, ShapeError
-from rsvlm.expert_layer import IMAGE, QUERY, SEMANTIC
 from rsvlm.model import EOS_ID, SEP_ID, ModelConfig, Sample, encode_text
 from rsvlm.numerics import Rng
 
@@ -66,7 +65,7 @@ def test_expert_block_indices():
 
 def _sequence(model, seed, n_img, ids):
     """Assembled rows (projected image tokens, a random prompt, embedded ids)
-    and their segment tags."""
+    and their row-count layout."""
     cfg = model.config
     rng = Rng(seed)
     img = rng.normal((n_img, cfg.d_v)) @ model.proj_w.value + model.proj_b.value
@@ -75,8 +74,8 @@ def _sequence(model, seed, n_img, ids):
     return hidden, vlm._segments_for(model, n_img, len(ids))
 
 
-def _forward_lm(model, hidden, segments, targets):
-    logits = vlm._lm_logits_graph(model, ad.const(hidden), segments)
+def _forward_lm(model, hidden, counts, targets):
+    logits = vlm._lm_logits_graph(model, ad.const(hidden), counts)
     return float(ad.cross_entropy(logits, targets).value), logits.value
 
 
@@ -97,11 +96,9 @@ def test_assemble_sequence_tags_and_counts():
     cfg = _small_cfg()
     model = vlm.init_model(cfg, seed=3)
     sample = Sample(patches=Rng(4).normal((2, cfg.patch_dim)), query_ids=[5])
-    hidden, segments = vlm._sequence_graph(model, sample, [5])
+    hidden, counts = vlm._sequence_graph(model, sample, [5])
     assert hidden.value.shape == (2 + 4 + 1, cfg.d_h)
-    kinds = [(s.kind, s.level) for s in segments]
-    assert kinds == [(IMAGE, 0), (IMAGE, 0), (SEMANTIC, 1), (SEMANTIC, 1),
-                     (SEMANTIC, 2), (SEMANTIC, 2), (QUERY, 0)]
+    assert counts == (2, 2, 2, 1)
 
 
 def test_assemble_sequence_full_scale_arithmetic():
@@ -110,14 +107,9 @@ def test_assemble_sequence_full_scale_arithmetic():
                       d_v=8, visual_blocks=3, visual_heads=2, visual_inner=16,
                       max_seq=512)
     model = vlm.init_model(cfg, seed=5)
-    segments = vlm._segments_for(model, 10, 7)
-    assert len(segments) == 449
-    counts = {}
-    for s in segments:
-        counts[(s.kind, s.level)] = counts.get((s.kind, s.level), 0) + 1
-    assert counts[(IMAGE, 0)] == 10
-    assert counts[(SEMANTIC, 1)] == counts[(SEMANTIC, 2)] == counts[(SEMANTIC, 3)] == 144
-    assert counts[(QUERY, 0)] == 7
+    counts = vlm._segments_for(model, 10, 7)
+    assert sum(counts) == 449
+    assert counts == (10, 144, 144, 144, 7)
 
 
 def test_assemble_sequence_validations():
@@ -126,10 +118,10 @@ def test_assemble_sequence_validations():
     rng = Rng(8)
     with pytest.raises(ShapeError):
         Sample(patches=np.zeros((0, cfg.patch_dim)), query_ids=[1])
-    hidden, segments = _sequence(model, 8, 2, [1])
+    hidden, counts = _sequence(model, 8, 2, [1])
     extra = np.concatenate([hidden, rng.normal((1, cfg.d_h))], axis=0)
     with pytest.raises(ShapeError):
-        vlm._lm_logits_graph(model, ad.const(extra), segments)
+        vlm._lm_logits_graph(model, ad.const(extra), counts)
     with pytest.raises(ShapeError):
         Sample(patches=rng.normal((2, cfg.patch_dim)), query_ids=[])
 
@@ -137,27 +129,27 @@ def test_assemble_sequence_validations():
 def test_forward_lm_uniform_baseline():
     cfg = _small_cfg(vocab=11)
     model = vlm.init_model(cfg, seed=9)
-    hidden, segments = _sequence(model, 10, 3, [1, 2, 3])
+    hidden, counts = _sequence(model, 10, 3, [1, 2, 3])
     targets = np.full(hidden.shape[0], -1)
     targets[-3:] = [2, 3, 4]
     # zero head: logits exactly uniform, loss exactly ln(vocab)
     model.lm.head.value[:] = 0.0
-    loss, logits = _forward_lm(model, hidden, segments, targets)
+    loss, logits = _forward_lm(model, hidden, counts, targets)
     assert loss == pytest.approx(math.log(cfg.vocab), abs=1e-12)
     assert logits.shape == (hidden.shape[0], cfg.vocab)
     # fresh random weights stay near the uniform baseline
     model2 = vlm.init_model(cfg, seed=11)
-    loss2, _ = _forward_lm(model2, hidden, segments, targets)
+    loss2, _ = _forward_lm(model2, hidden, counts, targets)
     assert abs(loss2 - math.log(cfg.vocab)) < 0.75
 
 
 def test_forward_lm_matches_per_position_oracle():
     cfg = _small_cfg(vocab=13)
     model = vlm.init_model(cfg, seed=12)
-    hidden, segments = _sequence(model, 13, 2, [1, 2, 3, 4])
+    hidden, counts = _sequence(model, 13, 2, [1, 2, 3, 4])
     targets = np.full(hidden.shape[0], -1)
     targets[-4:] = [2, 3, 4, 5]
-    loss, logits = _forward_lm(model, hidden, segments, targets)
+    loss, logits = _forward_lm(model, hidden, counts, targets)
     total = 0.0
     for pos in range(hidden.shape[0]):
         if targets[pos] < 0:
@@ -170,21 +162,21 @@ def test_forward_lm_matches_per_position_oracle():
 def test_forward_lm_target_misalignment():
     cfg = _small_cfg()
     model = vlm.init_model(cfg, seed=14)
-    hidden, segments = _sequence(model, 15, 2, [1])
+    hidden, counts = _sequence(model, 15, 2, [1])
     with pytest.raises(ShapeError):
-        _forward_lm(model, hidden, segments, np.array([1, 2]))
+        _forward_lm(model, hidden, counts, np.array([1, 2]))
 
 
 def test_causality_future_perturbation_bit_exact():
     cfg = _small_cfg()
     model = vlm.init_model(cfg, seed=16)
-    hidden, segments = _sequence(model, 17, 2, [1, 2, 3, 4, 5])
+    hidden, counts = _sequence(model, 17, 2, [1, 2, 3, 4, 5])
     targets = np.full(hidden.shape[0], -1)
     targets[-1] = 1
-    _, logits = _forward_lm(model, hidden, segments, targets)
+    _, logits = _forward_lm(model, hidden, counts, targets)
     bumped = hidden.copy()
     bumped[-1] += Rng(99).normal((cfg.d_h,))  # perturb the final position only
-    _, logits2 = _forward_lm(model, bumped, segments, targets)
+    _, logits2 = _forward_lm(model, bumped, counts, targets)
     assert np.array_equal(logits[:-1], logits2[:-1])
     assert not np.allclose(logits[-1], logits2[-1])
 
@@ -297,8 +289,8 @@ def _recompute_oracle(model, sample, max_tokens):
     tokens and each step's last-row logits."""
     out, steps = [], []
     while len(out) < max_tokens:
-        hidden, segments = vlm._sequence_graph(model, sample, list(sample.query_ids) + [SEP_ID] + out)
-        steps.append(vlm._lm_logits_graph(model, hidden, segments).value[-1])
+        hidden, counts = vlm._sequence_graph(model, sample, list(sample.query_ids) + [SEP_ID] + out)
+        steps.append(vlm._lm_logits_graph(model, hidden, counts).value[-1])
         nxt = int(np.argmax(steps[-1]))
         if nxt == EOS_ID:
             break
@@ -349,16 +341,17 @@ def test_cached_generate_ends_exactly_at_max_seq(monkeypatch, expert_stride):
 def test_cached_chunks_match_one_pass():
     cfg = _small_cfg(heads=4)
     model = _with_experts(vlm.init_model(cfg, seed=46), 46)
-    hidden, segments = _sequence(model, 47, 3, [1, 2, 3, 4, 5, 6])
-    whole = vlm._lm_logits_graph(model, ad.const(hidden), segments).value
+    hidden, counts = _sequence(model, 47, 3, [1, 2, 3, 4, 5, 6])
+    whole = vlm._lm_logits_graph(model, ad.const(hidden), counts).value
     cache = [vlm.KvCache() for _ in model.lm.blocks]
-    head = vlm._lm_logits_graph(model, ad.const(hidden[:9]), segments[:9], cache).value
-    tail = vlm._lm_logits_graph(model, ad.const(hidden[9:]), segments[9:], cache).value
+    assert counts == (3, 2, 2, 6)
+    head = vlm._lm_logits_graph(model, ad.const(hidden[:9]), (3, 2, 2, 2), cache).value
+    tail = vlm._lm_logits_graph(model, ad.const(hidden[9:]), (0, 0, 0, 4), cache).value
     assert cache[0].rows == hidden.shape[0]
     assert np.max(np.abs(np.concatenate([head, tail]) - whole)) <= 1e-10
     with pytest.raises(ShapeError, match="sequence length 129 exceeds max_seq 128"):
         vlm._lm_logits_graph(model, ad.const(np.zeros((cfg.max_seq - 12, cfg.d_h))),
-                             segments[-1:] * (cfg.max_seq - 12), cache)
+                             (0, 0, 0, cfg.max_seq - 12), cache)
 
 
 def _graph_nodes(root) -> int:
