@@ -3,8 +3,12 @@
 Subcommands: build-db, train-retriever, retrieve, train --stage {1,2},
 eval --task {classify,vqa,ground,caption}, grad-check. Configuration comes
 from a built-in profile (`toy` or `paper`) optionally overlaid with a JSON
-config file and flag overrides; every violation is reported at once before
-any work starts.
+config file and flag overrides. The file's keys are the ModelConfig fields
+but `vocab`, the retrieval keys (k, semantic_cap, d_e, d_img_raw, bow_vocab,
+enc_hidden), `seed`, the TrainConfig fields but `stage` and `seed`,
+`profile`, and `paths` (data, db, retriever, init_checkpoint,
+out_checkpoint). Every command checks the whole file before any work
+starts: an unknown or mistyped key exits 2, and every problem is listed.
 
 Exit codes: 0 success, 2 config/usage error, 3 numeric failure,
 4 I/O or format error.
@@ -27,7 +31,7 @@ from . import training
 from .autodiff import check_gradients
 from .errors import ConfigError, DomainError, FormatError, ShapeError
 from .numerics import Rng
-from .semantic_store import SemanticDatabase, iter_jsonl
+from .semantic_store import SemanticDatabase, iter_jsonl, json_numbers, json_text
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -37,14 +41,12 @@ EXIT_IO = 4
 GRAD_TOLERANCE = 1e-4
 
 # `paper` carries the full-scale dimensions for arithmetic and shape checks
-# only; it is never trained here. `toy` is the desk-scale default.
+# only; it is never trained here. `toy` is the desk-scale default. The CLI's
+# model always uses the byte tokenizer's vocabulary, so `vocab` is no key.
 PROFILES = {
     "toy": dict(
-        d_h=32, heads=2, lm_blocks=4, expert_stride=4, levels=2, d_r=8, d_i=64,
-        n_agg=4, prompter_heads=2, patch_dim=8, d_v=16, visual_blocks=3,
-        visual_heads=2, visual_inner=32, max_seq=512,
-        k=5, semantic_cap=512, d_e=16, d_img_raw=8, bow_vocab=256, enc_hidden=32,
-        seed=0,
+        {key: val for key, val in vars(vlm.ModelConfig()).items() if key != "vocab"},
+        k=5, semantic_cap=512, d_e=16, d_img_raw=8, bow_vocab=256, enc_hidden=32, seed=0,
     ),
     "paper": dict(
         d_h=3584, heads=8, lm_blocks=28, expert_stride=4, levels=3, d_r=512, d_i=18944,
@@ -54,13 +56,9 @@ PROFILES = {
         seed=0,
     ),
 }
-
-_MODEL_KEYS = ("d_h", "heads", "lm_blocks", "expert_stride", "levels", "d_r", "d_i",
-               "n_agg", "prompter_heads", "patch_dim", "d_v", "visual_blocks",
-               "visual_heads", "visual_inner", "max_seq")
-_TRAIN_KEYS = ("epochs", "batch_size", "lr_visual", "lr_prompter", "lr_lm",
-               "lr_projector", "weight_decay", "max_steps", "stop_loss",
-               "train_projector_stage1")
+# `stage` comes from `train --stage`; `seed` is a profile key every command reads.
+_TRAIN_KEYS = {f.name for f in dataclasses.fields(training.TrainConfig)} - {"stage", "seed"}
+_PATH_KEYS = ("data", "db", "retriever", "init_checkpoint", "out_checkpoint")
 
 # Micro configuration for the end-to-end gradient check: tiny dims, two LM
 # blocks with one expert block, and a tiny standalone vocabulary.
@@ -72,72 +70,61 @@ MICRO_MODEL = dict(
 
 
 class RunConfig:
-    """Profile defaults overlaid with a JSON config file and flag overrides."""
+    """Profile defaults overlaid with a JSON config file and flag overrides;
+    every unknown, mistyped or invalid key is reported at once."""
 
     def __init__(self, profile: str = "toy", overrides: dict | None = None):
-        if profile not in PROFILES:
+        if not isinstance(profile, str) or profile not in PROFILES:
             raise ConfigError([f"unknown profile {profile!r}; choose from {sorted(PROFILES)}"])
         self.values = dict(PROFILES[profile])
-        self.values["profile"] = profile
         self.paths: dict = {}
-        self.train: dict = {}
+        problems = []
         for key, val in (overrides or {}).items():
             if key == "paths":
-                self.paths.update(val)
-            elif key in _TRAIN_KEYS or key == "stage":
-                self.train[key] = val
-            elif key == "profile":
-                continue
-            else:
+                if isinstance(val, dict):
+                    self.paths.update(val)
+                else:
+                    problems.append(f"paths must be an object, got {val!r}")
+            elif key in self.values or key in _TRAIN_KEYS:
                 self.values[key] = val
-        self.validate()
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        overrides = {}
-        profile = getattr(args, "profile", None) or "toy"
-        config_path = getattr(args, "config", None)
-        if config_path:
+            elif key != "profile":
+                problems.append(f"unknown key {key!r}")
+        for key, val in self.paths.items():
+            if key not in _PATH_KEYS:
+                problems.append(f"unknown key 'paths.{key}'; choose from {list(_PATH_KEYS)}")
+            elif not isinstance(val, str):
+                problems.append(f"paths.{key} must be str, got {val!r}")
+        for key in ("k", "semantic_cap", "d_e", "d_img_raw", "bow_vocab", "enc_hidden"):
+            if type(self.values[key]) is not int or self.values[key] <= 0:
+                problems.append(f"{key} must be a positive integer, got {self.values[key]!r}")
+        for build in (self.model_config, lambda: self.train_config(training.STAGE_ALIGNMENT)):
             try:
-                loaded = json.loads(Path(config_path).read_text(encoding="utf-8"))
-            except json.JSONDecodeError as e:
-                raise ConfigError([f"config file {config_path}: invalid JSON ({e.msg})"]) from e
-            if not isinstance(loaded, dict):
-                raise ConfigError([f"config file {config_path}: expected a JSON object"])
-            if "profile" in loaded:
-                profile = loaded["profile"]
-            overrides.update(loaded)
-        if getattr(args, "seed", None) is not None:
-            overrides["seed"] = args.seed
-        return cls(profile, overrides)
-
-    def validate(self) -> None:
-        problems = []
-        v = self.values
-        for key in ("n_agg", "levels", "k", "d_r"):
-            if not isinstance(v.get(key), int) or v[key] <= 0:
-                problems.append(f"{key} must be a positive integer, got {v.get(key)!r}")
-        for key in ("d_e", "d_img_raw", "bow_vocab", "enc_hidden", "semantic_cap"):
-            if not isinstance(v.get(key), int) or v[key] <= 0:
-                problems.append(f"{key} must be a positive integer, got {v.get(key)!r}")
-        if isinstance(v.get("d_r"), int) and isinstance(v.get("d_h"), int) and v["d_r"] >= v["d_h"]:
-            problems.append(f"d_r {v['d_r']} must be < d_h {v['d_h']}")
-        try:
-            self.model_config()
-        except ConfigError as e:
-            problems.extend(p for p in e.problems if p not in problems)
-        except (TypeError, ValueError) as e:
-            problems.append(str(e))
+                build()
+            except ConfigError as e:
+                problems.extend(e.problems)
         if problems:
             raise ConfigError(problems)
 
+    @classmethod
+    def from_args(cls, args) -> "RunConfig":
+        loaded = {}
+        if args.config:
+            try:
+                loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError) as e:
+                raise ConfigError([f"config file {args.config}: invalid JSON ({e})"]) from e
+            if not isinstance(loaded, dict):
+                raise ConfigError([f"config file {args.config}: expected a JSON object"])
+        seed = {} if args.seed is None else {"seed": args.seed}
+        return cls(loaded.get("profile", args.profile or "toy"), {**loaded, **seed})
+
     def model_config(self) -> vlm.ModelConfig:
-        kwargs = {key: self.values[key] for key in _MODEL_KEYS if key in self.values}
-        return vlm.ModelConfig(**kwargs)
+        return vlm.ModelConfig(**{f.name: self.values[f.name] for f in dataclasses.fields(vlm.ModelConfig)
+                                  if f.name in self.values})
 
     def train_config(self, stage: str) -> training.TrainConfig:
-        kwargs = {k: val for k, val in self.train.items() if k in _TRAIN_KEYS}
-        return training.TrainConfig(stage=stage, seed=self.values["seed"], **kwargs)
+        train = {key: val for key, val in self.values.items() if key in _TRAIN_KEYS}
+        return training.TrainConfig(stage=stage, seed=self.values["seed"], **train)
 
 
 def _print_json(obj, out_path=None) -> None:
@@ -151,8 +138,7 @@ def _load_retriever(path):
     return de.load_params(path) if path else None
 
 
-def cmd_build_db(args) -> int:
-    cfg = RunConfig.from_args(args)
+def cmd_build_db(args, cfg: RunConfig) -> int:
     encoder = _load_retriever(args.encoder)
     dim = args.dim or (encoder.d_e if encoder else cfg.values["d_e"])
     db = SemanticDatabase(dim)
@@ -161,14 +147,17 @@ def cmd_build_db(args) -> int:
         for lineno, obj in iter_jsonl(args.input):
             if "text" not in obj:
                 raise FormatError(f"line {lineno}: missing 'text' field")
+            text = json_text(obj["text"], f"line {lineno}: 'text'")
             if "embedding" in obj:
-                emb = obj["embedding"]
+                emb = json_numbers(obj["embedding"], f"line {lineno}: 'embedding'")
+                if emb.ndim != 1:
+                    raise FormatError(f"line {lineno}: 'embedding' must be a flat array, got shape {emb.shape}")
             elif encoder is not None:
-                emb = de.encode_text(encoder, de.tokenize_text(obj["text"], encoder.vocab))
+                emb = de.encode_text(encoder, de.tokenize_text(text, encoder.vocab))
             else:
                 raise FormatError(f"line {lineno}: no 'embedding' field and no --encoder given")
             try:
-                db.ingest(obj["text"], emb)
+                db.ingest(text, emb)
             except (ShapeError, DomainError) as e:
                 raise FormatError(f"line {lineno}: {e}") from e
     db.save(args.out)
@@ -176,23 +165,19 @@ def cmd_build_db(args) -> int:
     return EXIT_OK
 
 
-def cmd_train_retriever(args) -> int:
-    cfg = RunConfig.from_args(args)
+def cmd_train_retriever(args, cfg: RunConfig) -> int:
     v = cfg.values
     pairs = []
     lines_by_text: dict[tuple, int] = {}
     for lineno, obj in iter_jsonl(args.input):
         if "image" not in obj or "text" not in obj:
             raise FormatError(f"line {lineno}: need 'image' and 'text' fields")
-        try:
-            image = np.asarray(obj["image"], dtype=np.float64)
-        except (TypeError, ValueError) as e:
-            raise FormatError(f"line {lineno}: 'image' must be an array of numbers") from e
+        image = json_numbers(obj["image"], f"line {lineno}: 'image'")
         if image.shape != (v["d_img_raw"],):
             raise FormatError(f"line {lineno}: 'image' has shape {image.shape}, expected ({v['d_img_raw']},)")
         if not np.isfinite(image).all():
             raise FormatError(f"line {lineno}: 'image' holds a non-finite value")
-        tokens = de.tokenize_text(obj["text"], v["bow_vocab"])
+        tokens = de.tokenize_text(json_text(obj["text"], f"line {lineno}: 'text'"), v["bow_vocab"])
         # one contrastive batch holds every pair, and it may not repeat a text
         if tuple(tokens) in lines_by_text:
             raise FormatError(f"line {lineno}: text tokens repeat line {lines_by_text[tuple(tokens)]}")
@@ -214,7 +199,7 @@ def cmd_train_retriever(args) -> int:
     return EXIT_OK
 
 
-def cmd_retrieve(args) -> int:
+def cmd_retrieve(args, cfg: RunConfig) -> int:
     db = SemanticDatabase.load(args.db)
     try:
         query = np.asarray(json.loads(Path(args.query).read_bytes()), dtype=np.float64)
@@ -238,8 +223,7 @@ def cmd_retrieve(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    cfg = RunConfig.from_args(args)
+def cmd_train(args, cfg: RunConfig) -> int:
     stage = training.STAGE_ALIGNMENT if args.stage == 1 else training.STAGE_INSTRUCTION
     paths = cfg.paths
     data_path = args.data or paths.get("data")
@@ -274,22 +258,51 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _read_keyed_jsonl(path, required_fields) -> dict:
+def _read_keyed_jsonl(path, required_fields, check=lambda row: None) -> dict:
+    """id -> row for each line; `check` raises FormatError for a row it
+    cannot use, reported with the line."""
     rows = {}
     for lineno, obj in iter_jsonl(path):
-        if "id" not in obj:
-            raise FormatError(f"line {lineno}: missing 'id' field")
-        for f in required_fields:
+        for f in ("id",) + required_fields:
             if f not in obj:
                 raise FormatError(f"line {lineno}: missing {f!r} field")
+        try:
+            if not isinstance(obj["id"], (str, int, float)):
+                raise FormatError(f"'id' must be a string or a number, got {obj['id']!r}")
+            check(obj)
+        except FormatError as e:
+            raise FormatError(f"line {lineno}: {e}") from e
         rows[obj["id"]] = obj
     return rows
 
 
-def cmd_eval(args) -> int:
-    preds = _read_keyed_jsonl(args.pred, ("output",))
+def _output_text(row) -> None:
+    json_text(row["output"], "'output'")
+
+
+def _gt_box(row) -> metrics.Box | None:
+    """The 'box', else the first of 'boxes'; None when neither is given."""
+    if "box" in row:
+        box = row["box"]
+    elif isinstance(row.get("boxes"), list) and row["boxes"]:
+        box = row["boxes"][0]
+    else:
+        return None
+    if not (isinstance(box, list) and len(box) == 4 and all(type(x) in (int, float) for x in box)):
+        raise FormatError(f"a box must be a list of 4 numbers, got {box!r}")
+    return metrics.Box(*box)
+
+
+def _references(row) -> None:
+    refs = row["references"]
+    if not (isinstance(refs, list) and all(isinstance(r, str) for r in refs)):
+        raise FormatError(f"'references' must be a list of strings, got {refs!r}")
+
+
+def cmd_eval(args, cfg: RunConfig) -> int:
     report: dict = {"task": args.task}
     if args.task in ("classify", "vqa"):
+        preds = _read_keyed_jsonl(args.pred, ("output",))
         gts = _read_keyed_jsonl(args.gt, ("label",))
         if not gts:
             raise FormatError(f"{args.task} eval: empty ground truth")
@@ -297,17 +310,14 @@ def cmd_eval(args) -> int:
         report["accuracy"] = metrics.accuracy(pred_list, label_list)
         report["count"] = len(pred_list)
     elif args.task == "ground":
-        gts = _read_keyed_jsonl(args.gt, ())
+        preds = _read_keyed_jsonl(args.pred, ("output",), _output_text)
+        gts = _read_keyed_jsonl(args.gt, (), _gt_box)
         hits, total = 0, 0
         for key in sorted(gts, key=str):
             if key not in preds:
                 raise FormatError(f"prediction missing for id {key!r}")
-            row = gts[key]
-            if "box" in row:
-                gt_box = metrics.Box(*row["box"])
-            elif "boxes" in row and row["boxes"]:
-                gt_box = metrics.Box(*row["boxes"][0])
-            else:
+            gt_box = _gt_box(gts[key])
+            if gt_box is None:
                 raise FormatError(f"id {key!r}: need a 'box' or 'boxes' field")
             pred_box = metrics.parse_box(preds[key]["output"])
             total += 1
@@ -317,7 +327,8 @@ def cmd_eval(args) -> int:
         report["threshold"] = args.threshold
         report["count"] = total
     else:  # caption
-        gts = _read_keyed_jsonl(args.gt, ("references",))
+        preds = _read_keyed_jsonl(args.pred, ("output",), _output_text)
+        gts = _read_keyed_jsonl(args.gt, ("references",), _references)
         b1, r1, met = [], [], []
         for key in sorted(gts, key=str):
             if key not in preds:
@@ -367,10 +378,7 @@ def micro_sample(seed: int) -> vlm.Sample:
 def micro_loss_builder(model: vlm.VlmModel, sample: vlm.Sample):
     """Next-token loss over the query segment, valid for any vocab size."""
     seq_ids = list(sample.query_ids) + list(sample.response_ids)
-    n_prefix = sum(vlm._segments_for(model, sample.patches.shape[0], 0))
-    targets = np.full(n_prefix + len(seq_ids), -1, dtype=np.int64)
-    for j in range(len(seq_ids) - 1):
-        targets[n_prefix + j] = seq_ids[j + 1]
+    targets = seq_ids[1:] + [-1]
 
     def build():
         return vlm.token_loss_graph(model, sample, seq_ids, targets)
@@ -416,8 +424,7 @@ def run_grad_check(seed: int, probes: int) -> dict:
     }
 
 
-def cmd_grad_check(args) -> int:
-    cfg = RunConfig.from_args(args)
+def cmd_grad_check(args, cfg: RunConfig) -> int:
     report = run_grad_check(cfg.values["seed"], args.probes)
     report["worst_parameter"] = [str(x) for x in report["worst_parameter"]]
     for sub in ("model", "retriever"):
@@ -431,7 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", help="JSON config file overlaying the profile")
+        p.add_argument("--config", help="JSON config file overlaying the profile; "
+                                         "an unknown or mistyped key exits 2")
         p.add_argument("--profile", choices=sorted(PROFILES), help="built-in config profile")
         p.add_argument("--seed", type=int, help="master random seed")
 
@@ -496,7 +504,7 @@ def run(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.func(args)
+        return args.func(args, RunConfig.from_args(args))
     except ConfigError as e:
         for problem in e.problems:
             print(f"config error: {problem}", file=sys.stderr)

@@ -198,9 +198,9 @@ def train_retriever(
     lr: float = 0.1,
     seed: int = 0,
     momentum: float = 0.0,
-    batch_size: int | None = None,
 ) -> tuple[DualEncoderParams, list[float]]:
-    """Gradient descent on the contrastive loss; returns params and the
+    """Full-batch gradient descent on the contrastive loss, one step per
+    epoch over the pairs in a fresh permuted order; returns params and the
     per-epoch loss log. Aborts on divergence."""
     pairs = list(pairs)
     if len(pairs) < MIN_PAIRS:
@@ -209,28 +209,21 @@ def train_retriever(
     named = params.named_parameters()
     velocity = {name: np.zeros_like(t.value) for name, t in named}
     order_rng = Rng(seed).spawn(99)
-    batch_size = batch_size or len(pairs)
     history = []
     for _ in range(epochs):
-        order = order_rng.permutation(len(pairs))
-        epoch_losses = []
-        for start in range(0, len(pairs), batch_size):
-            batch = [pairs[i] for i in order[start : start + batch_size]]
-            if len(batch) < 2:
-                continue
-            ad.zero_grads(t for _, t in named)
-            loss = contrastive_loss_graph(params, batch)
-            if not np.isfinite(loss.value):
-                raise DomainError(f"train_retriever: non-finite loss {loss.value} at epoch {len(history)}")
-            ad.backward(loss)
-            for name, t in named:
-                g = t.grad if t.grad is not None else np.zeros_like(t.value)
-                if momentum:
-                    velocity[name] = momentum * velocity[name] + g
-                    g = velocity[name]
-                t.value -= lr * g
-            epoch_losses.append(float(loss.value))
-        history.append(float(np.mean(epoch_losses)))
+        batch = [pairs[i] for i in order_rng.permutation(len(pairs))]
+        ad.zero_grads(t for _, t in named)
+        loss = contrastive_loss_graph(params, batch)
+        if not np.isfinite(loss.value):
+            raise DomainError(f"train_retriever: non-finite loss {loss.value} at epoch {len(history)}")
+        ad.backward(loss)
+        for name, t in named:
+            g = t.grad if t.grad is not None else np.zeros_like(t.value)
+            if momentum:
+                velocity[name] = momentum * velocity[name] + g
+                g = velocity[name]
+            t.value -= lr * g
+        history.append(float(loss.value))
     return params, history
 
 

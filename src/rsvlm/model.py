@@ -37,7 +37,7 @@ import numpy as np
 from . import autodiff as ad
 from .artifact import Reader
 from .autodiff import Tensor
-from .errors import ConfigError, FormatError, ShapeError
+from .errors import ConfigError, FormatError, ShapeError, field_type_problems
 from .expert_layer import (
     ExpertLayerParams,
     FfnParams,
@@ -105,29 +105,23 @@ class ModelConfig:
     vocab: int = VOCAB_SIZE
     max_seq: int = 512
 
-    def problems(self) -> list[str]:
-        out = []
-        for name in ("d_h", "heads", "lm_blocks", "expert_stride", "levels", "d_r", "d_i",
-                     "n_agg", "prompter_heads", "patch_dim", "d_v", "visual_blocks",
-                     "visual_heads", "visual_inner", "vocab", "max_seq"):
-            if getattr(self, name) <= 0:
-                out.append(f"{name} must be positive, got {getattr(self, name)}")
-        if self.d_r >= self.d_h:
-            out.append(f"d_r {self.d_r} must be < d_h {self.d_h}")
-        if self.d_h % self.heads != 0:
-            out.append(f"d_h {self.d_h} not divisible by heads {self.heads}")
-        if self.d_h % self.prompter_heads != 0:
-            out.append(f"d_h {self.d_h} not divisible by prompter_heads {self.prompter_heads}")
-        if self.d_v % self.visual_heads != 0:
-            out.append(f"d_v {self.d_v} not divisible by visual_heads {self.visual_heads}")
-        if self.visual_blocks < self.levels:
-            out.append(f"visual_blocks {self.visual_blocks} < levels {self.levels}")
-        return out
-
     def __post_init__(self):
-        probs = self.problems()
-        if probs:
-            raise ConfigError(probs)
+        problems = field_type_problems(self)
+        if problems:
+            raise ConfigError(problems)
+        problems = [f"{name} must be positive, got {value}" for name, value in vars(self).items() if value <= 0]
+        if self.d_r >= self.d_h:
+            problems.append(f"d_r {self.d_r} must be < d_h {self.d_h}")
+        if self.heads > 0 and self.d_h % self.heads != 0:
+            problems.append(f"d_h {self.d_h} not divisible by heads {self.heads}")
+        if self.prompter_heads > 0 and self.d_h % self.prompter_heads != 0:
+            problems.append(f"d_h {self.d_h} not divisible by prompter_heads {self.prompter_heads}")
+        if self.visual_heads > 0 and self.d_v % self.visual_heads != 0:
+            problems.append(f"d_v {self.d_v} not divisible by visual_heads {self.visual_heads}")
+        if self.visual_blocks < self.levels:
+            problems.append(f"visual_blocks {self.visual_blocks} < levels {self.levels}")
+        if problems:
+            raise ConfigError(problems)
 
     def tap_indices(self) -> list[int]:
         """1-based visual block indices feeding the L feature levels."""
@@ -357,15 +351,9 @@ def sample_loss_graph(model: VlmModel, sample: Sample) -> Tensor:
     if not sample.response_ids:
         raise ShapeError("sample_loss: sample has no response tokens")
     seq_ids = list(sample.query_ids) + [SEP_ID] + list(sample.response_ids) + [EOS_ID]
-    hidden, counts = _sequence_graph(model, sample, seq_ids)
-    logits = _lm_logits_graph(model, hidden, counts)
-    t = hidden.value.shape[0]
-    targets = np.full(t, -1, dtype=np.int64)
-    sep_row = sum(counts[:-1]) + len(sample.query_ids)
-    supervised = list(sample.response_ids) + [EOS_ID]
-    for j, tok in enumerate(supervised):
-        targets[sep_row + j] = tok
-    return ad.cross_entropy(logits, targets)
+    # SEP predicts the first response token, the last response token EOS
+    targets = [-1] * len(sample.query_ids) + list(sample.response_ids) + [EOS_ID, -1]
+    return token_loss_graph(model, sample, seq_ids, targets)
 
 
 def sample_loss(model: VlmModel, sample: Sample) -> float:
@@ -373,11 +361,14 @@ def sample_loss(model: VlmModel, sample: Sample) -> float:
 
 
 def token_loss_graph(model: VlmModel, sample: Sample, seq_ids, targets) -> Tensor:
-    """Loss with caller-supplied query-segment ids and per-position targets;
-    used by harnesses whose vocabularies lack the byte specials."""
+    """Loss with caller-supplied query-segment ids and one target per
+    query-segment row (-1 for none); the image and prompt rows carry no
+    target. Harnesses whose vocabularies lack the byte specials use it
+    directly."""
     hidden, counts = _sequence_graph(model, sample, list(seq_ids))
     logits = _lm_logits_graph(model, hidden, counts)
-    return ad.cross_entropy(logits, targets)
+    prefix = np.full(sum(counts[:-1]), -1, dtype=np.int64)
+    return ad.cross_entropy(logits, np.concatenate([prefix, np.asarray(targets, dtype=np.int64)]))
 
 
 def generate(model: VlmModel, patches, query_ids, max_tokens: int,
@@ -441,8 +432,7 @@ def save_checkpoint(model: VlmModel, path) -> None:
 
 def _read_manifest(reader: Reader) -> tuple[ModelConfig, dict[str, tuple]]:
     """The config and the block shapes, in manifest order, of a checkpoint
-    manifest that names each block once and holds every config field as an
-    integer."""
+    manifest that names each block once and holds a valid model config."""
     manifest_len = reader.u32("manifest length")
     raw = reader.take(manifest_len, "manifest")
     try:
@@ -457,8 +447,6 @@ def _read_manifest(reader: Reader) -> tuple[ModelConfig, dict[str, tuple]]:
     if set(config) != names:
         raise FormatError(f"manifest config: missing {sorted(names - set(config))}, "
                           f"unknown {sorted(set(config) - names)}")
-    if not all(type(v) is int for v in config.values()):
-        raise FormatError("manifest config: every value must be an integer")
     try:
         cfg = ModelConfig(**config)
     except ConfigError as e:

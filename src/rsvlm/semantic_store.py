@@ -224,3 +224,23 @@ def iter_jsonl(path):
             if not isinstance(obj, dict):
                 raise FormatError(f"line {lineno}: expected a JSON object, got {type(obj).__name__}")
             yield lineno, obj
+
+
+def json_numbers(value, what: str) -> np.ndarray:
+    """`value`, a JSON number or nested list of numbers, as a float64 array;
+    anything else, such as a string, a bool or a ragged nesting, raises
+    FormatError naming `what`."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise FormatError(f"{what} must be an array of numbers")
+    return arr.astype(np.float64)
+
+
+def json_text(value, what: str) -> str:
+    """`value` if it is a string; otherwise FormatError naming `what`."""
+    if not isinstance(value, str):
+        raise FormatError(f"{what} must be a string")
+    return value

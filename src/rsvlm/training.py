@@ -22,14 +22,19 @@ import numpy as np
 
 from . import autodiff as ad
 from . import dual_encoder as de
-from .errors import ConfigError, DomainError, FormatError, ShapeError
+from .errors import ConfigError, DomainError, FormatError, ShapeError, field_type_problems
 from .model import SEP_ID, Sample, VlmModel, encode_text, sample_loss_graph, semantic_token_ids
 from .numerics import Rng
-from .semantic_store import SemanticDatabase, iter_jsonl
+from .semantic_store import SemanticDatabase, iter_jsonl, json_numbers, json_text
 
 STAGE_ALIGNMENT = "alignment"
 STAGE_INSTRUCTION = "instruction"
 ALIGN_QUERY = "caption:"
+# The visual encoder's first layer norm squares the patch embedding, a sum of
+# patch_dim feature-weight products. Below this bound the squares stay near
+# 1e200, far from float64's 1.8e308; from about 1e154 they overflow, and the
+# row is divided by an infinite standard deviation without an error.
+MAX_FEATURE = 1e100
 
 
 @dataclass
@@ -48,14 +53,14 @@ class TrainConfig:
     train_projector_stage1: bool = True
 
     def __post_init__(self):
-        problems = []
+        problems = field_type_problems(self)
+        if problems:
+            raise ConfigError(problems)
         if self.stage not in (STAGE_ALIGNMENT, STAGE_INSTRUCTION):
             problems.append(f"unknown stage {self.stage!r}")
-        for name in ("lr_visual", "lr_prompter", "lr_lm"):
-            if getattr(self, name) < 0:
-                problems.append(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.lr_projector is not None and self.lr_projector < 0:
-            problems.append(f"lr_projector must be >= 0, got {self.lr_projector}")
+        for name, value in vars(self).items():
+            if name.startswith("lr_") and value is not None and value < 0:
+                problems.append(f"{name} must be >= 0, got {value}")
         if self.epochs < 1:
             problems.append(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -191,18 +196,17 @@ def load_patches(source, base_dir=None) -> np.ndarray:
         if not path.exists():
             raise FormatError(f"image feature file not found: {path}")
         if path.suffix == ".npy":
-            arr = np.load(path)
+            source = np.load(path)
         else:
-            arr = np.asarray(json.loads(path.read_text(encoding="utf-8")))
-    else:
-        arr = np.asarray(source)
-    arr = arr.astype(np.float64)
+            source = json.loads(path.read_text(encoding="utf-8"))
+    arr = json_numbers(source, "image features")
     if arr.ndim == 1:
         arr = arr[None, :]
     if arr.ndim != 2:
         raise FormatError(f"image features must be 1-D or 2-D, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise FormatError("image features hold a non-finite value")
+    if not (np.abs(arr) <= MAX_FEATURE).all():  # NaN fails the comparison too
+        bad = "a non-finite value" if not np.isfinite(arr).all() else f"a value of magnitude above {MAX_FEATURE:g}"
+        raise FormatError(f"image features hold {bad}")
     return arr
 
 
@@ -232,9 +236,10 @@ def load_samples(
         try:
             patches = load_patches(obj["image"], base_dir)
             if stage == STAGE_ALIGNMENT:
-                sample = caption_sample(patches, obj["caption"])
+                sample = caption_sample(patches, json_text(obj["caption"], "'caption'"))
             else:
-                sample = instruction_sample(patches, obj["query"], obj["response"])
+                sample = instruction_sample(patches, json_text(obj["query"], "'query'"),
+                                            json_text(obj["response"], "'response'"))
         except KeyError as e:
             raise FormatError(f"line {lineno}: missing field {e.args[0]!r}") from e
         except (ShapeError, ValueError) as e:

@@ -178,6 +178,37 @@ def test_config_validation_lists_all_problems(tmp_path, capsys):
         assert field in err
 
 
+CONFIG_FAULTS = {
+    # case: (config file, the key its one problem names)
+    "epochs_string": ({"epochs": "three"}, "epochs"), "lr_prompter_null": ({"lr_prompter": None}, "lr_prompter"),
+    "batch_size_float": ({"batch_size": 2.5}, "batch_size"), "heads_float": ({"heads": 2.0}, "heads"),
+    "max_steps_string": ({"max_steps": "5"}, "max_steps"), "stop_loss_string": ({"stop_loss": "x"}, "stop_loss"),
+    "seed_string": ({"seed": "x"}, "seed"), "paths_number": ({"paths": 3}, "paths"),
+    "weight_decay_string": ({"weight_decay": "x", "max_steps": 1}, "weight_decay"),
+    "misspelt_key": ({"lr_promter": 1.0}, "lr_promter"), "d_h_string": ({"d_h": "32"}, "d_h"),
+    "stage_key": ({"stage": 2}, "stage"), "heads_zero": ({"heads": 0}, "heads"),
+    "lr_prompter_nan": ({"lr_prompter": float("nan")}, "lr_prompter"),
+    "weight_decay_infinite": ({"weight_decay": float("inf")}, "weight_decay"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_FAULTS))
+@pytest.mark.parametrize("command", ["train", "grad-check", "build-db"])
+def test_mistyped_or_unknown_config_key_exit_2(tmp_path, capsys, case, command):
+    config, key = CONFIG_FAULTS[case]
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    data = _write_jsonl(tmp_path / "d.jsonl", [{"image": [[0.5] * 8], "caption": "c", "text": "t",
+                                                 "embedding": [1.0, 0.0]}])
+    argv = {"train": ["train", "--stage", "1", "--data", str(data)],
+            "grad-check": ["grad-check", "--probes", "2"],
+            "build-db": ["build-db", "--input", str(data), "--out", str(tmp_path / "o.rsdb"),
+                         "--dim", "2"]}[command]
+    assert cli.run(argv + ["--config", str(cfg_path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ") and key in lines[0], lines
+
+
 def test_paper_profile_validates(capsys):
     cfg = cli.RunConfig("paper")
     assert cfg.values["n_agg"] == 144

@@ -2,6 +2,7 @@
 naming a byte offset or a line, and each command that reads the input exits
 4 with a one-line message instead of a traceback."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -18,7 +19,7 @@ from rsvlm import cli
 from rsvlm import dual_encoder as de
 from rsvlm import model as vlm
 from rsvlm import training
-from rsvlm.errors import FormatError
+from rsvlm.errors import ConfigError, FormatError
 from rsvlm.semantic_store import SemanticDatabase, iter_jsonl
 
 MODEL = dict(d_h=8, heads=2, lm_blocks=1, expert_stride=1, levels=2, d_r=2, d_i=8, n_agg=1,
@@ -52,6 +53,8 @@ def _write_inputs(d):
                                       "query": f"q{i}?", "response": f"r{i}"} for i in range(2)])
     _jsonl(d / "pred.jsonl", [{"id": i, "output": f"class{i}"} for i in range(3)])
     _jsonl(d / "gt.jsonl", [{"id": i, "label": f"class{i % 2}"} for i in range(3)])
+    _jsonl(d / "refs.jsonl", [{"id": i, "references": [f"class{i}", "a scene"]} for i in range(3)])
+    _jsonl(d / "boxes.jsonl", [{"id": i, "box": [0, 0, 1, i + 1]} for i in range(3)])
     _jsonl(d / "plain_texts.jsonl", [{"text": "river bend"}, {"text": "dry field"}])
     (d / "query.json").write_text(json.dumps([0.5, 1.0, 0.0, -0.5]), encoding="utf-8")
     (d / "train.json").write_text(json.dumps({**MODEL, "max_steps": 1, "batch_size": 1}),
@@ -188,8 +191,9 @@ def test_retrieve_non_finite_query_exit_3(inputs_dir, tmp_path, text):
     ("caption", "inline", float("nan"), "image features hold a non-finite value"),
     ("caption", "npy", float("inf"), "image features hold a non-finite value"),
     ("caption", "json", float("-inf"), "image features hold a non-finite value"),
+    ("caption", "inline", 1e200, "image features hold a value of magnitude above 1e+100"),
     ("pairs", "inline", float("inf"), "'image' holds a non-finite value"),
-], ids=["caption_inline", "caption_npy", "caption_json", "pairs_inline"])
+], ids=["caption_inline", "caption_npy", "caption_json", "caption_huge", "pairs_inline"])
 def test_non_finite_image_features_exit_4(inputs_dir, tmp_path, kind, source, value, message):
     name, _, argv = _inputs(inputs_dir)[kind]
     rows = [json.loads(line) for line in (inputs_dir / name).read_text(encoding="utf-8").splitlines()]
@@ -246,6 +250,60 @@ def test_unusable_jsonl_content_exit_4(inputs_dir, tmp_path, kind, keep, edit, m
     assert re.search(match, err), err
 
 
+def _eval(task, side):
+    """argv of `eval --task task` reading file p as its `side` ("pred" or
+    "gt") and the task's valid fixture as the other."""
+    gt_name = {"caption": "refs.jsonl", "ground": "boxes.jsonl"}[task]
+
+    def argv(d, p):
+        pred, gt = (p, str(d / gt_name)) if side == "pred" else (str(d / "pred.jsonl"), p)
+        return ["eval", "--task", task, "--pred", pred, "--gt", gt]
+
+    return argv
+
+
+JSONL_FIELD_FAULTS = {
+    # case: (fixture whose line 2 is replaced, argv reading file p, line 2, message)
+    "build_db_text_number": ("texts.jsonl", lambda d, p: _inputs(d)["texts"][2](p),
+                             {"text": 5, "embedding": [1, 0, 0, 0]}, "'text' must be a string"),
+    "build_db_embedding_string": ("texts.jsonl", lambda d, p: _inputs(d)["texts"][2](p),
+                                  {"text": "x", "embedding": "xy"},
+                                  "'embedding' must be an array of numbers"),
+    "build_db_embedding_nested": ("texts.jsonl", lambda d, p: _inputs(d)["texts"][2](p),
+                                  {"text": "x", "embedding": [[1, 0], [0.5, -1]]},
+                                  "'embedding' must be a flat array, got shape (2, 2)"),
+    "train_caption_number": ("caption.jsonl", lambda d, p: _inputs(d)["caption"][2](p),
+                             {"image": [[0.5] * 4], "caption": 7}, "'caption' must be a string"),
+    "train_image_object": ("caption.jsonl", lambda d, p: _inputs(d)["caption"][2](p),
+                           {"image": {"a": 1}, "caption": "c"},
+                           "image features must be an array of numbers"),
+    "train_retriever_text_number": ("pairs.jsonl", lambda d, p: _inputs(d)["pairs"][2](p),
+                                    {"image": [0.5] * 4, "text": 5}, "'text' must be a string"),
+    "eval_id_list": ("pred.jsonl", lambda d, p: _inputs(d)["pred"][2](p),
+                     {"id": [1], "output": "x"}, "'id' must be a string or a number, got [1]"),
+    "caption_references_string": ("refs.jsonl", _eval("caption", "gt"),
+                                  {"id": 1, "references": "a b"},
+                                  "'references' must be a list of strings, got 'a b'"),
+    "caption_output_number": ("pred.jsonl", _eval("caption", "pred"),
+                              {"id": 1, "output": 5}, "'output' must be a string"),
+    "ground_box_short": ("boxes.jsonl", _eval("ground", "gt"), {"id": 1, "box": [1, 2, 3]},
+                         "a box must be a list of 4 numbers, got [1, 2, 3]"),
+    "ground_box_string": ("boxes.jsonl", _eval("ground", "gt"), {"id": 1, "box": ["a", 1, 2, 3]},
+                          "a box must be a list of 4 numbers, got ['a', 1, 2, 3]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JSONL_FIELD_FAULTS))
+def test_mistyped_jsonl_field_exit_4(inputs_dir, tmp_path, case):
+    name, argv, row, message = JSONL_FIELD_FAULTS[case]
+    first = (inputs_dir / name).read_text(encoding="utf-8").splitlines(keepends=True)[0]
+    path = tmp_path / name
+    path.write_text(first + json.dumps(row) + "\n", encoding="utf-8")
+    code, err = _run(argv(inputs_dir, str(path)))
+    assert code == 4, err
+    assert err == f"format error: line 2: {message}\n"
+
+
 def _head_bytes():
     return 4 * MODEL["d_h"] * vlm.VOCAB_SIZE
 
@@ -262,6 +320,10 @@ MANIFEST_FAULTS = {
     "list_manifest": (lambda m: [m], lambda p: p, "'config' object"),
     "zero_d_h": (lambda m: {**m, "config": {**m["config"], "d_h": 0}},
                  lambda p: p, "d_h must be positive"),
+    "float_d_h": (lambda m: {**m, "config": {**m["config"], "d_h": 8.0}},
+                  lambda p: p, "manifest config: d_h must be int, got 8.0"),
+    "bool_levels": (lambda m: {**m, "config": {**m["config"], "levels": True}},
+                    lambda p: p, "manifest config: levels must be int, got True"),
 }
 
 
@@ -318,15 +380,20 @@ def test_retrieve_query_must_be_a_number_array(inputs_dir, tmp_path, text):
     assert err.startswith("format error: query ") and err.count("\n") == 1, err
 
 
+def _mutate(data, blob):
+    """`blob` cut short at a drawn length, or with one drawn bit flipped."""
+    blob = bytearray(blob)
+    if data.draw(st.booleans(), label="truncate"):
+        return blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+    bit = data.draw(st.integers(0, 8 * len(blob) - 1), label="bit")
+    blob[bit // 8] ^= 1 << (bit % 8)
+    return blob
+
+
 @given(kind=st.sampled_from(KINDS), data=st.data())
 def test_truncated_or_bit_flipped_input_fails_closed(inputs_dir, kind, data):
     name, load, argv = _inputs(inputs_dir)[kind]
-    blob = bytearray((inputs_dir / name).read_bytes())
-    if data.draw(st.booleans(), label="truncate"):
-        blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
-    else:
-        bit = data.draw(st.integers(0, 8 * len(blob) - 1), label="bit")
-        blob[bit // 8] ^= 1 << (bit % 8)
+    blob = _mutate(data, (inputs_dir / name).read_bytes())
     path = inputs_dir / f"mutated-{name}"
     path.write_bytes(bytes(blob))
     try:
@@ -337,3 +404,23 @@ def test_truncated_or_bit_flipped_input_fails_closed(inputs_dir, kind, data):
     assert code in (0, 4), err
     if code == 4:
         assert err.startswith("format error: ") and err.count("\n") == 1, err
+
+
+@given(name=st.sampled_from(["train.json", "encoder.json"]), data=st.data())
+def test_truncated_or_bit_flipped_config_fails_closed(inputs_dir, name, data):
+    kind = "caption" if name == "train.json" else "pairs"
+    data_name, _, argv = _inputs(inputs_dir)[kind]
+    path = inputs_dir / f"mutated-{name}"
+    path.write_bytes(bytes(_mutate(data, (inputs_dir / name).read_bytes())))
+    code, err = _run(argv(str(inputs_dir / data_name)) + ["--config", str(path)])
+    try:
+        cli.RunConfig.from_args(argparse.Namespace(config=str(path), profile=None, seed=None))
+    except ConfigError:
+        assert code == 2, err
+        assert err and all(line.startswith("config error: ") for line in err.splitlines()), err
+        return
+    # A flipped digit can leave a valid config whose dimensions disagree
+    # with the fixed data (patch_dim, d_img_raw, max_seq); the readers and
+    # the model report that in one line.
+    assert code in (0, 3, 4), err
+    assert code == 0 or (err.startswith(("numeric error: ", "format error: ")) and err.count("\n") == 1), err

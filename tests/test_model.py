@@ -35,6 +35,14 @@ def test_config_validation_collects_problems():
     assert any("d_r" in p for p in probs)
     assert any("levels" in p for p in probs)
     assert any("heads" in p for p in probs)
+    with pytest.raises(ConfigError) as err:
+        ModelConfig(d_h="32", heads=2.0, levels=True)
+    assert err.value.problems == ["d_h must be int, got '32'", "heads must be int, got 2.0",
+                                  "levels must be int, got True"]
+    with pytest.raises(ConfigError) as err:
+        ModelConfig(heads=0, prompter_heads=0, visual_heads=0)
+    assert err.value.problems == ["heads must be positive, got 0", "prompter_heads must be positive, got 0",
+                                  "visual_heads must be positive, got 0"]
 
 
 def test_tokenizer_round_trip():

@@ -25,6 +25,13 @@ def test_train_config_validation():
     with pytest.raises(ConfigError) as err:
         tr.TrainConfig(stage="alignment", lr_prompter=-1.0, epochs=0)
     assert len(err.value.problems) == 2
+    with pytest.raises(ConfigError) as err:
+        tr.TrainConfig(stage="alignment", epochs=True, lr_lm="0", lr_projector=None, max_steps=2.0,
+                       train_projector_stage1=1)
+    assert err.value.problems == ["epochs must be int, got True", "lr_lm must be float, got '0'",
+                                  "max_steps must be int or None, got 2.0",
+                                  "train_projector_stage1 must be bool, got 1"]
+    assert tr.TrainConfig(stage="alignment", lr_prompter=1, stop_loss=0).lr_prompter == 1
 
 
 def test_stage1_freeze_contract_bit_exact():
