@@ -1,12 +1,15 @@
 """Bounds-checked little-endian reader shared by the RSDB, RSDE and RSCK
-loaders. Every fault raises FormatError naming what was being read and the
-byte offset where it starts, so a loader never lets a `struct.error` or an
-oversized allocation out of a short or corrupted file.
+loaders, and the named-block codec of RSDE and RSCK. Every fault raises
+FormatError naming what was being read and the byte offset where it starts,
+so a loader never lets a `struct.error` or an oversized allocation out of a
+short or corrupted file.
 """
 
 from __future__ import annotations
 
+import math
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -66,3 +69,18 @@ class Reader:
             bad = start + 4 * int(np.argmin(finite))
             raise FormatError(f"non-finite value in {what} at byte {bad}")
         return block.reshape(shape)
+
+
+def write_blocks(path, header: bytes, named) -> None:
+    """`header`, then each (name, tensor) block as little-endian float32, in order."""
+    Path(path).write_bytes(header + b"".join(t.value.astype("<f4").tobytes() for _, t in named))
+
+
+def fill_blocks(reader: Reader, named) -> None:
+    """Read the rest of the payload into the (name, tensor) blocks in order,
+    each at its tensor's shape. The bytes of every block are checked to be
+    there before any is allocated, and none may trail the last."""
+    reader.need(4 * sum(math.prod(t.value.shape) for _, t in named), "parameter blocks")
+    for name, tensor in named:
+        tensor.value = reader.f32_block(tensor.value.shape, name)
+    reader.end()

@@ -97,7 +97,9 @@ class RunConfig:
         for key in ("k", "semantic_cap", "d_e", "d_img_raw", "bow_vocab", "enc_hidden"):
             if type(self.values[key]) is not int or self.values[key] <= 0:
                 problems.append(f"{key} must be a positive integer, got {self.values[key]!r}")
-        for build in (self.model_config, lambda: self.train_config(training.STAGE_ALIGNMENT)):
+        # the model's shapes too: a block too large to address is a config error
+        for build in (lambda: vlm.shape_model(self.model_config()),
+                      lambda: self.train_config(training.STAGE_ALIGNMENT)):
             try:
                 build()
             except ConfigError as e:
@@ -238,7 +240,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
     samples = training.load_samples(
         data_path, stage, retriever=retriever, db=db,
         k=cfg.values["k"], semantic_cap=cfg.values["semantic_cap"],
-        base_dir=Path(data_path).parent,
+        base_dir=Path(data_path).parent, patch_dim=model.config.patch_dim,
     )
     if not samples:
         raise FormatError(f"{data_path}: no training samples")
@@ -433,6 +435,20 @@ def cmd_grad_check(args, cfg: RunConfig) -> int:
     return EXIT_OK if report["pass"] else EXIT_NUMERIC
 
 
+def _int_at_least(low: int):
+    """argparse type of an integer flag whose values start at `low`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rsvlm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -448,14 +464,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="JSONL with 'text' (+ optional 'embedding')")
     p.add_argument("--out", required=True)
     p.add_argument("--encoder", help="RSDE retriever checkpoint for text embedding")
-    p.add_argument("--dim", type=int, help="embedding dim when no encoder is given")
+    p.add_argument("--dim", type=_int_at_least(1), help="embedding dim when no encoder is given")
     p.set_defaults(func=cmd_build_db)
 
     p = sub.add_parser("train-retriever", help="contrastively train the dual encoder")
     common(p)
     p.add_argument("--input", required=True, help="JSONL with 'image' and 'text'")
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int, default=200)
+    p.add_argument("--epochs", type=_int_at_least(1), default=200)
     p.add_argument("--lr", type=float, default=0.1)
     p.add_argument("--momentum", type=float, default=0.0)
     p.set_defaults(func=cmd_train_retriever)
@@ -465,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--db", required=True)
     p.add_argument("--query", required=True, help="JSON file with one feature/embedding vector")
     p.add_argument("--encoder", help="RSDE checkpoint; when given, --query holds raw image features")
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--k", type=_int_at_least(0), default=5)
     p.add_argument("--out")
     p.set_defaults(func=cmd_retrieve)
 
@@ -490,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grad-check", help="finite-difference check of all analytic gradients")
     common(p)
-    p.add_argument("--probes", type=int, default=200)
+    p.add_argument("--probes", type=_int_at_least(1), default=200)
     p.add_argument("--out")
     p.set_defaults(func=cmd_grad_check)
 

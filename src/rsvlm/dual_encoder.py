@@ -24,10 +24,11 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .artifact import Reader
+from .artifact import Reader, fill_blocks, write_blocks
 from .autodiff import Tensor
 from .errors import DomainError, FormatError, ShapeError
-from .numerics import Rng
+from .expert_layer import FfnParams, init_ffn
+from .numerics import Rng, ShapeRng
 
 MAGIC = b"RSDE"
 FORMAT_VERSION = 1
@@ -72,17 +73,9 @@ class ContrastivePair:
 
 
 @dataclass
-class MlpParams:
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-
-
-@dataclass
 class DualEncoderParams:
-    image_proj: MlpParams
-    text_proj: MlpParams
+    image_proj: FfnParams
+    text_proj: FfnParams
     log_temp: Tensor  # temperature = exp(log_temp) > 0
 
     @property
@@ -106,33 +99,26 @@ class DualEncoderParams:
         return float(np.exp(self.log_temp.value[0, 0]))
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out = []
-        for prefix, mlp in (("image_proj", self.image_proj), ("text_proj", self.text_proj)):
-            for field in ("w1", "b1", "w2", "b2"):
-                out.append((f"{prefix}.{field}", getattr(mlp, field)))
-        out.append(("log_temp", self.log_temp))
-        return out
-
-
-def _init_mlp(d_in: int, hidden: int, d_out: int, rng: Rng) -> MlpParams:
-    return MlpParams(
-        w1=ad.param(rng.normal((d_in, hidden), std=1.0 / math.sqrt(d_in))),
-        b1=ad.param(np.zeros((1, hidden))),
-        w2=ad.param(rng.normal((hidden, d_out), std=1.0 / math.sqrt(hidden))),
-        b2=ad.param(np.zeros((1, d_out))),
-    )
+        return (self.image_proj.named("image_proj") + self.text_proj.named("text_proj")
+                + [("log_temp", self.log_temp)])
 
 
 def init_params(d_img_raw: int, d_e: int, vocab: int, hidden: int, seed: int) -> DualEncoderParams:
-    rng = Rng(seed)
+    return _init_params(d_img_raw, d_e, vocab, hidden, Rng(seed))
+
+
+def _init_params(d_img_raw: int, d_e: int, vocab: int, hidden: int,
+                 rng: Rng | ShapeRng) -> DualEncoderParams:
+    """The encoder with every parameter drawn from `rng`'s streams; with a
+    ShapeRng, an encoder of the right shapes that holds no parameter block."""
     return DualEncoderParams(
-        image_proj=_init_mlp(d_img_raw, hidden, d_e, rng.spawn(1)),
-        text_proj=_init_mlp(vocab, hidden, d_e, rng.spawn(2)),
+        image_proj=init_ffn(d_img_raw, hidden, d_e, rng.spawn(1)),
+        text_proj=init_ffn(vocab, hidden, d_e, rng.spawn(2)),
         log_temp=ad.param(np.full((1, 1), math.log(INIT_TEMPERATURE))),
     )
 
 
-def _mlp_rows(mlp: MlpParams, rows: Tensor) -> Tensor:
+def _mlp_rows(mlp: FfnParams, rows: Tensor) -> Tensor:
     h = ad.tanh(ad.matmul(rows, mlp.w1) + mlp.b1)
     return ad.l2_normalize_rows(ad.matmul(h, mlp.w2) + mlp.b2)
 
@@ -236,28 +222,20 @@ def recall_at_1(params: DualEncoderParams, pairs) -> float:
 
 
 def save_params(params: DualEncoderParams, path) -> None:
-    blob = bytearray()
-    blob += MAGIC
-    blob += struct.pack("<H", FORMAT_VERSION)
-    blob += struct.pack("<IIII", params.d_img_raw, params.d_e, params.vocab, params.hidden)
-    for _, tensor in params.named_parameters():
-        blob += tensor.value.astype("<f4").tobytes()
-    Path(path).write_bytes(bytes(blob))
+    dims = (params.d_img_raw, params.d_e, params.vocab, params.hidden)
+    header = MAGIC + struct.pack("<HIIII", FORMAT_VERSION, *dims)
+    write_blocks(path, header, params.named_parameters())
 
 
 def load_params(path) -> DualEncoderParams:
     reader = Reader(Path(path).read_bytes())
     reader.header(MAGIC, FORMAT_VERSION)
-    dims = [reader.u32(name) for name in ("d_img_raw", "d_e", "vocab", "hidden")]
+    dims = tuple(reader.u32(name) for name in ("d_img_raw", "d_e", "vocab", "hidden"))
     if 0 in dims:
-        raise FormatError(f"zero dimension in header (d_img_raw, d_e, vocab, hidden) = {tuple(dims)} at byte 6")
-    d_img_raw, d_e, vocab, hidden = dims
-    # Float count of the blocks listed in the module docstring, checked
-    # before init_params allocates them.
-    n_floats = (d_img_raw + vocab + 2) * hidden + 2 * (hidden + 1) * d_e + 1
-    reader.need(4 * n_floats, "parameter blocks")
-    params = init_params(d_img_raw, d_e, vocab, hidden, seed=0)
-    for name, tensor in params.named_parameters():
-        tensor.value = reader.f32_block(tensor.value.shape, name)
-    reader.end()
+        raise FormatError(f"zero dimension in header (d_img_raw, d_e, vocab, hidden) = {dims} at byte 6")
+    try:
+        params = _init_params(*dims, ShapeRng())
+    except ValueError as e:
+        raise FormatError(f"header dimensions {dims} at byte 6 too large to address ({e})") from e
+    fill_blocks(reader, params.named_parameters())
     return params

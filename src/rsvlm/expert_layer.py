@@ -14,6 +14,7 @@ is added to a standard two-layer FFN of the same input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,9 +73,9 @@ class ExpertLayerParams:
 
 def init_ffn(d_in: int, d_inner: int, d_out: int, rng: Rng) -> FfnParams:
     return FfnParams(
-        w1=ad.param(rng.normal((d_in, d_inner), std=1.0 / np.sqrt(d_in))),
+        w1=ad.param(rng.normal((d_in, d_inner), std=1.0 / math.sqrt(d_in))),
         b1=ad.param(rng.zeros((1, d_inner))),
-        w2=ad.param(rng.normal((d_inner, d_out), std=1.0 / np.sqrt(d_inner))),
+        w2=ad.param(rng.normal((d_inner, d_out), std=1.0 / math.sqrt(d_inner))),
         b2=ad.param(rng.zeros((1, d_out))),
     )
 

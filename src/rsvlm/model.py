@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .artifact import Reader
+from .artifact import Reader, fill_blocks, write_blocks
 from .autodiff import Tensor
 from .errors import ConfigError, FormatError, ShapeError, field_type_problems
 from .expert_layer import (
@@ -222,12 +222,21 @@ def init_model(cfg: ModelConfig, seed: int) -> VlmModel:
     return _init_model(cfg, Rng(seed))
 
 
+def shape_model(cfg: ModelConfig) -> VlmModel:
+    """A model of `cfg`'s shapes that holds no parameter block. Raises
+    ConfigError when a block is too large to address."""
+    try:
+        return _init_model(cfg, ShapeRng())
+    except (ValueError, OverflowError) as e:
+        raise ConfigError([f"a parameter block is too large to address ({e})"]) from e
+
+
 def _init_model(cfg: ModelConfig, master: Rng | ShapeRng) -> VlmModel:
     """The model with every parameter drawn from `master`'s streams; with a
     ShapeRng, a model of the right shapes that holds no parameter block."""
     vrng = master.spawn(1)
     visual = VisualEncoderParams(
-        patch_w=ad.param(vrng.spawn(0).normal((cfg.patch_dim, cfg.d_v), std=1.0 / np.sqrt(cfg.patch_dim))),
+        patch_w=ad.param(vrng.spawn(0).normal((cfg.patch_dim, cfg.d_v), std=1.0 / math.sqrt(cfg.patch_dim))),
         patch_b=ad.param(vrng.zeros((1, cfg.d_v))),
         blocks=[
             VisualBlockParams(
@@ -262,13 +271,13 @@ def _init_model(cfg: ModelConfig, master: Rng | ShapeRng) -> VlmModel:
         embed=ad.param(lrng.spawn(1).normal((cfg.vocab, cfg.d_h), std=0.02)),
         pos=ad.param(lrng.spawn(2).normal((cfg.max_seq, cfg.d_h), std=0.02)),
         blocks=blocks,
-        head=ad.param(lrng.spawn(3).normal((cfg.d_h, cfg.vocab), std=1.0 / np.sqrt(cfg.d_h))),
+        head=ad.param(lrng.spawn(3).normal((cfg.d_h, cfg.vocab), std=1.0 / math.sqrt(cfg.d_h))),
     )
     return VlmModel(
         config=cfg,
         visual=visual,
         prompter=prompter,
-        proj_w=ad.param(prng.normal((cfg.d_v, cfg.d_h), std=1.0 / np.sqrt(cfg.d_v))),
+        proj_w=ad.param(prng.normal((cfg.d_v, cfg.d_h), std=1.0 / math.sqrt(cfg.d_v))),
         proj_b=ad.param(prng.zeros((1, cfg.d_h))),
         lm=lm,
     )
@@ -420,14 +429,8 @@ def save_checkpoint(model: VlmModel, path) -> None:
         "blocks": [{"name": n, "shape": list(t.value.shape)} for n, t in named],
     }
     manifest_bytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    blob = bytearray()
-    blob += CHECKPOINT_MAGIC
-    blob += struct.pack("<H", CHECKPOINT_VERSION)
-    blob += struct.pack("<I", len(manifest_bytes))
-    blob += manifest_bytes
-    for _, t in named:
-        blob += t.value.astype("<f4").tobytes()
-    Path(path).write_bytes(bytes(blob))
+    header = CHECKPOINT_MAGIC + struct.pack("<HI", CHECKPOINT_VERSION, len(manifest_bytes)) + manifest_bytes
+    write_blocks(path, header, named)
 
 
 def _read_manifest(reader: Reader) -> tuple[ModelConfig, dict[str, tuple]]:
@@ -467,11 +470,10 @@ def load_checkpoint(path) -> VlmModel:
     reader = Reader(Path(path).read_bytes())
     reader.header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     cfg, shapes = _read_manifest(reader)
-    reader.need(4 * sum(math.prod(shape) for shape in shapes.values()), "parameter blocks")
     # Shapes first: the config's blocks are compared before any is allocated.
     try:
-        model = _init_model(cfg, ShapeRng())
-    except ValueError as e:  # a block too large to address
+        model = shape_model(cfg)
+    except ConfigError as e:
         raise FormatError(f"manifest config: {e}") from e
     named = dict(model.named_parameters())
     if shapes.keys() != named.keys():
@@ -481,7 +483,5 @@ def load_checkpoint(path) -> VlmModel:
         have = named[name].value.shape
         if have != shape:
             raise FormatError(f"block {name!r}: manifest shape {shape} != model shape {have}")
-    for name, shape in shapes.items():
-        named[name].value = reader.f32_block(shape, name)
-    reader.end()
+    fill_blocks(reader, [(name, named[name]) for name in shapes])
     return model

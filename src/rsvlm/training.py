@@ -228,13 +228,22 @@ def load_samples(
     k: int = 5,
     semantic_cap: int = 512,
     base_dir=None,
+    patch_dim: int | None = None,
 ) -> list[Sample]:
     """Read a JSONL training file and attach retrieved semantics when a
-    database and retriever are supplied."""
+    database and retriever are supplied. A line's image features must have
+    `patch_dim` columns when it is given, and the retriever's d_img_raw when
+    semantics are retrieved; both are checked before the line's retrieval."""
+    retrieve = retriever is not None and db is not None
+    widths = [("model patch_dim", patch_dim)] if patch_dim is not None else []
+    widths += [("retriever d_img_raw", retriever.d_img_raw)] if retrieve else []
     samples = []
     for lineno, obj in iter_jsonl(path):
         try:
             patches = load_patches(obj["image"], base_dir)
+            for what, width in widths:
+                if patches.shape[1] != width:
+                    raise FormatError(f"image features have {patches.shape[1]} columns, {what} is {width}")
             if stage == STAGE_ALIGNMENT:
                 sample = caption_sample(patches, json_text(obj["caption"], "'caption'"))
             else:
@@ -244,7 +253,7 @@ def load_samples(
             raise FormatError(f"line {lineno}: missing field {e.args[0]!r}") from e
         except (ShapeError, ValueError) as e:
             raise FormatError(f"line {lineno}: {e}") from e
-        if retriever is not None and db is not None:
+        if retrieve:
             sample.semantic_ids = retrieve_semantics(patches, retriever, db, k, semantic_cap)
         samples.append(sample)
     return samples

@@ -209,6 +209,35 @@ def test_mistyped_or_unknown_config_key_exit_2(tmp_path, capsys, case, command):
     assert len(lines) == 1 and lines[0].startswith("config error: ") and key in lines[0], lines
 
 
+@pytest.mark.parametrize("config", [{"d_i": 10**30}, {"patch_dim": 10**30}, {"max_seq": 10**400}])
+@pytest.mark.parametrize("command", ["train", "train-retriever", "build-db", "retrieve", "eval", "grad-check"])
+def test_unaddressable_config_dims_exit_2(tmp_path, capsys, config, command):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    data = str(tmp_path / "absent.jsonl")  # the config is checked before any input is read
+    argv = {"train": ["train", "--stage", "1", "--data", data],
+            "train-retriever": ["train-retriever", "--input", data, "--out", data],
+            "build-db": ["build-db", "--input", data, "--out", data],
+            "retrieve": ["retrieve", "--db", data, "--query", data],
+            "eval": ["eval", "--task", "classify", "--pred", data, "--gt", data],
+            "grad-check": ["grad-check"]}[command]
+    assert cli.run(argv + ["--config", str(cfg_path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: a parameter block is too large to address"), lines
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("train-retriever", "--epochs", "0"), ("train-retriever", "--epochs", "-2"), ("build-db", "--dim", "0"),
+    ("build-db", "--dim", "-1"), ("retrieve", "--k", "-1"), ("grad-check", "--probes", "0"),
+])
+def test_out_of_range_size_flag_is_usage_error(capsys, command, flag, value):
+    required = {"train-retriever": ["--input", "p.jsonl", "--out", "e.rsde"],
+                "build-db": ["--input", "t.jsonl", "--out", "d.rsdb"],
+                "retrieve": ["--db", "d.rsdb", "--query", "q.json"], "grad-check": []}[command]
+    assert cli.run([command, *required, flag, value]) == 2
+    assert f"error: argument {flag}: expected an integer >= " in capsys.readouterr().err
+
+
 def test_paper_profile_validates(capsys):
     cfg = cli.RunConfig("paper")
     assert cfg.values["n_agg"] == 144

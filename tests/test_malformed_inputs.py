@@ -130,20 +130,39 @@ def test_short_header_reports_offset(inputs_dir, tmp_path, kind, size):
 
 
 def test_rsde_header_dims_checked_before_allocating(tmp_path):
-    # hidden = 2**18 in a 22-byte file: the header implies 31 MB of blocks
+    # In a 22-byte file, hidden = 2**18 implies 31 MB of blocks, and
+    # vocab = hidden = 2**32 - 1 a text block too large to address.
     path = tmp_path / "big.rsde"
-    path.write_bytes(b"RSDE" + struct.pack("<HIIII", 1, 4, 4, 16, 1 << 18))
-    tracemalloc.start()
-    try:
-        with pytest.raises(FormatError, match=r"need \d+ bytes at byte 22, 0 remain"):
-            de.load_params(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    for dims, match in [((4, 4, 16, 1 << 18), r"need \d+ bytes at byte 22, 0 remain"),
+                        ((4, 4, (1 << 32) - 1, (1 << 32) - 1), r"header dimensions \(4, 4, 4294967295, "
+                                                               r"4294967295\) at byte 6 too large to address")]:
+        path.write_bytes(b"RSDE" + struct.pack("<HIIII", 1, *dims))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=match):
+                de.load_params(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
     path.write_bytes(b"RSDE" + struct.pack("<HIIII", 1, 4, 0, 16, 6))
     with pytest.raises(FormatError, match=r"zero dimension in header .* = \(4, 0, 16, 6\) at byte 6"):
         de.load_params(path)
+
+
+def test_feature_width_must_match_the_trained_model(inputs_dir, tmp_path):
+    # caption.jsonl has 4 feature columns; the toy profile's patch_dim is 8
+    caption = str(inputs_dir / "caption.jsonl")
+    code, err = _run(["train", "--stage", "1", "--data", caption])
+    assert (code, err) == (4, "format error: line 1: image features have 4 columns, model patch_dim is 8\n")
+    # a width-8 retriever is checked before it is used, with a width-4 model
+    de.save_params(de.init_params(8, 4, 16, 6, seed=0), tmp_path / "enc8.rsde")
+    code, err = _run(["train", "--config", str(inputs_dir / "train.json"), "--stage", "1", "--data", caption,
+                      "--retriever", str(tmp_path / "enc8.rsde"), "--db", str(inputs_dir / "db.rsdb")])
+    assert (code, err) == (4, "format error: line 1: image features have 4 columns, retriever d_img_raw is 8\n")
+    # the checkpoint's patch_dim, not the profile's, is the model trained
+    code, err = _run(["train", "--stage", "1", "--data", caption, "--init", str(inputs_dir / "model.rsck")])
+    assert code == 0, err
 
 
 @pytest.mark.parametrize("kind", ["rsde", "rsck"])
