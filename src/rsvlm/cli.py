@@ -204,9 +204,12 @@ def cmd_train_retriever(args, cfg: RunConfig) -> int:
 def cmd_retrieve(args, cfg: RunConfig) -> int:
     db = SemanticDatabase.load(args.db)
     try:
-        query = np.asarray(json.loads(Path(args.query).read_bytes()), dtype=np.float64)
-    except (TypeError, ValueError) as e:
+        raw = json.loads(Path(args.query).read_bytes())
+    except ValueError as e:
         raise FormatError(f"query {args.query}: expected a JSON array of numbers ({e})") from e
+    query = json_numbers(raw, f"query {args.query}")
+    if query.ndim != 1:
+        raise FormatError(f"query {args.query} must be a flat array, got shape {query.shape}")
     encoder = _load_retriever(args.encoder)
     if encoder is not None:
         query = de.encode_image(encoder, query)
@@ -260,9 +263,9 @@ def cmd_train(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _read_keyed_jsonl(path, required_fields, check=lambda row: None) -> dict:
-    """id -> row for each line; `check` raises FormatError for a row it
-    cannot use, reported with the line."""
+def _read_keyed_jsonl(path, required_fields, parse) -> dict:
+    """id -> parse(row) for each line; `parse` raises FormatError for a row
+    it cannot use, reported with the line."""
     rows = {}
     for lineno, obj in iter_jsonl(path):
         for f in ("id",) + required_fields:
@@ -271,95 +274,72 @@ def _read_keyed_jsonl(path, required_fields, check=lambda row: None) -> dict:
         try:
             if not isinstance(obj["id"], (str, int, float)):
                 raise FormatError(f"'id' must be a string or a number, got {obj['id']!r}")
-            check(obj)
+            rows[obj["id"]] = parse(obj)
         except FormatError as e:
             raise FormatError(f"line {lineno}: {e}") from e
-        rows[obj["id"]] = obj
     return rows
 
 
-def _output_text(row) -> None:
-    json_text(row["output"], "'output'")
+def _output_text(row) -> str:
+    return json_text(row["output"], "'output'")
 
 
-def _gt_box(row) -> metrics.Box | None:
-    """The 'box', else the first of 'boxes'; None when neither is given."""
+def _gt_box(row) -> metrics.Box:
+    """The 'box', else the first of 'boxes'."""
     if "box" in row:
         box = row["box"]
     elif isinstance(row.get("boxes"), list) and row["boxes"]:
         box = row["boxes"][0]
     else:
-        return None
+        raise FormatError("need a 'box' or 'boxes' field")
     if not (isinstance(box, list) and len(box) == 4 and all(type(x) in (int, float) for x in box)):
         raise FormatError(f"a box must be a list of 4 numbers, got {box!r}")
     return metrics.Box(*box)
 
 
-def _references(row) -> None:
+def _references(row) -> list[list[str]]:
     refs = row["references"]
     if not (isinstance(refs, list) and all(isinstance(r, str) for r in refs)):
         raise FormatError(f"'references' must be a list of strings, got {refs!r}")
+    return [metrics.tokenize_caption(r) for r in refs]
+
+
+# task -> (prediction parser, ground-truth field, ground-truth parser)
+_EVAL_ROWS = {
+    "classify": (lambda row: str(row["output"]), ("label",), lambda row: str(row["label"])),
+    "vqa": (lambda row: str(row["output"]), ("label",), lambda row: str(row["label"])),
+    "ground": (_output_text, (), _gt_box),
+    "caption": (lambda row: metrics.tokenize_caption(_output_text(row)), ("references",), _references),
+}
 
 
 def cmd_eval(args, cfg: RunConfig) -> int:
-    report: dict = {"task": args.task}
-    if args.task in ("classify", "vqa"):
-        preds = _read_keyed_jsonl(args.pred, ("output",))
-        gts = _read_keyed_jsonl(args.gt, ("label",))
-        if not gts:
-            raise FormatError(f"{args.task} eval: empty ground truth")
-        pred_list, label_list = _join(preds, gts, "output", "label")
-        report["accuracy"] = metrics.accuracy(pred_list, label_list)
-        report["count"] = len(pred_list)
-    elif args.task == "ground":
-        preds = _read_keyed_jsonl(args.pred, ("output",), _output_text)
-        gts = _read_keyed_jsonl(args.gt, (), _gt_box)
-        hits, total = 0, 0
-        for key in sorted(gts, key=str):
-            if key not in preds:
-                raise FormatError(f"prediction missing for id {key!r}")
-            gt_box = _gt_box(gts[key])
-            if gt_box is None:
-                raise FormatError(f"id {key!r}: need a 'box' or 'boxes' field")
-            pred_box = metrics.parse_box(preds[key]["output"])
-            total += 1
-            if pred_box is not None and metrics.iou(pred_box, gt_box) >= args.threshold:
-                hits += 1
-        report["precision_at_iou"] = hits / total if total else 0.0
-        report["threshold"] = args.threshold
-        report["count"] = total
-    else:  # caption
-        preds = _read_keyed_jsonl(args.pred, ("output",), _output_text)
-        gts = _read_keyed_jsonl(args.gt, ("references",), _references)
-        b1, r1, met = [], [], []
-        for key in sorted(gts, key=str):
-            if key not in preds:
-                raise FormatError(f"prediction missing for id {key!r}")
-            pair = metrics.CaptionPair(
-                candidate=metrics.tokenize_caption(preds[key]["output"]),
-                references=[metrics.tokenize_caption(r) for r in gts[key]["references"]],
-            )
-            b1.append(metrics.bleu1(pair))
-            r1.append(metrics.rouge1(pair))
-            met.append(metrics.meteor_simplified(pair))
-        if not b1:
-            raise FormatError("caption eval: empty ground truth")
-        report["bleu1"] = float(np.mean(b1))
-        report["rouge1"] = float(np.mean(r1))
-        report["meteor_simplified"] = float(np.mean(met))
-        report["count"] = len(b1)
-    _print_json(report, args.out)
-    return EXIT_OK
-
-
-def _join(preds: dict, gts: dict, pred_field: str, gt_field: str):
-    pred_list, gt_list = [], []
+    parse_pred, gt_fields, parse_gt = _EVAL_ROWS[args.task]
+    preds = _read_keyed_jsonl(args.pred, ("output",), parse_pred)
+    gts = _read_keyed_jsonl(args.gt, gt_fields, parse_gt)
+    if not gts:
+        raise FormatError(f"{args.task} eval: empty ground truth")
+    pairs = []
     for key in sorted(gts, key=str):
         if key not in preds:
             raise FormatError(f"prediction missing for id {key!r}")
-        pred_list.append(str(preds[key][pred_field]))
-        gt_list.append(str(gts[key][gt_field]))
-    return pred_list, gt_list
+        pairs.append((preds[key], gts[key]))
+    report: dict = {"task": args.task}
+    if args.task in ("classify", "vqa"):
+        report["accuracy"] = metrics.accuracy(*zip(*pairs))
+    elif args.task == "ground":
+        boxes = [(metrics.parse_box(out), box) for out, box in pairs]
+        hits = sum(1 for pred, box in boxes if pred is not None and metrics.iou(pred, box) >= args.threshold)
+        report["precision_at_iou"] = hits / len(pairs)
+        report["threshold"] = args.threshold
+    else:  # caption
+        captions = [metrics.CaptionPair(candidate=out, references=refs) for out, refs in pairs]
+        report["bleu1"] = float(np.mean([metrics.bleu1(c) for c in captions]))
+        report["rouge1"] = float(np.mean([metrics.rouge1(c) for c in captions]))
+        report["meteor_simplified"] = float(np.mean([metrics.meteor_simplified(c) for c in captions]))
+    report["count"] = len(pairs)
+    _print_json(report, args.out)
+    return EXIT_OK
 
 
 def micro_model(seed: int) -> vlm.VlmModel:

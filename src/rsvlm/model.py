@@ -50,7 +50,6 @@ from .numerics import Rng, ShapeRng
 from .prompter import (
     AttnBlockParams,
     KvCache,
-    PrompterConfig,
     PrompterParams,
     attention_output,
     build_prompt_graph,
@@ -64,6 +63,9 @@ VOCAB_SIZE = 258
 CHECKPOINT_MAGIC = b"RSCK"
 CHECKPOINT_VERSION = 1
 CAUSAL_BIAS = -1e30
+# Bound on lm_blocks and visual_blocks, and so on levels <= visual_blocks:
+# the initializers build the blocks one by one.
+MAX_BLOCKS = 256
 
 
 def encode_text(text: str) -> list[int]:
@@ -110,6 +112,8 @@ class ModelConfig:
         if problems:
             raise ConfigError(problems)
         problems = [f"{name} must be positive, got {value}" for name, value in vars(self).items() if value <= 0]
+        problems += [f"{name} must be <= {MAX_BLOCKS}, got {getattr(self, name)}"
+                     for name in ("lm_blocks", "visual_blocks") if getattr(self, name) > MAX_BLOCKS]
         if self.d_r >= self.d_h:
             problems.append(f"d_r {self.d_r} must be < d_h {self.d_h}")
         if self.heads > 0 and self.d_h % self.heads != 0:
@@ -246,11 +250,7 @@ def _init_model(cfg: ModelConfig, master: Rng | ShapeRng) -> VlmModel:
             for i in range(cfg.visual_blocks)
         ],
     )
-    prompter = init_prompter(
-        PrompterConfig(cfg.n_agg, cfg.d_h, cfg.levels, cfg.prompter_heads,
-                       [cfg.d_v] * cfg.levels),
-        master.spawn(2),
-    )
+    prompter = init_prompter(cfg.n_agg, cfg.d_h, [cfg.d_v] * cfg.levels, master.spawn(2))
     prng = master.spawn(3)
     lrng = master.spawn(4)
     expert_set = set(cfg.expert_block_indices())
@@ -348,7 +348,7 @@ def _sequence_graph(model: VlmModel, sample: Sample, seq_ids: list[int]) -> tupl
     taps = _encode_multilevel_graph(model, ad.const(sample.patches))
     f_user = ad.embedding(model.lm.embed, sample.query_ids)
     f_sem = ad.embedding(model.lm.embed, sample.semantic_ids)
-    s = build_prompt_graph(model.prompter, f_user, f_sem, taps)
+    s = build_prompt_graph(model.prompter, f_user, f_sem, taps, cfg.prompter_heads)
     img_tok = ad.matmul(taps[-1], model.proj_w) + model.proj_b
     q_emb = ad.embedding(model.lm.embed, seq_ids)
     hidden = ad.concat([img_tok, s, q_emb], axis=0)

@@ -3,6 +3,10 @@ user query (self-attention over the concatenation), then to the retrieved
 semantic tokens, then to each visual level in parallel, and the per-level
 outputs are stacked row-wise into the prompt matrix.
 
+The aggregation-token count and the width are `f_agg`'s shape, the level
+count is the number of level blocks, and each graph function takes the
+head count as `attention_output` does.
+
 Attention blocks are multi-head with bias-free Q/K/V/output projections,
 residual connections, and parameter-free layer normalization applied to the
 query-side input of each block. Multi-head splitting is expressed on 2-D
@@ -13,7 +17,7 @@ projected Q/K/V, where dk = d / heads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,28 +27,6 @@ from .errors import ShapeError
 from .numerics import Rng
 
 AGG_INIT_STD = 0.02
-
-
-@dataclass
-class PrompterConfig:
-    n_agg: int
-    dim: int
-    levels: int
-    heads: int
-    level_dims: list[int] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.level_dims:
-            self.level_dims = [self.dim] * self.levels
-        problems = []
-        if self.n_agg < 1:
-            problems.append(f"n_agg must be >= 1, got {self.n_agg}")
-        if self.heads < 1 or self.dim % self.heads != 0:
-            problems.append(f"dim {self.dim} not divisible by heads {self.heads}")
-        if len(self.level_dims) != self.levels:
-            problems.append(f"level_dims length {len(self.level_dims)} != levels {self.levels}")
-        if problems:
-            raise ShapeError("; ".join(problems))
 
 
 @dataclass
@@ -65,7 +47,6 @@ class AttnBlockParams:
 
 @dataclass
 class PrompterParams:
-    config: PrompterConfig
     f_agg: Tensor
     self_attn: AttnBlockParams
     sem_attn: AttnBlockParams
@@ -90,16 +71,14 @@ def init_attn_block(d_q_in: int, d_ctx_in: int, d: int, rng: Rng) -> AttnBlockPa
     )
 
 
-def init_prompter(cfg: PrompterConfig, rng: Rng) -> PrompterParams:
+def init_prompter(n_agg: int, dim: int, level_dims: list[int], rng: Rng) -> PrompterParams:
+    """n_agg aggregation tokens of width dim and one level block per entry
+    of level_dims, the width of that level's visual features."""
     return PrompterParams(
-        config=cfg,
-        f_agg=ad.param(rng.spawn(0).normal((cfg.n_agg, cfg.dim), std=AGG_INIT_STD)),
-        self_attn=init_attn_block(cfg.dim, cfg.dim, cfg.dim, rng.spawn(1)),
-        sem_attn=init_attn_block(cfg.dim, cfg.dim, cfg.dim, rng.spawn(2)),
-        level_attn=[
-            init_attn_block(cfg.dim, cfg.level_dims[l], cfg.dim, rng.spawn(10 + l))
-            for l in range(cfg.levels)
-        ],
+        f_agg=ad.param(rng.spawn(0).normal((n_agg, dim), std=AGG_INIT_STD)),
+        self_attn=init_attn_block(dim, dim, dim, rng.spawn(1)),
+        sem_attn=init_attn_block(dim, dim, dim, rng.spawn(2)),
+        level_attn=[init_attn_block(dim, d_l, dim, rng.spawn(10 + l)) for l, d_l in enumerate(level_dims)],
     )
 
 
@@ -162,49 +141,34 @@ def attention_output(block: AttnBlockParams, q_in: Tensor, ctx: Tensor, heads: i
     return ad.matmul(ad.concat(head_outs, axis=1), block.wo)
 
 
-def aggregate_query_graph(params: PrompterParams, f_user: Tensor) -> Tensor:
+def aggregate_query_graph(params: PrompterParams, f_user: Tensor, heads: int) -> Tensor:
     """Self-attend concat(f_agg, f_user) and keep the aggregation rows."""
-    cfg = params.config
-    if f_user.value.shape[1] != cfg.dim:
-        raise ShapeError(f"aggregate_query_graph: f_user dim {f_user.value.shape[1]} != {cfg.dim}")
+    n_agg, dim = params.f_agg.value.shape
+    if f_user.value.shape[1] != dim:
+        raise ShapeError(f"aggregate_query_graph: f_user dim {f_user.value.shape[1]} != {dim}")
     f_in = ad.concat([params.f_agg, f_user], axis=0)
-    f_out = f_in + attention_output(params.self_attn, ad.layer_norm_rows(f_in), f_in, cfg.heads)
-    return ad.narrow(f_out, 0, 0, cfg.n_agg)
+    f_out = f_in + attention_output(params.self_attn, ad.layer_norm_rows(f_in), f_in, heads)
+    return ad.narrow(f_out, 0, 0, n_agg)
 
 
-def attend_semantics_graph(params: PrompterParams, z1: Tensor, f_semantic: Tensor) -> Tensor:
-    cfg = params.config
-    if f_semantic.value.shape[1] != cfg.dim:
-        raise ShapeError(f"attend_semantics_graph: semantic dim {f_semantic.value.shape[1]} != {cfg.dim}")
-    return z1 + attention_output(params.sem_attn, ad.layer_norm_rows(z1), f_semantic, cfg.heads)
+def attend_semantics_graph(params: PrompterParams, z1: Tensor, f_semantic: Tensor, heads: int) -> Tensor:
+    return z1 + attention_output(params.sem_attn, ad.layer_norm_rows(z1), f_semantic, heads)
 
 
-def attend_level_graph(params: PrompterParams, z2: Tensor, f_vis_l: Tensor, level: int) -> Tensor:
-    cfg = params.config
-    if not 1 <= level <= cfg.levels:
-        raise ShapeError(f"attend_level_graph: level {level} out of range 1..{cfg.levels}")
-    expected = cfg.level_dims[level - 1]
-    if f_vis_l.value.shape[1] != expected:
-        raise ShapeError(
-            f"attend_level_graph: level {level} features have dim {f_vis_l.value.shape[1]}, expected {expected}"
-        )
-    block = params.level_attn[level - 1]
-    return z2 + attention_output(block, ad.layer_norm_rows(z2), f_vis_l, cfg.heads)
+def attend_level_graph(params: PrompterParams, z2: Tensor, f_vis_l: Tensor, level: int, heads: int) -> Tensor:
+    levels = len(params.level_attn)
+    if not 1 <= level <= levels:
+        raise ShapeError(f"attend_level_graph: level {level} out of range 1..{levels}")
+    return z2 + attention_output(params.level_attn[level - 1], ad.layer_norm_rows(z2), f_vis_l, heads)
 
 
 def build_prompt_graph(params: PrompterParams, f_user: Tensor, f_semantic: Tensor,
-                       f_vis: list[Tensor]) -> Tensor:
+                       f_vis: list[Tensor], heads: int) -> Tensor:
     """Prompt matrix of shape (n_agg * levels, dim); row block l comes from
     visual level l (level order preserved)."""
-    cfg = params.config
-    if len(f_vis) != cfg.levels:
-        raise ShapeError(f"build_prompt_graph: got {len(f_vis)} visual levels, expected {cfg.levels}")
-    z1 = aggregate_query_graph(params, f_user)
-    z2 = attend_semantics_graph(params, z1, f_semantic)
-    blocks = [attend_level_graph(params, z2, f_vis[l - 1], l) for l in range(1, cfg.levels + 1)]
+    if len(f_vis) != len(params.level_attn):
+        raise ShapeError(f"build_prompt_graph: got {len(f_vis)} visual levels, expected {len(params.level_attn)}")
+    z1 = aggregate_query_graph(params, f_user, heads)
+    z2 = attend_semantics_graph(params, z1, f_semantic, heads)
+    blocks = [attend_level_graph(params, z2, f, l, heads) for l, f in enumerate(f_vis, start=1)]
     return ad.concat(blocks, axis=0)
-
-
-def prompt_shape(cfg: PrompterConfig) -> tuple[int, int]:
-    """Shape contract of build_prompt_graph: (n_agg * levels, dim)."""
-    return (cfg.n_agg * cfg.levels, cfg.dim)

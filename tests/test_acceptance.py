@@ -41,21 +41,20 @@ def test_criterion_1_parameter_arithmetic():
 
 
 def test_criterion_2_prompt_shape_contract():
-    full = cli.PROFILES["paper"]
-    full_cfg = pr.PrompterConfig(full["n_agg"], full["d_h"], full["levels"],
-                                 full["prompter_heads"], [full["d_v"]] * full["levels"])
-    assert pr.prompt_shape(full_cfg) == (432, 3584)
+    full = vlm.shape_model(cli.RunConfig("paper").model_config())
+    assert full.prompter.f_agg.value.shape == (144, 3584)
+    counts = vlm._segments_for(full, 1, 1)
+    assert counts[1:-1] == (144, 144, 144) and sum(counts[1:-1]) == 432
 
     rng = Rng(0)
     checked = []
     for n_agg, levels in ((1, 1), (4, 2), (3, 5), (144, 3)):
-        cfg = pr.PrompterConfig(n_agg, 8, levels, 2, [6] * levels)
-        params = pr.init_prompter(cfg, Rng(1))
+        params = pr.init_prompter(n_agg, 8, [6] * levels, Rng(1))
         f_user = ad.const(rng.normal((3, 8)))
         f_semantic = ad.const(rng.normal((4, 8)))
         f_vis = [ad.const(rng.normal((5, 6))) for _ in range(levels)]
-        s = pr.build_prompt_graph(params, f_user, f_semantic, f_vis).value
-        assert s.shape == pr.prompt_shape(cfg) == (n_agg * levels, 8)
+        s = pr.build_prompt_graph(params, f_user, f_semantic, f_vis, 2).value
+        assert s.shape == (n_agg * levels, 8)
         checked.append((n_agg, levels))
     _report(2, f"full-scale profile prompt is 432 x 3584; toy forwards match n_agg*levels for {checked}")
 

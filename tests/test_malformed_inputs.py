@@ -87,6 +87,8 @@ def _inputs(d):
                  lambda p: ["eval", "--task", "classify", "--pred", p, "--gt", str(d / "gt.jsonl")]),
         "gt": ("gt.jsonl", lambda p: list(iter_jsonl(p)),
                lambda p: ["eval", "--task", "classify", "--pred", str(d / "pred.jsonl"), "--gt", p]),
+        "boxes": ("boxes.jsonl", lambda p: list(iter_jsonl(p)),
+                  lambda p: ["eval", "--task", "ground", "--pred", str(d / "pred.jsonl"), "--gt", p]),
     }
 
 
@@ -255,7 +257,9 @@ def test_rsdb_id_beyond_int64_rejected(inputs_dir, tmp_path):
     ("pairs", 8, ("w0 v0", "w1 v1"), "line 2: text tokens repeat line 1"),
     ("caption", 0, None, "no training samples"),
     ("gt", 0, None, "classify eval: empty ground truth"),
-], ids=["too_few_pairs", "image_length", "repeated_text", "no_samples", "empty_ground_truth"])
+    ("boxes", 0, None, "ground eval: empty ground truth"),
+], ids=["too_few_pairs", "image_length", "repeated_text", "no_samples", "empty_ground_truth",
+        "empty_ground_truth_ground"])
 def test_unusable_jsonl_content_exit_4(inputs_dir, tmp_path, kind, keep, edit, match):
     name, _, argv = _inputs(inputs_dir)[kind]
     lines = (inputs_dir / name).read_text(encoding="utf-8").splitlines(keepends=True)[:keep]
@@ -309,6 +313,8 @@ JSONL_FIELD_FAULTS = {
                          "a box must be a list of 4 numbers, got [1, 2, 3]"),
     "ground_box_string": ("boxes.jsonl", _eval("ground", "gt"), {"id": 1, "box": ["a", 1, 2, 3]},
                           "a box must be a list of 4 numbers, got ['a', 1, 2, 3]"),
+    "ground_box_missing": ("boxes.jsonl", _eval("ground", "gt"), {"id": 1, "boxes": []},
+                           "need a 'box' or 'boxes' field"),
 }
 
 
@@ -390,7 +396,8 @@ def test_jsonl_line_must_be_an_object(inputs_dir, tmp_path, kind, line):
     _assert_fails_closed(kind, inputs_dir, path, "line 1: expected a JSON object")
 
 
-@pytest.mark.parametrize("text", ['{"bad": ', '"abc"', '{"a": 1}'])
+@pytest.mark.parametrize("text", ['{"bad": ', '"abc"', '{"a": 1}', "[[0.5, 1.0], [0.0, -0.5]]",
+                                  "[true, false, false, false]"])
 def test_retrieve_query_must_be_a_number_array(inputs_dir, tmp_path, text):
     query = tmp_path / "q.json"
     query.write_text(text, encoding="utf-8")

@@ -43,6 +43,13 @@ def test_config_validation_collects_problems():
         ModelConfig(heads=0, prompter_heads=0, visual_heads=0)
     assert err.value.problems == ["heads must be positive, got 0", "prompter_heads must be positive, got 0",
                                   "visual_heads must be positive, got 0"]
+    with pytest.raises(ConfigError) as err:
+        ModelConfig(n_agg=0, d_h=32, prompter_heads=3)
+    assert err.value.problems == ["n_agg must be positive, got 0", "d_h 32 not divisible by prompter_heads 3"]
+    with pytest.raises(ConfigError) as err:
+        ModelConfig(lm_blocks=10**30, visual_blocks=10**30)
+    assert err.value.problems == [f"lm_blocks must be <= {vlm.MAX_BLOCKS}, got {10**30}",
+                                  f"visual_blocks must be <= {vlm.MAX_BLOCKS}, got {10**30}"]
 
 
 def test_tokenizer_round_trip():
