@@ -3,11 +3,14 @@
 Every trainable module in the package builds its forward pass from the ops
 below, so one backward implementation serves the whole model. The engine is
 deliberately small: 2-D values (plus scalars), no views of mutable state, no
-in-place graph mutation, fully deterministic.
+in-place graph mutation, fully deterministic. `attention` is the one op that
+works on 3-D arrays, and only inside: it reshapes its 2-D inputs to
+(heads, T, dk) and hands back 2-D values and gradients.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -217,13 +220,55 @@ def softmax_rows(a: Tensor) -> Tensor:
     return Tensor(y, parents=(a,), backward=bw)
 
 
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, bias: np.ndarray | None = None) -> Tensor:
+    """Multi-head scaled-dot attention of Tq x d queries over Tk x d keys
+    and values: head h owns columns [h*dk, (h+1)*dk), dk = d / heads, and
+    its scores are (q_h k_h^T) / sqrt(dk) + bias. `bias` (Tq x Tk, shared
+    by every head) is a constant and gets no gradient. The backward reuses
+    the saved probabilities."""
+    tq, d = q.value.shape
+    tk = k.value.shape[0]
+    if k.value.shape[1] != d or v.value.shape[1] != d:
+        raise ShapeError(f"attention: q/k/v widths disagree, {q.value.shape}, {k.value.shape}, {v.value.shape}")
+    if v.value.shape[0] != tk:
+        raise ShapeError(f"attention: k/v row counts disagree, {k.value.shape} vs {v.value.shape}")
+    if heads < 1 or d % heads != 0:
+        raise ShapeError(f"attention: dim {d} not divisible by heads {heads}")
+    dk = d // heads
+    c = 1.0 / math.sqrt(dk)
+
+    def split(x, rows):
+        return x.reshape(rows, heads, dk).transpose(1, 0, 2)
+
+    def merge(x, rows):
+        return x.transpose(1, 0, 2).reshape(rows, d)
+
+    qh, kh, vh = split(q.value, tq), split(k.value, tk), split(v.value, tk)
+    s = (qh @ kh.transpose(0, 2, 1)) * c
+    if bias is not None:
+        s = s + bias
+    p = np.exp(s - s.max(axis=2, keepdims=True))
+    p /= p.sum(axis=2, keepdims=True)
+
+    def bw(g):
+        gh = split(g, tq)
+        gp = gh @ vh.transpose(0, 2, 1)
+        ds = p * (gp - (gp * p).sum(axis=2, keepdims=True)) * c
+        _accumulate(q, merge(ds @ kh, tq))
+        _accumulate(k, merge(ds.transpose(0, 2, 1) @ qh, tk))
+        _accumulate(v, merge(p.transpose(0, 2, 1) @ gh, tk))
+
+    return Tensor(merge(p @ vh, tq), parents=(q, k, v), backward=bw)
+
+
 def layer_norm_rows(a: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row standardization without learned affine parameters."""
+    """Per-row standardization without learned affine parameters. The
+    reductions and divisions are those of np.mean and np.var, done once."""
     x = a.value
-    mean = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    y = (x - mean) * inv
+    n = x.shape[1]
+    xc = x - x.sum(axis=1, keepdims=True) / n
+    inv = 1.0 / np.sqrt((xc * xc).sum(axis=1, keepdims=True) / n + eps)
+    y = xc * inv
 
     def bw(g):
         gm = g.mean(axis=1, keepdims=True)

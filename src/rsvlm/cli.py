@@ -265,16 +265,21 @@ def cmd_train(args, cfg: RunConfig) -> int:
 
 def _read_keyed_jsonl(path, required_fields, parse) -> dict:
     """id -> parse(row) for each line; `parse` raises FormatError for a row
-    it cannot use, reported with the line."""
-    rows = {}
+    it cannot use, reported with the line. An id may appear on one line
+    only."""
+    rows, first_line = {}, {}
     for lineno, obj in iter_jsonl(path):
         for f in ("id",) + required_fields:
             if f not in obj:
                 raise FormatError(f"line {lineno}: missing {f!r} field")
         try:
-            if not isinstance(obj["id"], (str, int, float)):
-                raise FormatError(f"'id' must be a string or a number, got {obj['id']!r}")
-            rows[obj["id"]] = parse(obj)
+            key = obj["id"]
+            if not isinstance(key, (str, int, float)):
+                raise FormatError(f"'id' must be a string or a number, got {key!r}")
+            if key in first_line:
+                raise FormatError(f"id {key!r} repeats line {first_line[key]}")
+            first_line[key] = lineno
+            rows[key] = parse(obj)
         except FormatError as e:
             raise FormatError(f"line {lineno}: {e}") from e
     return rows

@@ -5,7 +5,8 @@ Matrices are plain 2-D numpy arrays in row-major (C) order. Oracle and test
 paths run at float64; no silent broadcasting is performed by the public
 operations here, shape mismatches raise ShapeError naming both shapes. The
 softmax and attention here share no code with the autodiff graph that tests
-compare against them.
+compare against them: composed per head, `scaled_dot_attention` is the
+oracle of the fused `autodiff.attention` op.
 """
 
 from __future__ import annotations

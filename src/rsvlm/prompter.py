@@ -9,9 +9,10 @@ head count as `attention_output` does.
 
 Attention blocks are multi-head with bias-free Q/K/V/output projections,
 residual connections, and parameter-free layer normalization applied to the
-query-side input of each block. Multi-head splitting is expressed on 2-D
-matrices by column blocks: head h owns columns [h*dk, (h+1)*dk) of the
-projected Q/K/V, where dk = d / heads.
+query-side input of each block. Multi-head splitting is by column blocks:
+head h owns columns [h*dk, (h+1)*dk) of the projected Q/K/V, where
+dk = d / heads. One `ad.attention` node does the split, every head's
+scaled-dot attention and the merge; the projections are ordinary matmuls.
 """
 
 from __future__ import annotations
@@ -107,8 +108,8 @@ class KvCache:
 
 def attention_output(block: AttnBlockParams, q_in: Tensor, ctx: Tensor, heads: int,
                      causal_bias: np.ndarray | None = None, cache: KvCache | None = None) -> Tensor:
-    """Multi-head attention without residual: project, split columns into
-    heads, scaled-dot attention per head, concatenate, output-project. With
+    """Multi-head attention without residual: project, attend with
+    `ad.attention` (one node for every head), output-project. With
     `cache`, the queries attend to the cached keys and values followed by
     those of `ctx`, which join the cache."""
     d = block.wq.value.shape[1]
@@ -122,23 +123,12 @@ def attention_output(block: AttnBlockParams, q_in: Tensor, ctx: Tensor, heads: i
         raise ShapeError(
             f"attention: context dim {ctx.value.shape[1]} != wk rows {block.wk.value.shape[0]}"
         )
-    dk = d // heads
     q = ad.matmul(q_in, block.wq)
     k = ad.matmul(ctx, block.wk)
     v = ad.matmul(ctx, block.wv)
     if cache is not None:
         k, v = cache.extend(k, v)
-    inv_sqrt = 1.0 / math.sqrt(dk)
-    head_outs = []
-    for h in range(heads):
-        qh = ad.narrow(q, 1, h * dk, dk)
-        kh = ad.narrow(k, 1, h * dk, dk)
-        vh = ad.narrow(v, 1, h * dk, dk)
-        scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), inv_sqrt)
-        if causal_bias is not None:
-            scores = scores + ad.const(causal_bias)
-        head_outs.append(ad.matmul(ad.softmax_rows(scores), vh))
-    return ad.matmul(ad.concat(head_outs, axis=1), block.wo)
+    return ad.matmul(ad.attention(q, k, v, heads, causal_bias), block.wo)
 
 
 def aggregate_query_graph(params: PrompterParams, f_user: Tensor, heads: int) -> Tensor:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rsvlm import autodiff as ad
+from rsvlm import model as vlm
 from rsvlm.errors import ShapeError
 from rsvlm.numerics import Rng, compare_gradients, finite_diff_gradient
 
@@ -50,6 +51,29 @@ def test_concat_and_narrow():
 
 def test_softmax_rows_backward():
     _check_op(lambda a, b: ad.mul(ad.softmax_rows(a), b), (4, 5), (4, 5))
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_attention_backward(heads):
+    # three queries over five keys, unbiased and as three new rows under
+    # the causal bias over two cached ones
+    for bias in (None, vlm._causal_bias(3, 2)):
+        _check_op(lambda q, k, v, w: ad.mul(ad.attention(q, k, v, heads, bias), w),
+                  (3, 8), (5, 8), (5, 8), (3, 8), seed=heads)
+
+
+def test_attention_validates_shapes():
+    def z(*shape):
+        return ad.const(np.zeros(shape))
+
+    with pytest.raises(ShapeError, match="widths disagree"):
+        ad.attention(z(2, 4), z(3, 6), z(3, 6), 2)
+    with pytest.raises(ShapeError, match="widths disagree"):
+        ad.attention(z(2, 4), z(3, 4), z(3, 6), 2)
+    with pytest.raises(ShapeError, match="row counts disagree"):
+        ad.attention(z(2, 4), z(3, 4), z(2, 4), 2)
+    with pytest.raises(ShapeError, match="dim 6 not divisible by heads 4"):
+        ad.attention(z(2, 6), z(3, 6), z(3, 6), 4)
 
 
 def test_layer_norm_backward():

@@ -5,6 +5,7 @@ naming a byte offset or a line, and each command that reads the input exits
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import re
 import struct
@@ -27,6 +28,9 @@ MODEL = dict(d_h=8, heads=2, lm_blocks=1, expert_stride=1, levels=2, d_r=2, d_i=
              visual_inner=8, max_seq=64)
 ENCODER = dict(d_img_raw=4, d_e=4, bow_vocab=16, enc_hidden=6)
 KINDS = ["rsdb", "rsde", "rsck", "texts", "pairs", "caption", "instruction", "pred", "gt"]
+# Each fuzz example writes a new file: overwriting one file makes ext4 flush
+# it on close, which costs far more than the example itself.
+_EXAMPLE = itertools.count()
 
 
 def _jsonl(path, rows):
@@ -406,6 +410,17 @@ def test_retrieve_query_must_be_a_number_array(inputs_dir, tmp_path, text):
     assert err.startswith("format error: query ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("side", ["pred", "gt"])
+def test_eval_repeated_id_exit_4(tmp_path, side):
+    """A repeated id is an error in either file, not a row that silently
+    replaces the earlier one."""
+    pred, gt = tmp_path / "pred.jsonl", tmp_path / "gt.jsonl"
+    _jsonl(pred, [{"id": 0, "output": "a"}] * (2 if side == "pred" else 1))
+    _jsonl(gt, [{"id": 0, "label": "a"}, {"id": 0, "label": "b"}][: 2 if side == "gt" else 1])
+    code, err = _run(["eval", "--task", "classify", "--pred", str(pred), "--gt", str(gt)])
+    assert (code, err) == (4, "format error: line 2: id 0 repeats line 1\n")
+
+
 def _mutate(data, blob):
     """`blob` cut short at a drawn length, or with one drawn bit flipped."""
     blob = bytearray(blob)
@@ -420,7 +435,7 @@ def _mutate(data, blob):
 def test_truncated_or_bit_flipped_input_fails_closed(inputs_dir, kind, data):
     name, load, argv = _inputs(inputs_dir)[kind]
     blob = _mutate(data, (inputs_dir / name).read_bytes())
-    path = inputs_dir / f"mutated-{name}"
+    path = inputs_dir / f"mutated-{next(_EXAMPLE)}-{name}"
     path.write_bytes(bytes(blob))
     try:
         load(path)
@@ -436,7 +451,7 @@ def test_truncated_or_bit_flipped_input_fails_closed(inputs_dir, kind, data):
 def test_truncated_or_bit_flipped_config_fails_closed(inputs_dir, name, data):
     kind = "caption" if name == "train.json" else "pairs"
     data_name, _, argv = _inputs(inputs_dir)[kind]
-    path = inputs_dir / f"mutated-{name}"
+    path = inputs_dir / f"mutated-{next(_EXAMPLE)}-{name}"
     path.write_bytes(bytes(_mutate(data, (inputs_dir / name).read_bytes())))
     code, err = _run(argv(str(inputs_dir / data_name)) + ["--config", str(path)])
     try:

@@ -8,6 +8,7 @@ from rsvlm import model as vlm
 from rsvlm.errors import ConfigError, ShapeError
 from rsvlm.model import EOS_ID, SEP_ID, ModelConfig, Sample, encode_text
 from rsvlm.numerics import Rng
+from rsvlm.training import caption_sample
 
 
 def _small_cfg(**kw):
@@ -391,3 +392,18 @@ def test_decode_step_graph_does_not_grow(monkeypatch):
     assert len(decode) == 30
     assert decode[0] == decode[29] and len(set(decode)) == 1
     assert decode[0] < prefill
+
+
+def test_attention_output_is_one_attention_node():
+    # x, the four projections, q, k, v, the attention node and the output
+    block = vlm.init_model(_small_cfg(), seed=50).lm.blocks[0].attn
+    x = ad.const(Rng(51).normal((5, 16)))
+    assert _graph_nodes(vlm.attention_output(block, x, x, heads=2)) == 10
+
+
+def test_caption_loss_graph_size():
+    # 11 attention calls of one node each keep a toy caption sample's loss
+    # graph small; a per-head split builds 440 nodes
+    cfg = ModelConfig()
+    sample = caption_sample(Rng(52).normal((4, cfg.patch_dim)), "aaaa bbbb")
+    assert _graph_nodes(vlm.sample_loss_graph(vlm.init_model(cfg, seed=53), sample)) <= 260

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rsvlm import autodiff as ad
+from rsvlm import model as vlm
 from rsvlm import numerics as num
 from rsvlm import prompter as pr
 from rsvlm.errors import ShapeError
@@ -18,19 +19,22 @@ def _layer_norm_ref(x, eps=1e-5):
     return (x - mean) / np.sqrt(var + eps)
 
 
-def _mha_ref(block, q_in, ctx, heads):
+def _heads_ref(q, k, v, heads):
     """Independent multi-head composition from numerics.scaled_dot_attention."""
-    q = q_in @ block.wq.value
-    k = ctx @ block.wk.value
-    v = ctx @ block.wv.value
-    d = q.shape[1]
-    dk = d // heads
+    dk = q.shape[1] // heads
     outs = [
         num.scaled_dot_attention(q[:, h * dk:(h + 1) * dk], k[:, h * dk:(h + 1) * dk],
                                  v[:, h * dk:(h + 1) * dk])
         for h in range(heads)
     ]
-    return np.concatenate(outs, axis=1) @ block.wo.value
+    return np.concatenate(outs, axis=1)
+
+
+def _mha_ref(block, q_in, ctx, heads):
+    q = q_in @ block.wq.value
+    k = ctx @ block.wk.value
+    v = ctx @ block.wv.value
+    return _heads_ref(q, k, v, heads) @ block.wo.value
 
 
 def _agg(params, f_user, heads=2):
@@ -74,6 +78,24 @@ def test_attention_convexity_with_identity_projections():
     out = pr.attention_output(block, ad.const(x), ad.const(x), heads=1).value
     lo, hi = x.min(axis=0), x.max(axis=0)
     assert np.all(out >= lo - 1e-12) and np.all(out <= hi + 1e-12)
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_attention_op_matches_per_head_oracle(heads):
+    rng = Rng(40 + heads)
+    q, k, v = rng.normal((3, 8)), rng.normal((5, 8)), rng.normal((5, 8))
+    got = ad.attention(ad.const(q), ad.const(k), ad.const(v), heads).value
+    assert np.max(np.abs(got - _heads_ref(q, k, v, heads))) < 1e-12
+
+
+def test_attention_op_causal_rows_match_prefix_oracle():
+    # three new rows over two cached ones: row i sees keys 0..2+i
+    rng = Rng(44)
+    q, k, v = rng.normal((3, 8)), rng.normal((5, 8)), rng.normal((5, 8))
+    got = ad.attention(ad.const(q), ad.const(k), ad.const(v), 2, vlm._causal_bias(3, 2)).value
+    for i in range(3):
+        expected = _heads_ref(q[i:i + 1], k[:3 + i], v[:3 + i], 2)
+        assert np.max(np.abs(got[i:i + 1] - expected)) < 1e-12
 
 
 def test_aggregate_query_matches_per_head_oracle():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import struct
 
@@ -10,6 +11,11 @@ from rsvlm import cli
 from rsvlm.errors import DomainError, FormatError, ShapeError
 from rsvlm.numerics import Rng
 from rsvlm.semantic_store import UNIT_ROW_NORM, SemanticDatabase, iter_jsonl
+
+
+# Each example of the retrieval fuzz test writes a new file: overwriting one
+# file makes ext4 flush it on close, which costs far more than the example.
+_EXAMPLE = itertools.count()
 
 
 def _unit_rows(rng, n, dim):
@@ -397,7 +403,7 @@ def test_retrieve_matches_oracle_on_adversarial_rows(tmp_path_factory, case, dat
     blob = b"RSDB" + struct.pack("<HIQ", 1, dim, len(rows))
     for rec_id, row in zip(np.cumsum(gaps), rows):
         blob += struct.pack("<QI", int(rec_id), 1) + b"x" + row.astype("<f4").tobytes()
-    path = tmp_path_factory.getbasetemp() / "adversarial.rsdb"
+    path = tmp_path_factory.getbasetemp() / f"adversarial-{next(_EXAMPLE)}.rsdb"
     path.write_bytes(blob)
     db = SemanticDatabase.load(path)
     kind = data.draw(st.sampled_from(["stored", "flat", "any"]), label="query")
