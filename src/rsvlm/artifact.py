@@ -2,7 +2,8 @@
 loaders, and the named-block codec of RSDE and RSCK. Every fault raises
 FormatError naming what was being read and the byte offset where it starts,
 so a loader never lets a `struct.error` or an oversized allocation out of a
-short or corrupted file.
+short or corrupted file. The saver refuses, with DomainError, a block that
+its loader would reject.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import DomainError, FormatError
 
 
 class Reader:
@@ -72,8 +73,18 @@ class Reader:
 
 
 def write_blocks(path, header: bytes, named) -> None:
-    """`header`, then each (name, tensor) block as little-endian float32, in order."""
-    Path(path).write_bytes(header + b"".join(t.value.astype("<f4").tobytes() for _, t in named))
+    """`header`, then each (name, tensor) block as little-endian float32, in
+    order. A value that is not finite as float32 (NaN, infinity, or beyond
+    float32's range) raises DomainError naming its block before the file is
+    opened, since `f32_block` would reject it."""
+    blocks = []
+    with np.errstate(over="ignore"):
+        for name, tensor in named:
+            block = tensor.value.astype("<f4")
+            if not np.isfinite(block).all():
+                raise DomainError(f"parameter block {name} holds a value that is not finite as float32")
+            blocks.append(block.tobytes())
+    Path(path).write_bytes(header + b"".join(blocks))
 
 
 def fill_blocks(reader: Reader, named) -> None:

@@ -37,25 +37,7 @@ class Tensor:
         return f"Tensor(shape={self.value.shape}, requires_grad={self.requires_grad})"
 
     def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return add(self, neg(_as_tensor(other)))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
+        return add(self, other)
 
 
 def param(value) -> Tensor:
@@ -64,10 +46,6 @@ def param(value) -> Tensor:
 
 def const(value) -> Tensor:
     return Tensor(value)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -371,15 +349,6 @@ def sum_all(a: Tensor) -> Tensor:
         _accumulate(a, np.full_like(a.value, float(g)))
 
     return Tensor(np.array(a.value.sum()), parents=(a,), backward=bw)
-
-
-def mean_all(a: Tensor) -> Tensor:
-    n = a.value.size
-
-    def bw(g):
-        _accumulate(a, np.full_like(a.value, float(g) / n))
-
-    return Tensor(np.array(a.value.mean()), parents=(a,), backward=bw)
 
 
 def check_gradients(

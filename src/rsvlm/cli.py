@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -333,9 +334,9 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     if args.task in ("classify", "vqa"):
         report["accuracy"] = metrics.accuracy(*zip(*pairs))
     elif args.task == "ground":
-        boxes = [(metrics.parse_box(out), box) for out, box in pairs]
-        hits = sum(1 for pred, box in boxes if pred is not None and metrics.iou(pred, box) >= args.threshold)
-        report["precision_at_iou"] = hits / len(pairs)
+        outputs, boxes = zip(*pairs)
+        report["precision_at_iou"] = metrics.precision_at_iou(
+            [metrics.parse_box(out) for out in outputs], boxes, args.threshold)
         report["threshold"] = args.threshold
     else:  # caption
         captions = [metrics.CaptionPair(candidate=out, references=refs) for out, refs in pairs]
@@ -420,15 +421,21 @@ def cmd_grad_check(args, cfg: RunConfig) -> int:
     return EXIT_OK if report["pass"] else EXIT_NUMERIC
 
 
-def _int_at_least(low: int):
-    """argparse type of an integer flag whose values start at `low`."""
-    def parse(text: str) -> int:
+def _number_in(kind, low, high=math.inf):
+    """argparse type of a flag whose values are `kind` numbers in [low, high];
+    NaN and infinity are out of range."""
+    if kind is int:
+        expected = f"an integer >= {low}"
+    else:
+        expected = f"a finite number >= {low}" if high == math.inf else f"a finite number in [{low}, {high}]"
+
+    def parse(text: str):
         try:
-            value = int(text)
+            value = kind(text)
         except ValueError:
             value = None
-        if value is None or value < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        if value is None or not low <= value <= high or value == math.inf:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
         return value
 
     return parse
@@ -449,16 +456,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="JSONL with 'text' (+ optional 'embedding')")
     p.add_argument("--out", required=True)
     p.add_argument("--encoder", help="RSDE retriever checkpoint for text embedding")
-    p.add_argument("--dim", type=_int_at_least(1), help="embedding dim when no encoder is given")
+    p.add_argument("--dim", type=_number_in(int, 1), help="embedding dim when no encoder is given")
     p.set_defaults(func=cmd_build_db)
 
     p = sub.add_parser("train-retriever", help="contrastively train the dual encoder")
     common(p)
     p.add_argument("--input", required=True, help="JSONL with 'image' and 'text'")
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=_int_at_least(1), default=200)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--momentum", type=float, default=0.0)
+    p.add_argument("--epochs", type=_number_in(int, 1), default=200)
+    p.add_argument("--lr", type=_number_in(float, 0), default=0.1)
+    p.add_argument("--momentum", type=_number_in(float, 0), default=0.0)
     p.set_defaults(func=cmd_train_retriever)
 
     p = sub.add_parser("retrieve", help="top-k descriptions for a query vector")
@@ -466,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--db", required=True)
     p.add_argument("--query", required=True, help="JSON file with one feature/embedding vector")
     p.add_argument("--encoder", help="RSDE checkpoint; when given, --query holds raw image features")
-    p.add_argument("--k", type=_int_at_least(0), default=5)
+    p.add_argument("--k", type=_number_in(int, 0), default=5)
     p.add_argument("--out")
     p.set_defaults(func=cmd_retrieve)
 
@@ -485,13 +492,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", choices=("classify", "vqa", "ground", "caption"), required=True)
     p.add_argument("--pred", required=True, help="JSONL of {id, output}")
     p.add_argument("--gt", required=True, help="JSONL of {id, label|box|references}")
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=_number_in(float, 0, 1), default=0.5)
     p.add_argument("--out")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("grad-check", help="finite-difference check of all analytic gradients")
     common(p)
-    p.add_argument("--probes", type=_int_at_least(1), default=200)
+    p.add_argument("--probes", type=_number_in(int, 1), default=200)
     p.add_argument("--out")
     p.set_defaults(func=cmd_grad_check)
 

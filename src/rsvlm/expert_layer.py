@@ -5,11 +5,12 @@ tuple of row counts (n_image, n_level_1, ..., n_level_L, n_query): image
 rows, then the semantic prompt rows of each level in level order, then the
 query rows. Each of the L experts is a bias-free linear bottleneck
 (rank-reduction u: d_h x d_r followed by rank-expansion v: d_r x d_h,
-applied to row tokens as x @ u @ v). The deterministic router zeroes every
-row outside {image, semantic level l, query} before expert l. Image and
-query rows mix expert outputs through a per-row softmax gate; semantic rows
-take their own level's output with coefficient one. The merged expert output
-is added to a standard two-layer FFN of the same input.
+applied to row tokens as x @ u @ v). Every expert reads every row, and the
+gate alone routes: image and query rows mix all L expert outputs through a
+per-row softmax gate, while a level-l semantic row weights expert l's
+output by one and every other expert's by exactly zero, so only its own
+level's expert reaches it. The merged expert output is added to a standard
+two-layer FFN of the same input.
 """
 
 from __future__ import annotations
@@ -57,10 +58,6 @@ class ExpertLayerParams:
     def d_h(self) -> int:
         return self.experts[0].u.value.shape[0]
 
-    @property
-    def d_r(self) -> int:
-        return self.experts[0].u.value.shape[1]
-
     def named_parameters(self, prefix: str = "") -> list[tuple[str, Tensor]]:
         out = []
         for l, ex in enumerate(self.experts, start=1):
@@ -98,16 +95,6 @@ def init_expert_layer(d_h: int, d_r: int, levels: int, d_inner: int, rng: Rng) -
     )
 
 
-def expert_param_count(d_h: int, d_r: int) -> int:
-    """Parameters of one low-rank expert: u plus v."""
-    return 2 * d_h * d_r
-
-
-def baseline_moe_param_count(d_h: int, d_i: int) -> int:
-    """Parameters of a conventional gated-FFN expert (gate/up/down projections)."""
-    return 3 * d_h * d_i
-
-
 def _check_counts(counts: tuple[int, ...], rows: int, levels: int) -> None:
     """A layout is (n_image, n_level_1, ..., n_level_L, n_query): L + 2
     non-negative row counts summing to the hidden rows."""
@@ -136,16 +123,6 @@ def route(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     return keep, onehot
 
 
-def build_mask(counts: tuple[int, ...], level: int) -> np.ndarray:
-    """Length-T 0/1 vector keeping image, query, and level-l semantic rows."""
-    levels = len(counts) - 2
-    if not 1 <= level <= levels:
-        raise ShapeError(f"build_mask: level {level} out of range 1..{levels}")
-    _check_counts(counts, sum(counts), levels)
-    keep, onehot = route(counts)
-    return keep[:, 0] + onehot[:, level - 1]
-
-
 def gate_weights_graph(gate_w: Tensor, hidden: Tensor, keep: np.ndarray, onehot: np.ndarray) -> Tensor:
     """Per-row mixture weights: softmax rows where `keep` is 1 (image and
     query rows), the `onehot` row of the row's own level elsewhere."""
@@ -154,7 +131,7 @@ def gate_weights_graph(gate_w: Tensor, hidden: Tensor, keep: np.ndarray, onehot:
 
 
 def expert_block_graph(params: ExpertLayerParams, hidden: Tensor, counts: tuple[int, ...]) -> Tensor:
-    """FFN(hidden) plus the gated merge of all masked expert outputs."""
+    """FFN(hidden) plus the gated merge of all expert outputs."""
     if hidden.value.shape[1] != params.d_h:
         raise ShapeError(f"expert block: hidden dim {hidden.value.shape[1]} != d_h {params.d_h}")
     _check_counts(counts, hidden.value.shape[0], params.levels)
@@ -162,8 +139,7 @@ def expert_block_graph(params: ExpertLayerParams, hidden: Tensor, counts: tuple[
     gates = gate_weights_graph(params.gate_w, hidden, keep, onehot)
     merged = None
     for l, ex in enumerate(params.experts, start=1):
-        masked = ad.mul(hidden, ad.const(keep + onehot[:, l - 1 : l]))
-        h_l = ad.matmul(ad.matmul(masked, ex.u), ex.v)
+        h_l = ad.matmul(ad.matmul(hidden, ex.u), ex.v)
         weighted = ad.mul(h_l, ad.narrow(gates, 1, l - 1, 1))
         merged = weighted if merged is None else merged + weighted
     ffn_out = ffn_graph(params.ffn, hidden)

@@ -162,12 +162,13 @@ def iou(a: Box, b: Box) -> float:
 
 
 def precision_at_iou(preds, gts, threshold: float = 0.5) -> float:
-    """Fraction of prediction/ground-truth pairs with IoU >= threshold."""
+    """Fraction of prediction/ground-truth pairs with IoU >= threshold; a
+    None prediction (no box parsed) is a miss."""
     if len(preds) != len(gts):
         raise ShapeError(f"precision_at_iou: {len(preds)} predictions vs {len(gts)} boxes")
     if not preds:
         raise DomainError("precision_at_iou: empty inputs")
-    hits = sum(iou(p, g) >= threshold for p, g in zip(preds, gts))
+    hits = sum(p is not None and iou(p, g) >= threshold for p, g in zip(preds, gts))
     return hits / len(preds)
 
 

@@ -73,10 +73,6 @@ def encode_text(text: str) -> list[int]:
     return list(text.encode("utf-8"))
 
 
-def decode_ids(ids) -> str:
-    return bytes(i for i in ids if 0 <= i < 256).decode("utf-8", errors="replace")
-
-
 def semantic_token_ids(texts, cap: int = 512) -> list[int]:
     """Tokenize retrieved texts in rank order, SEP-joined, truncated at cap."""
     ids: list[int] = []

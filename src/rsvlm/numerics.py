@@ -108,9 +108,6 @@ class GradReport:
     analytic: float
     numeric: float
 
-    def ok(self, tol: float = 1e-4) -> bool:
-        return self.max_relative_error <= tol
-
 
 def relative_error(analytic: float, numeric: float, floor: float = REL_ERROR_FLOOR) -> float:
     return abs(analytic - numeric) / max(abs(analytic), abs(numeric), floor)

@@ -59,7 +59,7 @@ class TrainConfig:
         if self.stage not in (STAGE_ALIGNMENT, STAGE_INSTRUCTION):
             problems.append(f"unknown stage {self.stage!r}")
         for name, value in vars(self).items():
-            if name.startswith("lr_") and value is not None and value < 0:
+            if (name.startswith("lr_") or name == "weight_decay") and value is not None and value < 0:
                 problems.append(f"{name} must be >= 0, got {value}")
         if self.epochs < 1:
             problems.append(f"epochs must be >= 1, got {self.epochs}")

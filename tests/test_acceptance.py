@@ -17,7 +17,7 @@ from rsvlm import model as vlm
 from rsvlm import prompter as pr
 from rsvlm import training as tr
 from rsvlm.model import ModelConfig
-from rsvlm.numerics import Rng
+from rsvlm.numerics import Rng, ShapeRng
 from rsvlm.semantic_store import SemanticDatabase
 from synthetic import contrastive_corpus, instruction_corpus
 
@@ -30,8 +30,10 @@ def _report(n, text):
 
 def test_criterion_1_parameter_arithmetic():
     full = cli.PROFILES["paper"]
-    per_expert = ex.expert_param_count(full["d_h"], full["d_r"])
-    baseline = ex.baseline_moe_param_count(full["d_h"], full["d_i"])
+    layer = ex.init_expert_layer(full["d_h"], full["d_r"], full["levels"], full["d_i"], ShapeRng())
+    per_expert = layer.experts[0].u.value.size + layer.experts[0].v.value.size
+    # a gated-FFN expert has three d_h x d_i projections (gate, up, down)
+    baseline = 3 * layer.ffn.w1.value.size
     assert per_expert == 3_670_016
     assert baseline == 3 * 3584 * 18944 == 203_685_888
     ratio_pct = 100.0 * per_expert / baseline
@@ -68,13 +70,9 @@ def test_criterion_3_end_to_end_gradient_suite():
                f"max relative error {report['max_relative_error']:.2e} <= {GRAD_TOL}")
 
 
-def _expert(u, v, x_masked):
-    """One expert's bottleneck, x @ u @ v, through the graph ops the block uses."""
-    return ad.matmul(ad.matmul(ad.const(x_masked), ad.const(u)), ad.const(v)).value
-
-
 def test_criterion_4_router_mask_invariants():
     rng = Rng(42)
+    swaps = Rng(43)  # the gate and the replacement experts, apart from the layout stream
     d_h, d_r = 12, 3
     cases = 0
     for _ in range(1000):
@@ -86,29 +84,35 @@ def test_criterion_4_router_mask_invariants():
         row_levels += [0] * counts[-1]
         t = len(row_levels)
 
-        masks = [ex.build_mask(counts, l) for l in range(1, levels + 1)]
-        stacked = np.sum(masks, axis=0)
+        keep, onehot = ex.route(counts)
+        stacked = (keep + onehot).sum(axis=1)
         for pos, level in enumerate(row_levels):
             expected = 1.0 if level else float(levels)
             assert stacked[pos] == expected
 
         hidden = rng.normal((t, d_h))
-        experts = [(rng.normal((d_h, d_r)), rng.normal((d_r, d_h)))
-                   for _ in range(levels)]
-        outputs = [_expert(u, v, masks[l][:, None] * hidden)
-                   for l, (u, v) in enumerate(experts)]
+        layer = ex.init_expert_layer(d_h, d_r, levels, 16, Rng(cases))
+        for e in layer.experts:
+            e.u.value, e.v.value = rng.normal((d_h, d_r)), rng.normal((d_r, d_h))
+        layer.gate_w.value = swaps.normal((d_h, levels))
+        out = ex.expert_block_graph(layer, ad.const(hidden), counts).value
         for j in range(1, levels + 1):
+            rows = np.array(row_levels) == j
             perturbed = hidden.copy()
-            rows = [pos for pos, level in enumerate(row_levels) if level == j]
-            perturbed[rows] += rng.normal((len(rows), d_h))
-            for i, (u, v) in enumerate(experts):
+            perturbed[rows] += rng.normal((int(rows.sum()), d_h))
+            redone = ex.expert_block_graph(layer, ad.const(perturbed), counts).value
+            assert np.array_equal(out[~rows], redone[~rows])
+            for i, e in enumerate(layer.experts):
                 if i + 1 == j:
                     continue
-                redone = _expert(u, v, masks[i][:, None] * perturbed)
-                assert np.array_equal(outputs[i], redone)
+                kept = (e.u.value, e.v.value)
+                e.u.value, e.v.value = swaps.normal((d_h, d_r)), swaps.normal((d_r, d_h))
+                redone = ex.expert_block_graph(layer, ad.const(hidden), counts).value
+                e.u.value, e.v.value = kept
+                assert np.array_equal(out[rows], redone[rows])
         cases += 1
-    _report(4, f"{cases} random layouts: mask partition holds, cross-level "
-               f"expert outputs bit-identical under perturbation")
+    _report(4, f"{cases} random layouts: route partition holds; level-j rows bit-identical when "
+               f"another expert is replaced, every other row when level-j rows are perturbed")
 
 
 def test_criterion_5_retrieval_matches_exhaustive_oracle():

@@ -5,14 +5,28 @@ would read 0 in every per-layer metric built on it. The harness and its
 tests also read module attributes such as `de.init_params`; a renamed one
 would fail every benchmark run. These guards fail instead. The harness is
 imported without writing bytecode next to it, and its sources are read
-with `ast`, not imported."""
+with `ast`, not imported.
+
+The converse guard: every module-level function and class of the package
+is used by the package or the benchmark, so no code is kept only for the
+tests."""
 
 import ast
 import importlib
+import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+PACKAGE = PERFBENCH.parent / "src" / "rsvlm"
+# Reference implementations that only the tests call, each kept for its reason.
+TEST_ONLY = {
+    "numerics.finite_diff_gradient": "the central-difference oracle of every backward pass; it checks "
+                                     "every coordinate, where check_gradients samples them",
+    "numerics.compare_gradients": "compares an analytic gradient with that oracle's, elementwise",
+    "autodiff.sum_all": "the scalar reduction that turns an op's output into a loss in every gradient test",
+}
 
 
 def test_every_traced_binding_resolves(monkeypatch):
@@ -63,3 +77,34 @@ def test_every_package_name_the_benchmark_reads_resolves():
     assert {"harness.py: de.init_params", "harness.py: vlm.sample_loss",
             "test_perfbench.py: training.instruction_sample"} <= reads.keys()
     assert [name for name, ok in reads.items() if not ok] == []
+
+
+def _names(node) -> Counter:
+    """Identifiers `node` names: names, attributes, imported names, and each
+    identifier-like word of a string constant (perfbench binds some
+    functions through `getattr` with a string)."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            found[sub.name.split(".")[-1]] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            found.update(re.findall(r"[A-Za-z_]\w*", sub.value))
+    return found
+
+
+def test_every_package_definition_has_a_caller_outside_the_tests():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in [*sorted(PACKAGE.glob("*.py")), *sorted(PERFBENCH.glob("*.py"))]}
+    used = sum((_names(tree) for tree in trees.values()), Counter())
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in trees[path].body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                # a use inside the definition itself does not count
+                if used[node.name] - _names(node)[node.name] <= 0:
+                    unused.append(f"{path.stem}.{node.name}")
+    assert sorted(unused) == sorted(TEST_ONLY)

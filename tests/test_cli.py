@@ -162,6 +162,17 @@ def test_train_stage2_resumes_from_checkpoint(tmp_path, capsys):
     assert ck2.exists()
 
 
+def test_train_refuses_checkpoint_beyond_float32(tmp_path, capsys):
+    # a learning rate of 1e300 takes parameters far beyond float32's range
+    cfg_path = _toy_train_config(tmp_path, stage=1, extra={"lr_prompter": 1e300, "max_steps": 1})
+    out = tmp_path / "m.rsck"
+    out.write_bytes(b"previous checkpoint")
+    assert cli.run(["train", "--stage", "1", "--config", str(cfg_path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: parameter block ") and err.count("\n") == 1, err
+    assert out.read_bytes() == b"previous checkpoint"
+
+
 def test_train_without_data_is_config_error(tmp_path, capsys):
     assert cli.run(["train", "--stage", "1"]) == 2
     assert "config error" in capsys.readouterr().err
@@ -189,6 +200,7 @@ CONFIG_FAULTS = {
     "stage_key": ({"stage": 2}, "stage"), "heads_zero": ({"heads": 0}, "heads"),
     "lr_prompter_nan": ({"lr_prompter": float("nan")}, "lr_prompter"),
     "weight_decay_infinite": ({"weight_decay": float("inf")}, "weight_decay"),
+    "weight_decay_negative": ({"weight_decay": -1e300}, "weight_decay"),
 }
 
 
@@ -229,13 +241,19 @@ def test_unaddressable_config_dims_exit_2(tmp_path, capsys, config, command):
 @pytest.mark.parametrize("command,flag,value", [
     ("train-retriever", "--epochs", "0"), ("train-retriever", "--epochs", "-2"), ("build-db", "--dim", "0"),
     ("build-db", "--dim", "-1"), ("retrieve", "--k", "-1"), ("grad-check", "--probes", "0"),
+    ("train-retriever", "--lr", "nan"), ("train-retriever", "--lr", "-0.1"), ("train-retriever", "--lr", "inf"),
+    ("train-retriever", "--momentum", "nan"), ("train-retriever", "--momentum", "-1"),
+    ("eval", "--threshold", "nan"), ("eval", "--threshold", "1.5"), ("eval", "--threshold", "-0.5"),
 ])
 def test_out_of_range_size_flag_is_usage_error(capsys, command, flag, value):
     required = {"train-retriever": ["--input", "p.jsonl", "--out", "e.rsde"],
                 "build-db": ["--input", "t.jsonl", "--out", "d.rsdb"],
-                "retrieve": ["--db", "d.rsdb", "--query", "q.json"], "grad-check": []}[command]
+                "retrieve": ["--db", "d.rsdb", "--query", "q.json"], "grad-check": [],
+                "eval": ["--task", "ground", "--pred", "p.jsonl", "--gt", "g.jsonl"]}[command]
+    expected = {"--lr": "a finite number >= 0", "--momentum": "a finite number >= 0",
+                "--threshold": "a finite number in [0, 1]"}.get(flag, "an integer >= ")
     assert cli.run([command, *required, flag, value]) == 2
-    assert f"error: argument {flag}: expected an integer >= " in capsys.readouterr().err
+    assert f"error: argument {flag}: expected {expected}" in capsys.readouterr().err
 
 
 def test_paper_profile_validates(capsys):

@@ -148,7 +148,7 @@ def test_contrastive_gradients_match_finite_differences():
         n_probes=60,
         rng=Rng(9),
     )
-    assert report.ok(1e-4), report
+    assert report.max_relative_error <= 1e-4, report
 
 
 def test_train_lr_zero_is_identity():

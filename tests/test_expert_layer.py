@@ -5,7 +5,7 @@ from rsvlm import autodiff as ad
 from rsvlm import expert_layer as ex
 from rsvlm import numerics as num
 from rsvlm.errors import ShapeError
-from rsvlm.numerics import Rng
+from rsvlm.numerics import Rng, ShapeRng
 
 
 def _counts():
@@ -62,27 +62,27 @@ def _tokens(d_h=12, seed=13):
     return Rng(seed).normal((7, d_h)), (2, 2, 2, 1)
 
 
+def _masks(counts, levels):
+    """The masked formulation's input masks, the oracle of gate-only
+    routing: expert l reads the image, query and level-l rows."""
+    row_levels = np.array(_row_levels(counts))
+    return [((row_levels == 0) | (row_levels == l)).astype(np.float64) for l in range(1, levels + 1)]
+
+
 def _expert_outputs(params, x, counts):
-    return [_expert(e.u.value, e.v.value, ex.build_mask(counts, l)[:, None] * x)
-            for l, e in enumerate(params.experts, start=1)]
+    masks = _masks(counts, params.levels)
+    return [_expert(e.u.value, e.v.value, masks[l][:, None] * x) for l, e in enumerate(params.experts)]
 
 
-def test_build_mask_examples():
-    counts = _counts()
-    assert ex.build_mask(counts, 1).tolist() == [1, 1, 1, 0, 1]
-    assert ex.build_mask(counts, 2).tolist() == [1, 1, 0, 1, 1]
+def test_route_examples():
+    keep, onehot = ex.route(_counts())
+    assert (keep[:, 0] + onehot[:, 0]).tolist() == [1, 1, 1, 0, 1]
+    assert (keep[:, 0] + onehot[:, 1]).tolist() == [1, 1, 0, 1, 1]
 
 
-def test_build_mask_single_level_all_ones():
-    assert ex.build_mask((1, 1, 1), 1).tolist() == [1, 1, 1]
-
-
-def test_build_mask_validations():
-    counts = _counts()
-    with pytest.raises(ShapeError):
-        ex.build_mask(counts, 0)
-    with pytest.raises(ShapeError):
-        ex.build_mask(counts, 3)
+def test_route_single_level_all_ones():
+    keep, onehot = ex.route((1, 1, 1))
+    assert (keep[:, 0] + onehot[:, 0]).tolist() == [1, 1, 1]
 
 
 def test_mask_partition_property():
@@ -90,8 +90,8 @@ def test_mask_partition_property():
     for _ in range(50):
         levels = 1 + int(rng.u64(1)[0] % np.uint64(4))
         counts = tuple(int(x % np.uint64(5)) for x in rng.u64(levels + 2))
-        masks = [ex.build_mask(counts, l) for l in range(1, levels + 1)]
-        total = np.sum(masks, axis=0)
+        keep, onehot = ex.route(counts)
+        total = (keep + onehot).sum(axis=1)
         for t, level in enumerate(_row_levels(counts)):
             if level:
                 assert total[t] == 1.0
@@ -118,8 +118,10 @@ def test_expert_forward_zero_u():
 
 
 def test_expert_param_count_paper_scale():
-    assert ex.expert_param_count(3584, 512) == 3_670_016
-    assert ex.baseline_moe_param_count(3584, 18944) == 203_685_888
+    params = ex.init_expert_layer(3584, 512, 3, 18944, ShapeRng())
+    assert params.experts[0].u.value.size + params.experts[0].v.value.size == 3_670_016
+    # a gated-FFN expert has three d_h x d_i projections (gate, up, down)
+    assert 3 * params.ffn.w1.value.size == 203_685_888
 
 
 def test_expert_forward_matches_matmul_oracle():
@@ -130,11 +132,12 @@ def test_expert_forward_matches_matmul_oracle():
 
 
 def test_expert_forward_masked_rows_stay_zero():
+    # expert 1 reads the level-2 row 3, and its gate weighs that row by exactly zero
     rng = Rng(5)
     x = rng.normal((5, 6))
-    bits = ex.build_mask(_counts(), 1)
-    out = _expert(rng.normal((6, 3)), rng.normal((3, 6)), bits[:, None] * x)
-    assert np.array_equal(out[3], np.zeros(6))
+    out = _expert(rng.normal((6, 3)), rng.normal((3, 6)), x)
+    gates = _gates(rng.normal((6, 2)), x, _counts())
+    assert np.array_equal((out * gates[:, 0:1])[3], np.zeros(6))
 
 
 def test_gate_weights_zero_matrix_uniform():
@@ -223,7 +226,7 @@ def test_block_matches_straight_line_oracle():
     _randomize(params, Rng(15))
     x, counts = _tokens(seed=16)
 
-    masks = [ex.build_mask(counts, l) for l in (1, 2)]
+    masks = _masks(counts, 2)
     hs = [
         (masks[l][:, None] * x) @ params.experts[l].u.value @ params.experts[l].v.value
         for l in range(2)
@@ -240,14 +243,17 @@ def test_masked_independence_bit_exact():
     for e in params.experts:
         e.v.value = rng.normal(e.v.value.shape)
     x, counts = _tokens(seed=19)
+    level_2 = np.array(_row_levels(counts)) == 2
     perturbed = x.copy()
-    for t, level in enumerate(_row_levels(counts)):
-        if level == 2:
-            perturbed[t] += rng.normal((x.shape[1],))
-    bits1 = ex.build_mask(counts, 1)[:, None]
-    h1_base = _expert(params.experts[0].u.value, params.experts[0].v.value, bits1 * x)
-    h1_pert = _expert(params.experts[0].u.value, params.experts[0].v.value, bits1 * perturbed)
-    assert np.array_equal(h1_base, h1_pert)
+    perturbed[level_2] += rng.normal((int(level_2.sum()), x.shape[1]))
+    params.gate_w.value = rng.normal(params.gate_w.value.shape)
+    base = _block(params, x, counts)
+    # perturbing the level-2 rows leaves every other row unchanged
+    assert np.array_equal(_block(params, perturbed, counts)[~level_2], base[~level_2])
+    # replacing expert 1 leaves every level-2 row unchanged
+    params.experts[0].u.value = rng.normal(params.experts[0].u.value.shape)
+    params.experts[0].v.value = rng.normal(params.experts[0].v.value.shape)
+    assert np.array_equal(_block(params, x, counts)[level_2], base[level_2])
 
 
 def test_expert_layer_rank_validation():
@@ -273,4 +279,4 @@ def test_expert_block_gradients_match_finite_differences():
         return ad.sum_all(ad.mul(out, ad.const(weights)))
 
     report = ad.check_gradients(build, params.named_parameters(), n_probes=80, rng=Rng(26))
-    assert report.ok(1e-4), report
+    assert report.max_relative_error <= 1e-4, report

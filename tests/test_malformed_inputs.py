@@ -20,7 +20,7 @@ from rsvlm import cli
 from rsvlm import dual_encoder as de
 from rsvlm import model as vlm
 from rsvlm import training
-from rsvlm.errors import ConfigError, FormatError
+from rsvlm.errors import ConfigError, DomainError, FormatError
 from rsvlm.semantic_store import SemanticDatabase, iter_jsonl
 
 MODEL = dict(d_h=8, heads=2, lm_blocks=1, expert_stride=1, levels=2, d_r=2, d_i=8, n_agg=1,
@@ -179,6 +179,26 @@ def test_non_finite_parameter_rejected(inputs_dir, tmp_path, kind):
     path = tmp_path / name
     path.write_bytes(bytes(blob))
     _assert_fails_closed(kind, inputs_dir, path, f"non-finite value in .* at byte {len(blob) - 4}")
+
+
+@pytest.mark.parametrize("value", [float("inf"), 1e39])
+@pytest.mark.parametrize("kind", ["rsde", "rsck"])
+def test_saver_refuses_block_not_finite_as_float32(inputs_dir, tmp_path, kind, value):
+    name = _inputs(inputs_dir)[kind][0]
+    path = tmp_path / name
+    old = (inputs_dir / name).read_bytes()
+    path.write_bytes(old)
+    if kind == "rsde":
+        params = de.init_params(4, 4, 16, 6, seed=0)
+        params.log_temp.value[...] = value
+        save, block = de.save_params, "log_temp"
+    else:
+        params = vlm.init_model(vlm.ModelConfig(**MODEL), seed=0)
+        params.prompter.f_agg.value[0, 0] = value
+        save, block = vlm.save_checkpoint, "prompter.f_agg"
+    with pytest.raises(DomainError, match=f"parameter block {block} holds a value that is not finite"):
+        save(params, path)
+    assert path.read_bytes() == old
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])

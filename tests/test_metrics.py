@@ -148,6 +148,9 @@ def test_precision_at_iou():
     ]
     assert mt.precision_at_iou(preds, gt) == pytest.approx(0.4)
     assert mt.precision_at_iou(gt, gt) == 1.0
+    # a prediction with no parsed box is a miss
+    assert mt.precision_at_iou([None] + preds[1:], gt) == pytest.approx(0.2)
+    assert mt.precision_at_iou([None] * 5, gt) == 0.0
     with pytest.raises(ShapeError):
         mt.precision_at_iou(preds[:2], gt)
 

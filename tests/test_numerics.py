@@ -151,7 +151,7 @@ def test_grad_report_fields():
     report = num.compare_gradients([1.0, 2.0], [1.0, 2.5])
     assert report.max_relative_error == pytest.approx(0.5 / 2.5)
     assert report.worst_parameter_index == (1,)
-    assert not report.ok(1e-4)
+    assert not report.max_relative_error <= 1e-4
 
 
 def test_rng_is_deterministic_and_matches_reference():

@@ -233,7 +233,7 @@ def test_prompter_gradients_match_finite_differences():
         return ad.sum_all(pr.build_prompt_graph(params, consts[0], consts[1], consts[2], 2))
 
     report = ad.check_gradients(build, params.named_parameters(), n_probes=80, rng=Rng(39))
-    assert report.ok(1e-4), report
+    assert report.max_relative_error <= 1e-4, report
 
 
 def test_full_scale_shape_contract():

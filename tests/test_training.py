@@ -23,8 +23,9 @@ def test_train_config_validation():
     with pytest.raises(ConfigError):
         tr.TrainConfig(stage="bogus")
     with pytest.raises(ConfigError) as err:
-        tr.TrainConfig(stage="alignment", lr_prompter=-1.0, epochs=0)
-    assert len(err.value.problems) == 2
+        tr.TrainConfig(stage="alignment", lr_prompter=-1.0, epochs=0, weight_decay=-1e300)
+    assert err.value.problems == ["lr_prompter must be >= 0, got -1.0", "weight_decay must be >= 0, got -1e+300",
+                                  "epochs must be >= 1, got 0"]
     with pytest.raises(ConfigError) as err:
         tr.TrainConfig(stage="alignment", epochs=True, lr_lm="0", lr_projector=None, max_steps=2.0,
                        train_projector_stage1=1)
