@@ -4,8 +4,9 @@ Every trainable module in the package builds its forward pass from the ops
 below, so one backward implementation serves the whole model. The engine is
 deliberately small: 2-D values (plus scalars), no views of mutable state, no
 in-place graph mutation, fully deterministic. `attention` is the one op that
-works on 3-D arrays, and only inside: it reshapes its 2-D inputs to
-(heads, T, dk) and hands back 2-D values and gradients.
+works on 4-D arrays, and only inside: it reshapes the stacked rows of
+same-sized samples to (samples, heads, T, dk) and hands back 2-D values and
+gradients.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .numerics import GradReport, REL_ERROR_FLOOR, Rng, relative_error
+
+CAUSAL_BIAS = -1e30
+_TRIANGLE = np.zeros((0, 0))  # _causal_bias's cached mask
 
 
 class Tensor:
@@ -139,8 +143,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.value @ b.value
 
     def bw(g):
-        _accumulate(a, g @ b.value.T)
-        _accumulate(b, a.value.T @ g)
+        if a.requires_grad:
+            _accumulate(a, g @ b.value.T)
+        if b.requires_grad:
+            _accumulate(b, a.value.T @ g)
 
     return Tensor(out, parents=(a, b), backward=bw)
 
@@ -198,12 +204,61 @@ def softmax_rows(a: Tensor) -> Tensor:
     return Tensor(y, parents=(a,), backward=bw)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, bias: np.ndarray | None = None) -> Tensor:
-    """Multi-head scaled-dot attention of Tq x d queries over Tk x d keys
-    and values: head h owns columns [h*dk, (h+1)*dk), dk = d / heads, and
-    its scores are (q_h k_h^T) / sqrt(dk) + bias. `bias` (Tq x Tk, shared
-    by every head) is a constant and gets no gradient. The backward reuses
-    the saved probabilities."""
+def _causal_bias(q_len: int, k_len: int) -> np.ndarray:
+    """Bias of the last q_len of k_len rows over all k_len: row j sees keys
+    up to k_len - q_len + j. A slice of one cached triangle, regrown only
+    when a longer sequence comes."""
+    global _TRIANGLE
+    if _TRIANGLE.shape[0] < k_len:
+        n = -(-k_len // 64) * 64
+        _TRIANGLE = np.triu(np.full((n, n), CAUSAL_BIAS), k=1)
+        _TRIANGLE.flags.writeable = False  # every caller reads the same values
+    return _TRIANGLE[k_len - q_len : k_len, :k_len]
+
+
+def _split(x: np.ndarray, g: int, n: int, heads: int) -> np.ndarray:
+    """(g * n) x d rows -> g x heads x n x dk."""
+    return x.reshape(g, n, heads, -1).transpose(0, 2, 1, 3)
+
+
+def _merge(x: np.ndarray) -> np.ndarray:
+    """g x heads x n x dk -> (g * n) x d rows."""
+    g, heads, n, dk = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(g * n, heads * dk)
+
+
+def _rows(starts: list[int], n: int):
+    """Rows of the segments of length n that begin at `starts`: a slice for
+    one segment, so a lone sample costs no gathered copy."""
+    if len(starts) == 1:
+        return slice(starts[0], starts[0] + n)
+    return (np.array(starts)[:, None] + np.arange(n)).reshape(-1)
+
+
+def _scatter(parts, total: int, d: int) -> np.ndarray:
+    """total x d rows from (rows, values) parts that cover each row once."""
+    if len(parts) == 1 and isinstance(parts[0][0], slice):  # one segment of every row
+        return parts[0][1]
+    out = np.empty((total, d))
+    for idx, x in parts:
+        out[idx] = x
+    return out
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, q_lens=None, k_lens=None,
+              causal: bool = False) -> Tensor:
+    """Multi-head scaled-dot attention of stacked query rows over stacked key
+    and value rows, one segment per sample: segment i's q_lens[i] queries
+    attend only to its k_lens[i] keys (one segment of all rows when the
+    lengths are not given). Head h owns columns [h*dk, (h+1)*dk),
+    dk = d / heads, and its scores are (q_h k_h^T) / sqrt(dk). With
+    `causal`, row j of a segment sees its keys up to k_len - q_len + j, so
+    new rows that follow cached ones see the cache and their own prefix.
+
+    Segments of the same (q_len, k_len) run as one batched pass, so each
+    segment's numbers are those of a one-segment call. The backward reuses
+    the saved probabilities and computes no gradient for an operand that
+    does not require one."""
     tq, d = q.value.shape
     tk = k.value.shape[0]
     if k.value.shape[1] != d or v.value.shape[1] != d:
@@ -212,31 +267,59 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, bias: np.ndarray | No
         raise ShapeError(f"attention: k/v row counts disagree, {k.value.shape} vs {v.value.shape}")
     if heads < 1 or d % heads != 0:
         raise ShapeError(f"attention: dim {d} not divisible by heads {heads}")
-    dk = d // heads
-    c = 1.0 / math.sqrt(dk)
-
-    def split(x, rows):
-        return x.reshape(rows, heads, dk).transpose(1, 0, 2)
-
-    def merge(x, rows):
-        return x.transpose(1, 0, 2).reshape(rows, d)
-
-    qh, kh, vh = split(q.value, tq), split(k.value, tk), split(v.value, tk)
-    s = (qh @ kh.transpose(0, 2, 1)) * c
-    if bias is not None:
-        s = s + bias
-    p = np.exp(s - s.max(axis=2, keepdims=True))
-    p /= p.sum(axis=2, keepdims=True)
+    q_lens = (tq,) if q_lens is None else tuple(q_lens)
+    k_lens = (tk,) if k_lens is None else tuple(k_lens)
+    if (len(q_lens) != len(k_lens) or sum(q_lens) != tq or sum(k_lens) != tk
+            or min(q_lens) < 1 or min(k_lens) < 1):
+        raise ShapeError(f"attention: segment lengths {q_lens} over {k_lens} must be positive, "
+                         f"pair up and count the {tq} query and {tk} key rows")
+    c = 1.0 / math.sqrt(d // heads)
+    # (q_len, k_len) -> the first query and key row of each such segment
+    groups: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+    q0 = k0 = 0
+    for a, b in zip(q_lens, k_lens):
+        q_starts, k_starts = groups.setdefault((a, b), ([], []))
+        q_starts.append(q0)
+        k_starts.append(k0)
+        q0, k0 = q0 + a, k0 + b
+    passes = []
+    for (a, b), (q_starts, k_starts) in groups.items():
+        if causal and a > b:
+            raise ShapeError(f"attention: a causal segment of {a} queries over {b} keys")
+        qi, ki = _rows(q_starts, a), _rows(k_starts, b)
+        g = len(q_starts)
+        qh, kh, vh = _split(q.value[qi], g, a, heads), _split(k.value[ki], g, b, heads), \
+            _split(v.value[ki], g, b, heads)
+        s = qh @ kh.transpose(0, 1, 3, 2)
+        s *= c
+        if causal and a > 1:  # a lone row sees every key
+            s += _causal_bias(a, b)
+        s -= s.max(axis=3, keepdims=True)
+        p = np.exp(s, out=s)
+        p /= p.sum(axis=3, keepdims=True)
+        passes.append((qi, ki, qh, kh, vh, p))
+    out = _scatter([(qi, _merge(p @ vh)) for qi, _, _, _, vh, p in passes], tq, d)
 
     def bw(g):
-        gh = split(g, tq)
-        gp = gh @ vh.transpose(0, 2, 1)
-        ds = p * (gp - (gp * p).sum(axis=2, keepdims=True)) * c
-        _accumulate(q, merge(ds @ kh, tq))
-        _accumulate(k, merge(ds.transpose(0, 2, 1) @ qh, tk))
-        _accumulate(v, merge(p.transpose(0, 2, 1) @ gh, tk))
+        gq, gk, gv = [], [], []
+        for qi, ki, qh, kh, vh, p in passes:
+            gh = _split(g[qi], qh.shape[0], qh.shape[2], heads)
+            if v.requires_grad:
+                gv.append((ki, _merge(p.transpose(0, 1, 3, 2) @ gh)))
+            if q.requires_grad or k.requires_grad:
+                ds = gh @ vh.transpose(0, 1, 3, 2)  # the gradient of p, then of the scores
+                ds -= (ds * p).sum(axis=3, keepdims=True)
+                ds *= p
+                ds *= c
+                if q.requires_grad:
+                    gq.append((qi, _merge(ds @ kh)))
+                if k.requires_grad:
+                    gk.append((ki, _merge(ds.transpose(0, 1, 3, 2) @ qh)))
+        for t, parts, total in ((q, gq, tq), (k, gk, tk), (v, gv, tk)):
+            if parts:
+                _accumulate(t, _scatter(parts, total, d))
 
-    return Tensor(merge(p @ vh, tq), parents=(q, k, v), backward=bw)
+    return Tensor(out, parents=(q, k, v), backward=bw)
 
 
 def layer_norm_rows(a: Tensor, eps: float = 1e-5) -> Tensor:
@@ -314,16 +397,25 @@ def embedding(table: Tensor, ids) -> Tensor:
     return Tensor(out, parents=(table,), backward=bw)
 
 
-def cross_entropy(logits: Tensor, targets) -> Tensor:
-    """Mean softmax cross-entropy over the rows whose target id is >= 0."""
+def cross_entropy(logits: Tensor, targets, lens=None) -> Tensor:
+    """Mean softmax cross-entropy over the rows whose target id is >= 0.
+    With `lens`, the row counts of the samples whose logits are stacked, it
+    is the mean over samples of each sample's mean over its supervised
+    rows; every sample needs one."""
     targets = np.asarray(targets, dtype=np.int64)
-    if targets.shape != (logits.value.shape[0],):
+    rows_total = logits.value.shape[0]
+    if targets.shape != (rows_total,):
         raise ShapeError(
             f"cross_entropy: targets length {targets.shape} misaligned with logits {logits.value.shape}"
         )
+    lens = (rows_total,) if lens is None else tuple(lens)
+    if min(lens) < 0 or sum(lens) != rows_total:
+        raise ShapeError(f"cross_entropy: sample lengths {lens} do not sum to {rows_total} rows")
     sel = np.nonzero(targets >= 0)[0]
-    if sel.size == 0:
-        raise ShapeError("cross_entropy: no supervised positions")
+    seg = np.repeat(np.arange(len(lens)), lens)[sel]
+    n_sup = np.bincount(seg, minlength=len(lens))
+    if not n_sup.all():
+        raise ShapeError(f"cross_entropy: no supervised positions in sample {int(np.argmin(n_sup))}")
     rows = logits.value[sel]
     tgt = targets[sel]
     if tgt.max() >= rows.shape[1]:
@@ -331,14 +423,15 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     mx = rows.max(axis=1, keepdims=True)
     lse = mx[:, 0] + np.log(np.exp(rows - mx).sum(axis=1))
     picked = rows[np.arange(sel.size), tgt]
-    out = np.array((lse - picked).mean())
+    starts = np.cumsum(n_sup) - n_sup
+    out = np.array((np.add.reduceat(lse - picked, starts) / n_sup).mean())
 
     def bw(g):
         p = np.exp(rows - mx)
         p /= p.sum(axis=1, keepdims=True)
         p[np.arange(sel.size), tgt] -= 1.0
         full = np.zeros_like(logits.value)
-        full[sel] = p * (float(g) / sel.size)
+        full[sel] = p * (float(g) / (len(lens) * n_sup[seg]))[:, None]
         _accumulate(logits, full)
 
     return Tensor(out, parents=(logits,), backward=bw)

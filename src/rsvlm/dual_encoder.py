@@ -187,7 +187,8 @@ def train_retriever(
 ) -> tuple[DualEncoderParams, list[float]]:
     """Full-batch gradient descent on the contrastive loss, one step per
     epoch over the pairs in a fresh permuted order; returns params and the
-    per-epoch loss log. Aborts on divergence."""
+    per-epoch loss log. Aborts on divergence: a non-finite loss, or an
+    update that leaves a parameter block non-finite."""
     pairs = list(pairs)
     if len(pairs) < MIN_PAIRS:
         raise DomainError(f"train_retriever needs >= {MIN_PAIRS} pairs, got {len(pairs)}")
@@ -205,10 +206,15 @@ def train_retriever(
         ad.backward(loss)
         for name, t in named:
             g = t.grad if t.grad is not None else np.zeros_like(t.value)
-            if momentum:
-                velocity[name] = momentum * velocity[name] + g
-                g = velocity[name]
-            t.value -= lr * g
+            # An overflow ends the run below, naming the block, not as a warning.
+            with np.errstate(over="ignore", invalid="ignore"):
+                if momentum:
+                    velocity[name] = momentum * velocity[name] + g
+                    g = velocity[name]
+                t.value -= lr * g
+            if not np.isfinite(t.value).all():
+                raise DomainError(f"train_retriever: parameter block {name} is not finite "
+                                  f"after the update at epoch {len(history)}")
         history.append(float(loss.value))
     return params, history
 

@@ -3,9 +3,10 @@
 A token sequence is laid out as contiguous row blocks, described by one
 tuple of row counts (n_image, n_level_1, ..., n_level_L, n_query): image
 rows, then the semantic prompt rows of each level in level order, then the
-query rows. Each of the L experts is a bias-free linear bottleneck
-(rank-reduction u: d_h x d_r followed by rank-expansion v: d_r x d_h,
-applied to row tokens as x @ u @ v). Every expert reads every row, and the
+query rows. A batch stacks its samples' sequences, one layout each. Each
+of the L experts is a bias-free linear bottleneck (rank-reduction
+u: d_h x d_r followed by rank-expansion v: d_r x d_h, applied to row tokens
+as x @ u @ v). Every expert reads every row, and the
 gate alone routes: image and query rows mix all L expert outputs through a
 per-row softmax gate, while a level-l semantic row weights expert l's
 output by one and every other expert's by exactly zero, so only its own
@@ -95,31 +96,36 @@ def init_expert_layer(d_h: int, d_r: int, levels: int, d_inner: int, rng: Rng) -
     )
 
 
-def _check_counts(counts: tuple[int, ...], rows: int, levels: int) -> None:
-    """A layout is (n_image, n_level_1, ..., n_level_L, n_query): L + 2
-    non-negative row counts summing to the hidden rows."""
-    if len(counts) != levels + 2:
-        raise ShapeError(f"segment counts {counts} end at semantic level {len(counts) - 2}, "
-                         f"expected level {levels} (image, levels 1..{levels}, query)")
-    if min(counts) < 0:
-        raise ShapeError(f"segment counts {counts}: negative count")
-    if sum(counts) != rows:
-        raise ShapeError(f"segment counts {counts} sum to {sum(counts)} != hidden rows {rows}")
+def _check_layouts(layouts, rows: int, levels: int) -> None:
+    """Each layout is (n_image, n_level_1, ..., n_level_L, n_query): L + 2
+    non-negative row counts; together they count the hidden rows."""
+    for counts in layouts:
+        if len(counts) != levels + 2:
+            raise ShapeError(f"segment counts {counts} end at semantic level {len(counts) - 2}, "
+                             f"expected level {levels} (image, levels 1..{levels}, query)")
+        if min(counts) < 0:
+            raise ShapeError(f"segment counts {counts}: negative count")
+    total = sum(sum(counts) for counts in layouts)
+    if total != rows:
+        raise ShapeError(f"segment counts {list(layouts)} sum to {total} != hidden rows {rows}")
 
 
-def route(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Routing arrays of a counts layout: the T x 1 keep column (1 on image
-    and query rows) and the T x L one-hot rows (1 at each semantic row's own
-    level)."""
-    t = sum(counts)
+def route(layouts) -> tuple[np.ndarray, np.ndarray]:
+    """Routing arrays of the stacked rows of samples with counts layouts
+    `layouts`: the T x 1 keep column (1 on image and query rows) and the
+    T x L one-hot rows (1 at each semantic row's own level)."""
+    t = sum(sum(counts) for counts in layouts)
     keep = np.zeros((t, 1))
-    keep[: counts[0]] = 1.0
-    keep[t - counts[-1] :] = 1.0
-    onehot = np.zeros((t, len(counts) - 2))
-    start = counts[0]
-    for l, n in enumerate(counts[1:-1]):
-        onehot[start : start + n, l] = 1.0
-        start += n
+    onehot = np.zeros((t, len(layouts[0]) - 2))
+    start = 0
+    for counts in layouts:
+        keep[start : start + counts[0]] = 1.0
+        start += counts[0]
+        for l, n in enumerate(counts[1:-1]):
+            onehot[start : start + n, l] = 1.0
+            start += n
+        keep[start : start + counts[-1]] = 1.0
+        start += counts[-1]
     return keep, onehot
 
 
@@ -130,12 +136,14 @@ def gate_weights_graph(gate_w: Tensor, hidden: Tensor, keep: np.ndarray, onehot:
     return ad.mul(soft, ad.const(keep)) + ad.const(onehot)
 
 
-def expert_block_graph(params: ExpertLayerParams, hidden: Tensor, counts: tuple[int, ...]) -> Tensor:
-    """FFN(hidden) plus the gated merge of all expert outputs."""
+def expert_block_graph(params: ExpertLayerParams, hidden: Tensor, layouts) -> Tensor:
+    """FFN(hidden) plus the gated merge of all expert outputs, over the
+    stacked rows of samples whose counts layouts are `layouts`, one per
+    sample in row order."""
     if hidden.value.shape[1] != params.d_h:
         raise ShapeError(f"expert block: hidden dim {hidden.value.shape[1]} != d_h {params.d_h}")
-    _check_counts(counts, hidden.value.shape[0], params.levels)
-    keep, onehot = route(counts)
+    _check_layouts(layouts, hidden.value.shape[0], params.levels)
+    keep, onehot = route(layouts)
     gates = gate_weights_graph(params.gate_w, hidden, keep, onehot)
     merged = None
     for l, ex in enumerate(params.experts, start=1):

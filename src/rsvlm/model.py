@@ -9,8 +9,11 @@ causal mask, with the expert layer replacing the plain FFN in every
 plus EOS and SEP specials; retrieved semantic texts share the same LM
 embedding table.
 
-Training and generation share one LM forward, `_lm_logits_graph`.
-Generation prefills once: the visual encoder, the prompter and the prefix
+Training and generation share one forward over the stacked rows of a batch:
+the row-local ops (embeddings, layer norm, projections, FFN, expert block,
+head) run once over every sample's rows, and attention keeps each sample's
+rows to themselves. A training step is one graph; generation is a batch of
+one, and it prefills once: the visual encoder, the prompter and the prefix
 [image; prompt; query; SEP] run a single time and leave each block's keys
 and values in a cache. Every further token is one query-segment row through
 the same forward, attending to the cached rows; the expert layer and the FFN
@@ -46,7 +49,7 @@ from .expert_layer import (
     init_expert_layer,
     init_ffn,
 )
-from .numerics import Rng, ShapeRng
+from .numerics import Rng, ShapeRng, ranges
 from .prompter import (
     AttnBlockParams,
     KvCache,
@@ -62,7 +65,6 @@ SEP_ID = 257
 VOCAB_SIZE = 258
 CHECKPOINT_MAGIC = b"RSCK"
 CHECKPOINT_VERSION = 1
-CAUSAL_BIAS = -1e30
 # Bound on lm_blocks and visual_blocks, and so on levels <= visual_blocks:
 # the initializers build the blocks one by one.
 MAX_BLOCKS = 256
@@ -279,8 +281,10 @@ def _init_model(cfg: ModelConfig, master: Rng | ShapeRng) -> VlmModel:
     )
 
 
-def _encode_multilevel_graph(model: VlmModel, patches: Tensor) -> list[Tensor]:
-    """Visual features captured at the tap depths; L matrices, N_patches x d_v."""
+def _encode_multilevel_graph(model: VlmModel, patches: Tensor, n_patches=None) -> list[Tensor]:
+    """Visual features captured at the tap depths: L matrices of the
+    stacked patch rows x d_v. `n_patches` counts each sample's rows (one
+    sample when not given); a sample's patches attend only to each other."""
     cfg = model.config
     if patches.value.shape[0] < 1:
         raise ShapeError(f"_encode_multilevel_graph: need a nonempty patch grid, got shape {patches.value.shape}")
@@ -290,42 +294,41 @@ def _encode_multilevel_graph(model: VlmModel, patches: Tensor) -> list[Tensor]:
     tap_set = set(cfg.tap_indices())
     for i, blk in enumerate(v.blocks, start=1):
         a = ad.layer_norm_rows(x)
-        x = x + attention_output(blk.attn, a, a, cfg.visual_heads)
+        x = x + attention_output(blk.attn, a, a, cfg.visual_heads, n_patches, n_patches)
         x = x + ffn_graph(blk.mlp, ad.layer_norm_rows(x))
         if i in tap_set:
             taps.append(x)
     return taps
 
 
-def _causal_bias(t: int, p: int) -> np.ndarray:
-    """Bias of t new rows over p cached rows and themselves: row i sees
-    columns up to p + i."""
-    return np.triu(np.full((t, p + t), CAUSAL_BIAS), k=p + 1)
-
-
-def _lm_logits_graph(model: VlmModel, hidden: Tensor, counts: tuple[int, ...],
+def _lm_logits_graph(model: VlmModel, hidden: Tensor, layouts,
                      cache: list[KvCache] | None = None) -> Tensor:
-    """Causal LM over T assembled rows whose layout is the row-count tuple
-    `counts` (n_image, n_level_1, ..., n_level_L, n_query) of
-    `_segments_for`; returns T x vocab logits. With `cache` (one KvCache
-    per block), the rows follow the cached ones: they take the next
-    positions, attend to the cached rows, and join the cache, and `counts`
-    covers the new rows only. The expert layer and the FFN are row-local,
-    so only attention reads the cache."""
+    """Causal LM over the stacked rows of a batch; `layouts` holds each
+    sample's row-count tuple (n_image, n_level_1, ..., n_level_L, n_query)
+    of `_segments_for`, in row order, and a sample's rows attend only to
+    its own. Returns one row of vocab logits per hidden row. With `cache`
+    (one KvCache per block; a batch of one), the rows follow the cached
+    ones: they take the next positions, attend to the cached rows, and join
+    the cache, and the layout covers the new rows only. The expert layer
+    and the FFN are row-local, so only attention reads the cache."""
     cfg = model.config
-    t = hidden.value.shape[0]
+    lens = [sum(counts) for counts in layouts]
+    if sum(lens) != hidden.value.shape[0]:
+        raise ShapeError(f"layouts {list(layouts)} count {sum(lens)} rows, hidden has {hidden.value.shape[0]}")
+    if cache is not None and len(lens) != 1:
+        raise ShapeError(f"a K/V cache holds one sequence, got {len(lens)}")
     offset = cache[0].rows if cache is not None else 0
-    if offset + t > cfg.max_seq:
-        raise ShapeError(f"sequence length {offset + t} exceeds max_seq {cfg.max_seq}")
-    x = hidden + ad.narrow(model.lm.pos, 0, offset, t)
-    bias = _causal_bias(t, offset) if t > 1 else None  # a lone row sees every row
+    if offset + max(lens) > cfg.max_seq:
+        raise ShapeError(f"sequence length {offset + max(lens)} exceeds max_seq {cfg.max_seq}")
+    x = hidden + ad.embedding(model.lm.pos, ranges([offset] * len(lens), lens))
+    k_lens = [offset + n for n in lens]
     for i, blk in enumerate(model.lm.blocks):
         a = ad.layer_norm_rows(x)
         kv = cache[i] if cache is not None else None
-        x = x + attention_output(blk.attn, a, a, cfg.heads, causal_bias=bias, cache=kv)
+        x = x + attention_output(blk.attn, a, a, cfg.heads, lens, k_lens, causal=True, cache=kv)
         h = ad.layer_norm_rows(x)
         if blk.experts is not None:
-            x = x + expert_block_graph(blk.experts, h, counts)
+            x = x + expert_block_graph(blk.experts, h, layouts)
         else:
             x = x + ffn_graph(blk.ffn, h)
     return ad.matmul(ad.layer_norm_rows(x), model.lm.head)
@@ -339,41 +342,74 @@ def _segments_for(model: VlmModel, n_img: int, n_seq: int) -> tuple[int, ...]:
     return (n_img,) + (cfg.n_agg,) * cfg.levels + (n_seq,)
 
 
-def _sequence_graph(model: VlmModel, sample: Sample, seq_ids: list[int]) -> tuple[Tensor, tuple[int, ...]]:
+def _sequence_graph(model: VlmModel, samples: list[Sample], seqs: list[list[int]]) -> tuple[Tensor, list]:
+    """The stacked [image; prompt level 1..L; query segment] rows of a batch,
+    sample after sample, with each sample's query-segment ids from `seqs`,
+    and their layouts."""
     cfg = model.config
-    taps = _encode_multilevel_graph(model, ad.const(sample.patches))
-    f_user = ad.embedding(model.lm.embed, sample.query_ids)
-    f_sem = ad.embedding(model.lm.embed, sample.semantic_ids)
-    s = build_prompt_graph(model.prompter, f_user, f_sem, taps, cfg.prompter_heads)
+    n_img = [s.patches.shape[0] for s in samples]
+    n_seq = [len(ids) for ids in seqs]
+    patches = np.concatenate([s.patches for s in samples], axis=0)
+    taps = _encode_multilevel_graph(model, ad.const(patches), n_img)
+    embed = model.lm.embed
+    f_user = ad.embedding(embed, np.concatenate([s.query_ids for s in samples]))
+    f_sem = ad.embedding(embed, np.concatenate([s.semantic_ids for s in samples]))
+    prompt = build_prompt_graph(model.prompter, f_user, f_sem, taps, cfg.prompter_heads,
+                                [len(s.query_ids) for s in samples], [len(s.semantic_ids) for s in samples],
+                                n_img)
     img_tok = ad.matmul(taps[-1], model.proj_w) + model.proj_b
-    q_emb = ad.embedding(model.lm.embed, seq_ids)
-    hidden = ad.concat([img_tok, s, q_emb], axis=0)
-    return hidden, _segments_for(model, sample.patches.shape[0], len(seq_ids))
+    q_emb = ad.embedding(embed, np.concatenate(seqs))
+    rows = ad.concat([img_tok, prompt, q_emb], axis=0)
+    layouts = [_segments_for(model, n, m) for n, m in zip(n_img, n_seq)]
+    if len(samples) == 1:  # one sample's rows are already in order
+        return rows, layouts
+    # Per sample: its image rows, its n_agg rows of each level block of the
+    # level-major prompt, then its query-segment rows.
+    b, n_agg = len(samples), cfg.n_agg
+    img_start, seq_start = np.cumsum(n_img) - n_img, np.cumsum(n_seq) - n_seq
+    prompt_start = sum(n_img) + n_agg * (np.arange(b)[:, None] + b * np.arange(cfg.levels))
+    q_start = sum(n_img) + b * n_agg * cfg.levels + seq_start
+    starts = np.column_stack([img_start, prompt_start, q_start])
+    lens = np.column_stack([n_img, np.full((b, cfg.levels), n_agg), n_seq])
+    return ad.embedding(rows, ranges(starts.ravel(), lens.ravel())), layouts
 
 
-def sample_loss_graph(model: VlmModel, sample: Sample) -> Tensor:
-    """Autoregressive loss over the response span (teacher forcing)."""
-    if not sample.response_ids:
-        raise ShapeError("sample_loss: sample has no response tokens")
-    seq_ids = list(sample.query_ids) + [SEP_ID] + list(sample.response_ids) + [EOS_ID]
-    # SEP predicts the first response token, the last response token EOS
-    targets = [-1] * len(sample.query_ids) + list(sample.response_ids) + [EOS_ID, -1]
-    return token_loss_graph(model, sample, seq_ids, targets)
+def _loss_graph(model: VlmModel, samples: list[Sample], seqs: list[list[int]], targets) -> Tensor:
+    """Mean over samples of each one's mean loss over its targeted rows;
+    `targets` holds one target per query-segment row (-1 for none), and the
+    image and prompt rows carry none."""
+    hidden, layouts = _sequence_graph(model, samples, seqs)
+    logits = _lm_logits_graph(model, hidden, layouts)
+    rows = []
+    for counts, tgt in zip(layouts, targets):
+        rows += [np.full(sum(counts[:-1]), -1, dtype=np.int64), np.asarray(tgt, dtype=np.int64)]
+    return ad.cross_entropy(logits, np.concatenate(rows), [sum(counts) for counts in layouts])
+
+
+def sample_loss_graph(model: VlmModel, samples: list[Sample]) -> Tensor:
+    """Autoregressive loss of a batch over each sample's response span
+    (teacher forcing): the mean over samples of each one's mean token loss.
+    One graph over the stacked rows of every sample."""
+    seqs, targets = [], []
+    for sample in samples:
+        if not sample.response_ids:
+            raise ShapeError("sample_loss: sample has no response tokens")
+        seqs.append(list(sample.query_ids) + [SEP_ID] + list(sample.response_ids) + [EOS_ID])
+        # SEP predicts the first response token, the last response token EOS
+        targets.append([-1] * len(sample.query_ids) + list(sample.response_ids) + [EOS_ID, -1])
+    return _loss_graph(model, samples, seqs, targets)
 
 
 def sample_loss(model: VlmModel, sample: Sample) -> float:
-    return float(sample_loss_graph(model, sample).value)
+    return float(sample_loss_graph(model, [sample]).value)
 
 
 def token_loss_graph(model: VlmModel, sample: Sample, seq_ids, targets) -> Tensor:
-    """Loss with caller-supplied query-segment ids and one target per
-    query-segment row (-1 for none); the image and prompt rows carry no
-    target. Harnesses whose vocabularies lack the byte specials use it
-    directly."""
-    hidden, counts = _sequence_graph(model, sample, list(seq_ids))
-    logits = _lm_logits_graph(model, hidden, counts)
-    prefix = np.full(sum(counts[:-1]), -1, dtype=np.int64)
-    return ad.cross_entropy(logits, np.concatenate([prefix, np.asarray(targets, dtype=np.int64)]))
+    """Loss of one sample with caller-supplied query-segment ids and one
+    target per query-segment row (-1 for none); the image and prompt rows
+    carry no target. Harnesses whose vocabularies lack the byte specials
+    use it directly."""
+    return _loss_graph(model, [sample], [list(seq_ids)], [targets])
 
 
 def generate(model: VlmModel, patches, query_ids, max_tokens: int,
@@ -383,8 +419,9 @@ def generate(model: VlmModel, patches, query_ids, max_tokens: int,
     forward pass when the prefix alone exceeds max_seq.
 
     One prefill runs the visual encoder, the prompter and the prefix
-    [image; prompt; query; SEP] through the LM, filling a per-block K/V
-    cache; each further token is one query row through the same LM path."""
+    [image; prompt; query; SEP] through the LM as a batch of one, filling a
+    per-block K/V cache; each further token is one query row through the
+    same LM path."""
     if max_tokens <= 0:
         return []
     sample = Sample(
@@ -401,10 +438,10 @@ def generate(model: VlmModel, patches, query_ids, max_tokens: int,
         raise ShapeError(f"generate: prefix of {prefix} rows exceeds max_seq {cfg.max_seq}")
     # The step that decodes token j runs prefix + j - 1 rows.
     max_tokens = min(max_tokens, cfg.max_seq - prefix + 1)
-    cache = [KvCache() for _ in model.lm.blocks]
-    hidden, _ = _sequence_graph(model, sample, seq_ids)
-    logits = _lm_logits_graph(model, hidden, counts, cache).value
-    one_query_row = (0,) * (len(counts) - 1) + (1,)
+    cache = [KvCache(prefix + max_tokens - 1) for _ in model.lm.blocks]
+    hidden, layouts = _sequence_graph(model, [sample], [seq_ids])
+    logits = _lm_logits_graph(model, hidden, layouts, cache).value
+    one_query_row = [(0,) * (len(counts) - 1) + (1,)]
     out: list[int] = []
     while True:
         nxt = int(np.argmax(logits[-1]))

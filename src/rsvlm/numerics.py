@@ -1,5 +1,5 @@
-"""Reference softmax and attention, PRNG, and finite-difference gradient
-oracles.
+"""Reference softmax and attention, PRNG, finite-difference gradient
+oracles, and the row-index helper of packed batches.
 
 Matrices are plain 2-D numpy arrays in row-major (C) order. Oracle and test
 paths run at float64; no silent broadcasting is performed by the public
@@ -26,6 +26,16 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
+
+
+def ranges(starts, lens) -> np.ndarray:
+    """The concatenation of arange(s, s + n) over paired starts and lengths:
+    the row indices of segments of a stacked matrix, in segment order."""
+    if len(lens) == 1:
+        return np.arange(starts[0], starts[0] + lens[0])
+    starts = np.asarray(starts, dtype=np.int64)
+    lens = np.asarray(lens, dtype=np.int64)
+    return np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
 
 
 def _check_matrix(a, name: str) -> np.ndarray:

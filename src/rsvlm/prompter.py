@@ -25,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ShapeError
-from .numerics import Rng
+from .numerics import Rng, ranges
 
 AGG_INIT_STD = 0.02
 
@@ -83,35 +83,41 @@ def init_prompter(n_agg: int, dim: int, level_dims: list[int], rng: Rng) -> Prom
     )
 
 
-@dataclass
 class KvCache:
-    """Keys and values an attention block has projected so far. They are
-    held as constants, so a later call's graph does not reach back into the
-    graph of the call that projected them."""
+    """Keys and values an attention block has projected so far, written
+    into buffers of `capacity` rows. They are handed out as constants, so a
+    later call's graph does not reach back into the graph of the call that
+    projected them."""
 
-    k: Tensor | None = None
-    v: Tensor | None = None
-
-    @property
-    def rows(self) -> int:
-        return 0 if self.k is None else self.k.value.shape[0]
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.rows = 0
+        self._k = self._v = None
 
     def extend(self, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-        """The cached keys and values followed by k and v; the cache keeps
-        the result for the next call."""
-        if self.k is not None:
-            k = ad.concat([self.k, k], axis=0)
-            v = ad.concat([self.v, v], axis=0)
-        self.k, self.v = ad.const(k.value), ad.const(v.value)
-        return k, v
+        """The cached keys and values followed by k and v, as views of the
+        buffers; k and v stay in the cache for the next call."""
+        end = self.rows + k.value.shape[0]
+        if end > self.capacity:
+            raise ShapeError(f"K/V cache of {self.capacity} rows cannot take {end}")
+        if self._k is None:
+            self._k = np.empty((self.capacity, k.value.shape[1]))
+            self._v = np.empty((self.capacity, v.value.shape[1]))
+        self._k[self.rows : end] = k.value
+        self._v[self.rows : end] = v.value
+        self.rows = end
+        return ad.const(self._k[:end]), ad.const(self._v[:end])
 
 
 def attention_output(block: AttnBlockParams, q_in: Tensor, ctx: Tensor, heads: int,
-                     causal_bias: np.ndarray | None = None, cache: KvCache | None = None) -> Tensor:
+                     q_lens=None, k_lens=None, causal: bool = False,
+                     cache: KvCache | None = None) -> Tensor:
     """Multi-head attention without residual: project, attend with
-    `ad.attention` (one node for every head), output-project. With
-    `cache`, the queries attend to the cached keys and values followed by
-    those of `ctx`, which join the cache."""
+    `ad.attention` (one node for every head and sample), output-project.
+    `q_lens`/`k_lens` are the per-sample row counts of the stacked `q_in`
+    and `ctx` (one sample when not given). With `cache`, the queries attend
+    to the cached keys and values followed by those of `ctx`, which join
+    the cache, and `k_lens` counts the cached rows too."""
     d = block.wq.value.shape[1]
     if d % heads != 0:
         raise ShapeError(f"attention: dim {d} not divisible by heads {heads}")
@@ -128,37 +134,73 @@ def attention_output(block: AttnBlockParams, q_in: Tensor, ctx: Tensor, heads: i
     v = ad.matmul(ctx, block.wv)
     if cache is not None:
         k, v = cache.extend(k, v)
-    return ad.matmul(ad.attention(q, k, v, heads, causal_bias), block.wo)
+    return ad.matmul(ad.attention(q, k, v, heads, q_lens, k_lens, causal), block.wo)
 
 
-def aggregate_query_graph(params: PrompterParams, f_user: Tensor, heads: int) -> Tensor:
-    """Self-attend concat(f_agg, f_user) and keep the aggregation rows."""
+def _agg_lens(params: PrompterParams, ctx_lens) -> tuple[int, ...] | None:
+    """n_agg query rows for each sample of the context lengths `ctx_lens`;
+    None (one sample) when they are not given."""
+    return None if ctx_lens is None else (params.f_agg.value.shape[0],) * len(ctx_lens)
+
+
+def aggregate_query_graph(params: PrompterParams, f_user: Tensor, heads: int, user_lens=None) -> Tensor:
+    """Per sample, the aggregation rows of [f_agg; that sample's user rows]
+    after self-attention over those rows: (samples * n_agg) x dim,
+    sample-major. `user_lens` counts each sample's rows of the stacked
+    `f_user` (one sample when not given). Only the aggregation rows are
+    kept, so only they are queried."""
     n_agg, dim = params.f_agg.value.shape
     if f_user.value.shape[1] != dim:
         raise ShapeError(f"aggregate_query_graph: f_user dim {f_user.value.shape[1]} != {dim}")
-    f_in = ad.concat([params.f_agg, f_user], axis=0)
-    f_out = f_in + attention_output(params.self_attn, ad.layer_norm_rows(f_in), f_in, heads)
-    return ad.narrow(f_out, 0, 0, n_agg)
+    user_lens = np.array([f_user.value.shape[0]] if user_lens is None else user_lens, dtype=np.int64)
+    if user_lens.sum() != f_user.value.shape[0]:
+        raise ShapeError(f"aggregate_query_graph: user lengths {user_lens.tolist()} "
+                         f"!= {f_user.value.shape[0]} rows")
+    samples = len(user_lens)
+    table = ad.concat([params.f_agg, f_user], axis=0)
+    if samples == 1:  # the table is the sample's rows, in order
+        f_in, z0 = table, params.f_agg
+    else:  # the table's rows n_agg.. are the user rows, sample after sample
+        user_starts = n_agg + np.cumsum(user_lens) - user_lens
+        starts = np.stack([np.zeros(samples, dtype=np.int64), user_starts], axis=1).ravel()
+        lens = np.stack([np.full(samples, n_agg), user_lens], axis=1).ravel()
+        f_in = ad.embedding(table, ranges(starts, lens))
+        z0 = ad.embedding(params.f_agg, np.tile(np.arange(n_agg), samples))
+    return z0 + attention_output(params.self_attn, ad.layer_norm_rows(z0), f_in, heads,
+                                 (n_agg,) * samples, (user_lens + n_agg).tolist())
 
 
-def attend_semantics_graph(params: PrompterParams, z1: Tensor, f_semantic: Tensor, heads: int) -> Tensor:
-    return z1 + attention_output(params.sem_attn, ad.layer_norm_rows(z1), f_semantic, heads)
+def attend_semantics_graph(params: PrompterParams, z1: Tensor, f_semantic: Tensor, heads: int,
+                           sem_lens=None) -> Tensor:
+    """Each sample's n_agg rows of z1 attend to its rows of the stacked
+    `f_semantic`, counted by `sem_lens` (one sample when not given)."""
+    return z1 + attention_output(params.sem_attn, ad.layer_norm_rows(z1), f_semantic, heads,
+                                 _agg_lens(params, sem_lens), sem_lens)
 
 
-def attend_level_graph(params: PrompterParams, z2: Tensor, f_vis_l: Tensor, level: int, heads: int) -> Tensor:
+def attend_level_graph(params: PrompterParams, z2: Tensor, f_vis_l: Tensor, level: int, heads: int,
+                       vis_lens=None) -> Tensor:
+    """Each sample's n_agg rows of z2 attend to its rows of the stacked
+    visual level `f_vis_l`, counted by `vis_lens` (one sample when not
+    given)."""
     levels = len(params.level_attn)
     if not 1 <= level <= levels:
         raise ShapeError(f"attend_level_graph: level {level} out of range 1..{levels}")
-    return z2 + attention_output(params.level_attn[level - 1], ad.layer_norm_rows(z2), f_vis_l, heads)
+    return z2 + attention_output(params.level_attn[level - 1], ad.layer_norm_rows(z2), f_vis_l, heads,
+                                 _agg_lens(params, vis_lens), vis_lens)
 
 
 def build_prompt_graph(params: PrompterParams, f_user: Tensor, f_semantic: Tensor,
-                       f_vis: list[Tensor], heads: int) -> Tensor:
-    """Prompt matrix of shape (n_agg * levels, dim); row block l comes from
-    visual level l (level order preserved)."""
+                       f_vis: list[Tensor], heads: int, user_lens=None, sem_lens=None,
+                       vis_lens=None) -> Tensor:
+    """Prompt rows of a batch whose samples' user, semantic and visual rows
+    are stacked and counted by `user_lens`, `sem_lens` and `vis_lens` (give
+    all three, or none for one sample): (levels * samples * n_agg) x dim,
+    level-major. Row block l holds every sample's n_agg rows from visual
+    level l, in sample order."""
     if len(f_vis) != len(params.level_attn):
         raise ShapeError(f"build_prompt_graph: got {len(f_vis)} visual levels, expected {len(params.level_attn)}")
-    z1 = aggregate_query_graph(params, f_user, heads)
-    z2 = attend_semantics_graph(params, z1, f_semantic, heads)
-    blocks = [attend_level_graph(params, z2, f, l, heads) for l, f in enumerate(f_vis, start=1)]
+    z1 = aggregate_query_graph(params, f_user, heads, user_lens)
+    z2 = attend_semantics_graph(params, z1, f_semantic, heads, sem_lens)
+    blocks = [attend_level_graph(params, z2, f, l, heads, vis_lens) for l, f in enumerate(f_vis, start=1)]
     return ad.concat(blocks, axis=0)

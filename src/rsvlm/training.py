@@ -13,8 +13,8 @@ load time and cached as token ids.
 
 from __future__ import annotations
 
-import functools
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -118,7 +118,25 @@ def _learning_rates(cfg: TrainConfig) -> dict[str, float]:
     }
 
 
+@contextmanager
+def _frozen(tensors):
+    """Mark `tensors` as needing no gradient while the block runs, so the
+    backward computes none for them; restore their flags after it, also
+    when it raises."""
+    saved = [(t, t.requires_grad) for t in tensors]
+    try:
+        for t, _ in saved:
+            t.requires_grad = False
+        yield
+    finally:
+        for t, flag in saved:
+            t.requires_grad = flag
+
+
 def _run_training(model: VlmModel, samples: list[Sample], cfg: TrainConfig) -> list[float]:
+    """One graph over each batch's stacked samples per step, then an AdamW
+    update. Parameters whose learning rate is 0 get no gradient for the
+    length of the run."""
     if not samples:
         raise DomainError("training needs at least one sample")
     named = model.named_parameters()
@@ -128,25 +146,25 @@ def _run_training(model: VlmModel, samples: list[Sample], cfg: TrainConfig) -> l
     order_rng = Rng(cfg.seed).spawn(7)
     history: list[float] = []
     steps = 0
-    for _ in range(cfg.epochs):
-        order = order_rng.permutation(len(samples))
-        for start in range(0, len(samples), cfg.batch_size):
-            batch = [samples[i] for i in order[start : start + cfg.batch_size]]
-            ad.zero_grads(t for _, t in named)
-            losses = [sample_loss_graph(model, s) for s in batch]
-            total = ad.scale(functools.reduce(ad.add, losses), 1.0 / len(batch))
-            if not np.isfinite(total.value):
-                raise DomainError(
-                    f"training diverged: loss {total.value} at step {steps} (stage {cfg.stage})"
-                )
-            ad.backward(total)
-            opt.step(plan, cfg.weight_decay)
-            history.append(float(total.value))
-            steps += 1
-            if cfg.max_steps is not None and steps >= cfg.max_steps:
-                return history
-            if cfg.stop_loss is not None and history[-1] < cfg.stop_loss:
-                return history
+    with _frozen([tensor for _, tensor, lr in plan if lr <= 0.0]):
+        for _ in range(cfg.epochs):
+            order = order_rng.permutation(len(samples))
+            for start in range(0, len(samples), cfg.batch_size):
+                batch = [samples[i] for i in order[start : start + cfg.batch_size]]
+                ad.zero_grads(t for _, t in named)
+                loss = sample_loss_graph(model, batch)
+                if not np.isfinite(loss.value):
+                    raise DomainError(
+                        f"training diverged: loss {loss.value} at step {steps} (stage {cfg.stage})"
+                    )
+                ad.backward(loss)
+                opt.step(plan, cfg.weight_decay)
+                history.append(float(loss.value))
+                steps += 1
+                if cfg.max_steps is not None and steps >= cfg.max_steps:
+                    return history
+                if cfg.stop_loss is not None and history[-1] < cfg.stop_loss:
+                    return history
     return history
 
 

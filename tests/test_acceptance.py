@@ -84,7 +84,7 @@ def test_criterion_4_router_mask_invariants():
         row_levels += [0] * counts[-1]
         t = len(row_levels)
 
-        keep, onehot = ex.route(counts)
+        keep, onehot = ex.route([counts])
         stacked = (keep + onehot).sum(axis=1)
         for pos, level in enumerate(row_levels):
             expected = 1.0 if level else float(levels)
@@ -95,19 +95,19 @@ def test_criterion_4_router_mask_invariants():
         for e in layer.experts:
             e.u.value, e.v.value = rng.normal((d_h, d_r)), rng.normal((d_r, d_h))
         layer.gate_w.value = swaps.normal((d_h, levels))
-        out = ex.expert_block_graph(layer, ad.const(hidden), counts).value
+        out = ex.expert_block_graph(layer, ad.const(hidden), [counts]).value
         for j in range(1, levels + 1):
             rows = np.array(row_levels) == j
             perturbed = hidden.copy()
             perturbed[rows] += rng.normal((int(rows.sum()), d_h))
-            redone = ex.expert_block_graph(layer, ad.const(perturbed), counts).value
+            redone = ex.expert_block_graph(layer, ad.const(perturbed), [counts]).value
             assert np.array_equal(out[~rows], redone[~rows])
             for i, e in enumerate(layer.experts):
                 if i + 1 == j:
                     continue
                 kept = (e.u.value, e.v.value)
                 e.u.value, e.v.value = swaps.normal((d_h, d_r)), swaps.normal((d_r, d_h))
-                redone = ex.expert_block_graph(layer, ad.const(hidden), counts).value
+                redone = ex.expert_block_graph(layer, ad.const(hidden), [counts]).value
                 e.u.value, e.v.value = kept
                 assert np.array_equal(out[rows], redone[rows])
         cases += 1

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from rsvlm import autodiff as ad
-from rsvlm import model as vlm
 from rsvlm.errors import ShapeError
 from rsvlm.numerics import Rng, compare_gradients, finite_diff_gradient
 
@@ -55,11 +54,58 @@ def test_softmax_rows_backward():
 
 @pytest.mark.parametrize("heads", [1, 2, 4])
 def test_attention_backward(heads):
-    # three queries over five keys, unbiased and as three new rows under
-    # the causal bias over two cached ones
-    for bias in (None, vlm._causal_bias(3, 2)):
-        _check_op(lambda q, k, v, w: ad.mul(ad.attention(q, k, v, heads, bias), w),
+    # three queries over five keys, unmasked and as three new causal rows
+    # over two cached ones
+    for causal in (False, True):
+        _check_op(lambda q, k, v, w: ad.mul(ad.attention(q, k, v, heads, causal=causal), w),
                   (3, 8), (5, 8), (5, 8), (3, 8), seed=heads)
+
+
+# Mixed segment lengths: a 1-row segment, the (3, 5) group twice, and k_len
+# above q_len in every segment but the last, so causal rows see a prefix.
+Q_LENS, K_LENS = (3, 1, 3, 2), (5, 4, 5, 2)
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("causal", [False, True])
+def test_segmented_attention_backward(heads, causal):
+    _check_op(lambda q, k, v, w: ad.mul(ad.attention(q, k, v, heads, Q_LENS, K_LENS, causal), w),
+              (sum(Q_LENS), 8), (sum(K_LENS), 8), (sum(K_LENS), 8), (sum(Q_LENS), 8), seed=10 + heads)
+
+
+@pytest.mark.parametrize("causal", [False, True])
+def test_segmented_attention_matches_one_segment_calls_bit_exact(causal):
+    # the (3, 5) segments run as one batched pass, yet each segment's values
+    # and gradients are those of calling the op on that segment alone
+    rng = Rng(20)
+    q, k, v = (ad.param(rng.normal((sum(n), 8))) for n in (Q_LENS, K_LENS, K_LENS))
+    weights = rng.normal(q.value.shape)
+    out = ad.attention(q, k, v, 2, Q_LENS, K_LENS, causal)
+    ad.backward(ad.sum_all(ad.mul(out, ad.const(weights))))
+    q0 = k0 = 0
+    for a, b in zip(Q_LENS, K_LENS):
+        qs, ks = slice(q0, q0 + a), slice(k0, k0 + b)
+        parts = [ad.param(x.value[sl].copy()) for x, sl in ((q, qs), (k, ks), (v, ks))]
+        alone = ad.attention(*parts, 2, causal=causal)
+        ad.backward(ad.sum_all(ad.mul(alone, ad.const(weights[qs]))))
+        assert np.array_equal(alone.value, out.value[qs])
+        for part, whole, sl in zip(parts, (q, k, v), (qs, ks, ks)):
+            assert np.array_equal(part.grad, whole.grad[sl])
+        q0, k0 = q0 + a, k0 + b
+
+
+def test_segmented_attention_validates_lengths():
+    def z(*shape):
+        return ad.const(np.zeros(shape))
+
+    with pytest.raises(ShapeError, match="segment lengths"):
+        ad.attention(z(4, 4), z(5, 4), z(5, 4), 2, (2, 2), (5,))
+    with pytest.raises(ShapeError, match="segment lengths"):
+        ad.attention(z(4, 4), z(5, 4), z(5, 4), 2, (2, 2), (2, 2))
+    with pytest.raises(ShapeError, match="segment lengths"):
+        ad.attention(z(4, 4), z(5, 4), z(5, 4), 2, (4, 0), (3, 2))
+    with pytest.raises(ShapeError, match="causal segment of 3 queries over 2 keys"):
+        ad.attention(z(4, 4), z(5, 4), z(5, 4), 2, (1, 3), (3, 2), causal=True)
 
 
 def test_attention_validates_shapes():
@@ -130,6 +176,32 @@ def test_cross_entropy_backward_with_ignored_rows():
     assert compare_gradients(logits.grad, numeric).max_relative_error < 1e-6
     # ignored rows receive no gradient
     assert np.array_equal(logits.grad[1], np.zeros(9))
+
+
+def test_cross_entropy_per_sample_means():
+    # three samples' logits stacked: the loss is the mean of each sample's
+    # mean over its supervised rows, however many rows each supervises
+    rng = Rng(6)
+    logits_v = rng.normal((7, 5))
+    targets = np.array([1, -1, 3, 0, -1, 2, 4])
+    lens = (3, 1, 3)
+    logits = ad.param(logits_v.copy())
+    loss = ad.cross_entropy(logits, targets, lens)
+    ad.backward(loss)
+    starts = np.cumsum((0,) + lens)
+    per_sample = [float(ad.cross_entropy(ad.const(logits_v[a:b]), targets[a:b]).value)
+                  for a, b in zip(starts[:-1], starts[1:])]
+    assert float(loss.value) == pytest.approx(np.mean(per_sample), rel=1e-15)
+
+    def f(flat):
+        return float(ad.cross_entropy(ad.const(flat.reshape(7, 5)), targets, lens).value)
+
+    numeric = finite_diff_gradient(f, logits_v.reshape(-1)).reshape(7, 5)
+    assert compare_gradients(logits.grad, numeric).max_relative_error < 1e-6
+    with pytest.raises(ShapeError, match="no supervised positions in sample 1"):
+        ad.cross_entropy(ad.const(logits_v), np.array([1, -1, -1, -1, -1, 2, 4]), lens)
+    with pytest.raises(ShapeError, match="sample lengths"):
+        ad.cross_entropy(ad.const(logits_v), targets, (3, 3))
 
 
 def test_cross_entropy_validates_targets():

@@ -116,6 +116,24 @@ def test_train_retriever_and_retrieve_with_encoder(tmp_path, capsys):
     assert len(lines) == 2  # k=5 saturates at db size
 
 
+@pytest.mark.parametrize("epochs", ["1", "3"])
+def test_train_retriever_overflow_ends_with_one_line(tmp_path, capsys, epochs):
+    # an update of 1e308 x gradient overflows float64 in the first epoch;
+    # the run ends there, with no numpy warning and no file
+    rng = np.random.default_rng(0)
+    pairs = _write_jsonl(tmp_path / "pairs.jsonl", [
+        {"image": rng.normal(size=8).tolist(), "text": f"word{i} scene{i}"} for i in range(8)])
+    out = tmp_path / "enc.rsde"
+    code = cli.run(["train-retriever", "--input", str(pairs), "--out", str(out),
+                    "--lr", "1e308", "--epochs", epochs])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "numeric error: train_retriever: parameter block text_proj.w1 is not finite after the update at epoch 0"]
+    assert not out.exists()
+
+
 def _toy_train_config(tmp_path, stage, extra=None):
     rng = np.random.default_rng(0)
     cfg = {

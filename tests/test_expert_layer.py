@@ -27,11 +27,11 @@ def _expert(u, v, x_masked):
 
 
 def _gates(w_g, hidden, counts):
-    return ex.gate_weights_graph(ad.const(w_g), ad.const(hidden), *ex.route(counts)).value
+    return ex.gate_weights_graph(ad.const(w_g), ad.const(hidden), *ex.route([counts])).value
 
 
 def _block(params, hidden, counts):
-    return ex.expert_block_graph(params, ad.const(hidden), counts).value
+    return ex.expert_block_graph(params, ad.const(hidden), [counts]).value
 
 
 def _ffn_ref(ffn, x):
@@ -75,13 +75,13 @@ def _expert_outputs(params, x, counts):
 
 
 def test_route_examples():
-    keep, onehot = ex.route(_counts())
+    keep, onehot = ex.route([_counts()])
     assert (keep[:, 0] + onehot[:, 0]).tolist() == [1, 1, 1, 0, 1]
     assert (keep[:, 0] + onehot[:, 1]).tolist() == [1, 1, 0, 1, 1]
 
 
 def test_route_single_level_all_ones():
-    keep, onehot = ex.route((1, 1, 1))
+    keep, onehot = ex.route([(1, 1, 1)])
     assert (keep[:, 0] + onehot[:, 0]).tolist() == [1, 1, 1]
 
 
@@ -90,7 +90,7 @@ def test_mask_partition_property():
     for _ in range(50):
         levels = 1 + int(rng.u64(1)[0] % np.uint64(4))
         counts = tuple(int(x % np.uint64(5)) for x in rng.u64(levels + 2))
-        keep, onehot = ex.route(counts)
+        keep, onehot = ex.route([counts])
         total = (keep + onehot).sum(axis=1)
         for t, level in enumerate(_row_levels(counts)):
             if level:
@@ -275,7 +275,7 @@ def test_expert_block_gradients_match_finite_differences():
     weights = rng.normal(x.shape)
 
     def build():
-        out = ex.expert_block_graph(params, ad.const(x), counts)
+        out = ex.expert_block_graph(params, ad.const(x), [counts])
         return ad.sum_all(ad.mul(out, ad.const(weights)))
 
     report = ad.check_gradients(build, params.named_parameters(), n_probes=80, rng=Rng(26))

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -8,7 +9,8 @@ from rsvlm import model as vlm
 from rsvlm.errors import ConfigError, ShapeError
 from rsvlm.model import EOS_ID, SEP_ID, ModelConfig, Sample, encode_text
 from rsvlm.numerics import Rng
-from rsvlm.training import caption_sample
+from rsvlm.training import caption_sample, instruction_sample
+from synthetic import caption_corpus
 
 
 def _small_cfg(**kw):
@@ -94,7 +96,7 @@ def _sequence(model, seed, n_img, ids):
 
 
 def _forward_lm(model, hidden, counts, targets):
-    logits = vlm._lm_logits_graph(model, ad.const(hidden), counts)
+    logits = vlm._lm_logits_graph(model, ad.const(hidden), [counts])
     return float(ad.cross_entropy(logits, targets).value), logits.value
 
 
@@ -115,9 +117,9 @@ def test_assemble_sequence_tags_and_counts():
     cfg = _small_cfg()
     model = vlm.init_model(cfg, seed=3)
     sample = Sample(patches=Rng(4).normal((2, cfg.patch_dim)), query_ids=[5])
-    hidden, counts = vlm._sequence_graph(model, sample, [5])
+    hidden, layouts = vlm._sequence_graph(model, [sample], [[5]])
     assert hidden.value.shape == (2 + 4 + 1, cfg.d_h)
-    assert counts == (2, 2, 2, 1)
+    assert layouts == [(2, 2, 2, 1)]
 
 
 def test_assemble_sequence_full_scale_arithmetic():
@@ -140,7 +142,7 @@ def test_assemble_sequence_validations():
     hidden, counts = _sequence(model, 8, 2, [1])
     extra = np.concatenate([hidden, rng.normal((1, cfg.d_h))], axis=0)
     with pytest.raises(ShapeError):
-        vlm._lm_logits_graph(model, ad.const(extra), counts)
+        vlm._lm_logits_graph(model, ad.const(extra), [counts])
     with pytest.raises(ShapeError):
         Sample(patches=rng.normal((2, cfg.patch_dim)), query_ids=[])
 
@@ -308,8 +310,8 @@ def _recompute_oracle(model, sample, max_tokens):
     tokens and each step's last-row logits."""
     out, steps = [], []
     while len(out) < max_tokens:
-        hidden, counts = vlm._sequence_graph(model, sample, list(sample.query_ids) + [SEP_ID] + out)
-        steps.append(vlm._lm_logits_graph(model, hidden, counts).value[-1])
+        hidden, layouts = vlm._sequence_graph(model, [sample], [list(sample.query_ids) + [SEP_ID] + out])
+        steps.append(vlm._lm_logits_graph(model, hidden, layouts).value[-1])
         nxt = int(np.argmax(steps[-1]))
         if nxt == EOS_ID:
             break
@@ -361,16 +363,16 @@ def test_cached_chunks_match_one_pass():
     cfg = _small_cfg(heads=4)
     model = _with_experts(vlm.init_model(cfg, seed=46), 46)
     hidden, counts = _sequence(model, 47, 3, [1, 2, 3, 4, 5, 6])
-    whole = vlm._lm_logits_graph(model, ad.const(hidden), counts).value
-    cache = [vlm.KvCache() for _ in model.lm.blocks]
+    whole = vlm._lm_logits_graph(model, ad.const(hidden), [counts]).value
+    cache = [vlm.KvCache(cfg.max_seq) for _ in model.lm.blocks]
     assert counts == (3, 2, 2, 6)
-    head = vlm._lm_logits_graph(model, ad.const(hidden[:9]), (3, 2, 2, 2), cache).value
-    tail = vlm._lm_logits_graph(model, ad.const(hidden[9:]), (0, 0, 0, 4), cache).value
+    head = vlm._lm_logits_graph(model, ad.const(hidden[:9]), [(3, 2, 2, 2)], cache).value
+    tail = vlm._lm_logits_graph(model, ad.const(hidden[9:]), [(0, 0, 0, 4)], cache).value
     assert cache[0].rows == hidden.shape[0]
     assert np.max(np.abs(np.concatenate([head, tail]) - whole)) <= 1e-10
     with pytest.raises(ShapeError, match="sequence length 129 exceeds max_seq 128"):
         vlm._lm_logits_graph(model, ad.const(np.zeros((cfg.max_seq - 12, cfg.d_h))),
-                             (0, 0, 0, cfg.max_seq - 12), cache)
+                             [(0, 0, 0, cfg.max_seq - 12)], cache)
 
 
 def _graph_nodes(root) -> int:
@@ -409,4 +411,76 @@ def test_caption_loss_graph_size():
     # graph small; a per-head split builds 440 nodes
     cfg = ModelConfig()
     sample = caption_sample(Rng(52).normal((4, cfg.patch_dim)), "aaaa bbbb")
-    assert _graph_nodes(vlm.sample_loss_graph(vlm.init_model(cfg, seed=53), sample)) <= 260
+    assert _graph_nodes(vlm.sample_loss_graph(vlm.init_model(cfg, seed=53), [sample])) <= 260
+
+
+def _mixed_batch(cfg, seed):
+    """Samples of different patch, query, semantic and response lengths,
+    with one layout repeated, so the attention groups mix sizes."""
+    rng = Rng(seed)
+    shapes = [(4, "what?", 3, "ok"), (2, "where is it?", 7, "by the lake"), (5, "why", 1, "no"),
+              (4, "what?", 3, "ab")]
+    return [instruction_sample(rng.normal((n_patch, cfg.patch_dim)), query, response,
+                               semantic_ids=encode_text("scene text"[:n_sem]))
+            for n_patch, query, n_sem, response in shapes]
+
+
+def _spread_experts(model, seed):
+    """Expert V and gate drawn from N(0, 0.1^2)."""
+    rng = np.random.default_rng(seed)
+    for name, t in model.named_parameters():
+        if ".experts.v" in name or name.endswith(".gate.wg"):
+            t.value = rng.normal(0.0, 0.1, t.value.shape)
+    return model
+
+
+def _loss_and_grads(model, loss_fn):
+    named = model.named_parameters()
+    ad.zero_grads(t for _, t in named)
+    loss = loss_fn()
+    ad.backward(loss)
+    return float(loss.value), {n: t.grad.copy() for n, t in named}
+
+
+@pytest.mark.parametrize("kw", [{}, dict(levels=3, visual_blocks=4, prompter_heads=4, expert_stride=1)])
+def test_packed_batch_matches_mean_of_one_sample_graphs(kw):
+    cfg = ModelConfig(**kw)
+    model = _spread_experts(vlm.init_model(cfg, seed=60), 60)
+    batch = _mixed_batch(cfg, 61)
+    packed, packed_grads = _loss_and_grads(model, lambda: vlm.sample_loss_graph(model, batch))
+    losses = lambda: [vlm.sample_loss_graph(model, [s]) for s in batch]
+    mean, grads = _loss_and_grads(model, lambda: ad.scale(functools.reduce(ad.add, losses()), 1.0 / len(batch)))
+    assert abs(packed - mean) <= 1e-9 * abs(mean)
+    assert packed_grads.keys() == grads.keys()
+    for name, g in grads.items():
+        assert np.max(np.abs(packed_grads[name] - g)) <= 1e-9 * np.max(np.abs(g)), name
+
+
+def test_packed_batch_gradient_check():
+    cfg = _small_cfg(levels=3, expert_stride=1, prompter_heads=4)
+    model = _spread_experts(vlm.init_model(cfg, seed=62), 62)
+    batch = _mixed_batch(cfg, 63)[:3]
+    report = ad.check_gradients(lambda: vlm.sample_loss_graph(model, batch), model.named_parameters(),
+                                n_probes=200, rng=Rng(64))
+    assert report.max_relative_error <= 1e-4, report
+
+
+def test_packed_training_step_graph_size():
+    # one graph over a 16-sample toy step; one graph per sample built 2,645
+    cfg = ModelConfig()
+    batch = caption_corpus(65, cfg, n=16)
+    assert _graph_nodes(vlm.sample_loss_graph(vlm.init_model(cfg, seed=66), batch)) <= 300
+
+
+def test_kv_cache_writes_views_of_one_buffer():
+    cache = vlm.KvCache(5)
+    rng = Rng(67)
+    first, second = rng.normal((3, 4)), rng.normal((2, 4))
+    k, v = cache.extend(ad.const(first), ad.const(first + 1.0))
+    k2, v2 = cache.extend(ad.const(second), ad.const(second + 1.0))
+    assert np.array_equal(k2.value, np.concatenate([first, second]))
+    assert np.array_equal(v2.value, np.concatenate([first, second]) + 1.0)
+    assert np.array_equal(k.value, first) and np.shares_memory(k.value, k2.value)
+    assert cache.rows == 5
+    with pytest.raises(ShapeError, match="cache of 5 rows cannot take 6"):
+        cache.extend(ad.const(second[:1]), ad.const(second[:1]))

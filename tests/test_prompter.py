@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from rsvlm import autodiff as ad
-from rsvlm import model as vlm
 from rsvlm import numerics as num
 from rsvlm import prompter as pr
 from rsvlm.errors import ShapeError
@@ -92,10 +91,46 @@ def test_attention_op_causal_rows_match_prefix_oracle():
     # three new rows over two cached ones: row i sees keys 0..2+i
     rng = Rng(44)
     q, k, v = rng.normal((3, 8)), rng.normal((5, 8)), rng.normal((5, 8))
-    got = ad.attention(ad.const(q), ad.const(k), ad.const(v), 2, vlm._causal_bias(3, 2)).value
+    got = ad.attention(ad.const(q), ad.const(k), ad.const(v), 2, causal=True).value
     for i in range(3):
         expected = _heads_ref(q[i:i + 1], k[:3 + i], v[:3 + i], 2)
         assert np.max(np.abs(got[i:i + 1] - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("causal", [False, True])
+def test_segmented_attention_matches_per_segment_oracle(heads, causal):
+    # a 1-row segment, a repeated (3, 5) group, and keys beyond the queries
+    q_lens, k_lens = (3, 1, 3, 2), (5, 4, 5, 2)
+    rng = Rng(45 + heads)
+    q, k, v = rng.normal((sum(q_lens), 8)), rng.normal((sum(k_lens), 8)), rng.normal((sum(k_lens), 8))
+    got = ad.attention(ad.const(q), ad.const(k), ad.const(v), heads, q_lens, k_lens, causal).value
+    q0 = k0 = 0
+    for a, b in zip(q_lens, k_lens):
+        for j in range(a):
+            seen = k0 + (b - a + j + 1 if causal else b)
+            expected = _heads_ref(q[q0 + j:q0 + j + 1], k[k0:seen], v[k0:seen], heads)
+            assert np.max(np.abs(got[q0 + j:q0 + j + 1] - expected)) < 1e-12
+        q0, k0 = q0 + a, k0 + b
+
+
+def test_batched_prompt_matches_one_sample_prompts():
+    # three samples of different user, semantic and patch counts; the batch
+    # prompt is level-major, each level block in sample order
+    params = _params(n_agg=3, dim=8, seed=30)
+    rng = Rng(31)
+    inputs = [(rng.normal((2 + i, 8)), rng.normal((4 - i, 8)), [rng.normal((1 + 2 * i, 8)) for _ in range(2)])
+              for i in range(3)]
+    stacked = [np.concatenate([inp[0] for inp in inputs]), np.concatenate([inp[1] for inp in inputs]),
+               [np.concatenate([inp[2][l] for inp in inputs]) for l in range(2)]]
+    lens = [[inp[0].shape[0] for inp in inputs], [inp[1].shape[0] for inp in inputs],
+            [inp[2][0].shape[0] for inp in inputs]]
+    got = pr.build_prompt_graph(params, ad.const(stacked[0]), ad.const(stacked[1]),
+                                [ad.const(f) for f in stacked[2]], 2, *lens).value
+    for i, inp in enumerate(inputs):
+        alone = _prompt(params, inp)
+        for l in range(2):
+            assert np.max(np.abs(got[(3 * l + i) * 3:(3 * l + i + 1) * 3] - alone[3 * l:3 * l + 3])) < 1e-12
 
 
 def test_aggregate_query_matches_per_head_oracle():

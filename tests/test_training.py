@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,30 @@ def test_stage1_freeze_contract_bit_exact():
                for n, t in model.named_parameters() if n.startswith("prompter."))
     assert any(not np.array_equal(before[n], t.value)
                for n, t in model.named_parameters() if n.startswith("projector."))
+
+
+def test_stage1_skips_frozen_gradients_bit_exactly(monkeypatch):
+    # the run marks visual.* and lm.* as needing no gradient; the loss
+    # history and the trained weights are those of a run that computes
+    # every gradient and drops the frozen ones
+    cfg = _cfg()
+    samples = caption_corpus(2, cfg, n=6)
+    tcfg = tr.TrainConfig(stage="alignment", seed=0, epochs=3, batch_size=4, lr_prompter=1e-2)
+    runs = []
+    for skip in (True, False):
+        if not skip:
+            monkeypatch.setattr(tr, "_frozen", lambda tensors: contextlib.nullcontext())
+        model, history = tr.train_stage1(vlm.init_model(cfg, seed=1), samples, tcfg)
+        runs.append(([h.hex() for h in history], _snapshot(model), dict(model.named_parameters())))
+    (hist_skip, weights_skip, named_skip), (hist_all, weights_all, named_all) = runs
+    assert hist_skip == hist_all
+    assert all(np.array_equal(weights_skip[n], weights_all[n]) for n in weights_all)
+    for name, t in named_skip.items():
+        assert t.requires_grad, name  # restored for stage 2 and grad-check
+        frozen = name.startswith(("visual.", "lm."))
+        assert (t.grad is None) == frozen, name
+        if not frozen:
+            assert np.array_equal(t.grad, named_all[name].grad), name
 
 
 def test_stage1_projector_flag_freezes_projector():
@@ -154,6 +180,8 @@ def test_divergence_aborts_with_diagnostics():
     tcfg = tr.TrainConfig(stage="instruction", seed=0, epochs=1, batch_size=2)
     with pytest.raises(DomainError, match="diverged"):
         tr.train_stage2(model, samples, tcfg)
+    # lr_visual and lr_lm are 0: their flags come back after the abort too
+    assert all(t.requires_grad for _, t in model.named_parameters())
 
 
 def test_load_samples_jsonl(tmp_path):
