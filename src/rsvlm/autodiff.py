@@ -19,8 +19,7 @@ import numpy as np
 from .errors import DomainError, ShapeError
 from .numerics import GradReport, REL_ERROR_FLOOR, Rng, relative_error
 
-CAUSAL_BIAS = -1e30
-_TRIANGLE = np.zeros((0, 0))  # _causal_bias's cached mask
+CAUSAL_BIAS = -1e30  # the score of a key a causal row may not see
 
 
 class Tensor:
@@ -204,16 +203,11 @@ def softmax_rows(a: Tensor) -> Tensor:
     return Tensor(y, parents=(a,), backward=bw)
 
 
-def _causal_bias(q_len: int, k_len: int) -> np.ndarray:
-    """Bias of the last q_len of k_len rows over all k_len: row j sees keys
-    up to k_len - q_len + j. A slice of one cached triangle, regrown only
-    when a longer sequence comes."""
-    global _TRIANGLE
-    if _TRIANGLE.shape[0] < k_len:
-        n = -(-k_len // 64) * 64
-        _TRIANGLE = np.triu(np.full((n, n), CAUSAL_BIAS), k=1)
-        _TRIANGLE.flags.writeable = False  # every caller reads the same values
-    return _TRIANGLE[k_len - q_len : k_len, :k_len]
+def _causal_hidden(q_len: int, k_len: int) -> np.ndarray:
+    """The keys the last q_len of k_len rows may not see: row j sees keys
+    up to k_len - q_len + j. Built from two aranges, so no k_len x k_len
+    triangle is kept."""
+    return np.arange(k_len) > np.arange(k_len - q_len, k_len)[:, None]
 
 
 def _split(x: np.ndarray, g: int, n: int, heads: int) -> np.ndarray:
@@ -293,7 +287,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, q_lens=None, k_lens=N
         s = qh @ kh.transpose(0, 1, 3, 2)
         s *= c
         if causal and a > 1:  # a lone row sees every key
-            s += _causal_bias(a, b)
+            np.copyto(s, CAUSAL_BIAS, where=_causal_hidden(a, b))
         s -= s.max(axis=3, keepdims=True)
         p = np.exp(s, out=s)
         p /= p.sum(axis=3, keepdims=True)

@@ -281,10 +281,10 @@ def _init_model(cfg: ModelConfig, master: Rng | ShapeRng) -> VlmModel:
     )
 
 
-def _encode_multilevel_graph(model: VlmModel, patches: Tensor, n_patches=None) -> list[Tensor]:
+def _encode_multilevel_graph(model: VlmModel, patches: Tensor, n_patches) -> list[Tensor]:
     """Visual features captured at the tap depths: L matrices of the
-    stacked patch rows x d_v. `n_patches` counts each sample's rows (one
-    sample when not given); a sample's patches attend only to each other."""
+    stacked patch rows x d_v. `n_patches` counts each sample's rows; a
+    sample's patches attend only to each other."""
     cfg = model.config
     if patches.value.shape[0] < 1:
         raise ShapeError(f"_encode_multilevel_graph: need a nonempty patch grid, got shape {patches.value.shape}")
@@ -354,24 +354,20 @@ def _sequence_graph(model: VlmModel, samples: list[Sample], seqs: list[list[int]
     embed = model.lm.embed
     f_user = ad.embedding(embed, np.concatenate([s.query_ids for s in samples]))
     f_sem = ad.embedding(embed, np.concatenate([s.semantic_ids for s in samples]))
-    prompt = build_prompt_graph(model.prompter, f_user, f_sem, taps, cfg.prompter_heads,
+    levels = build_prompt_graph(model.prompter, f_user, f_sem, taps, cfg.prompter_heads,
                                 [len(s.query_ids) for s in samples], [len(s.semantic_ids) for s in samples],
                                 n_img)
     img_tok = ad.matmul(taps[-1], model.proj_w) + model.proj_b
     q_emb = ad.embedding(embed, np.concatenate(seqs))
-    rows = ad.concat([img_tok, prompt, q_emb], axis=0)
     layouts = [_segments_for(model, n, m) for n, m in zip(n_img, n_seq)]
-    if len(samples) == 1:  # one sample's rows are already in order
-        return rows, layouts
-    # Per sample: its image rows, its n_agg rows of each level block of the
-    # level-major prompt, then its query-segment rows.
-    b, n_agg = len(samples), cfg.n_agg
-    img_start, seq_start = np.cumsum(n_img) - n_img, np.cumsum(n_seq) - n_seq
-    prompt_start = sum(n_img) + n_agg * (np.arange(b)[:, None] + b * np.arange(cfg.levels))
-    q_start = sum(n_img) + b * n_agg * cfg.levels + seq_start
-    starts = np.column_stack([img_start, prompt_start, q_start])
-    lens = np.column_stack([n_img, np.full((b, cfg.levels), n_agg), n_seq])
-    return ad.embedding(rows, ranges(starts.ravel(), lens.ravel())), layouts
+    # Each part (the image rows, each prompt level, the query segments)
+    # stacks its rows sample after sample, layouts[b][j] of them for sample
+    # b; a sample's sequence takes its rows of every part in turn.
+    counts = np.array(layouts)
+    part_start = np.cumsum(counts.sum(axis=0)) - counts.sum(axis=0)
+    starts = part_start + np.cumsum(counts, axis=0) - counts
+    rows = ad.concat([img_tok, *levels, q_emb], axis=0)
+    return ad.embedding(rows, ranges(starts.ravel().tolist(), counts.ravel().tolist())), layouts
 
 
 def _loss_graph(model: VlmModel, samples: list[Sample], seqs: list[list[int]], targets) -> Tensor:

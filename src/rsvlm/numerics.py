@@ -31,11 +31,7 @@ _MASK64 = (1 << 64) - 1
 def ranges(starts, lens) -> np.ndarray:
     """The concatenation of arange(s, s + n) over paired starts and lengths:
     the row indices of segments of a stacked matrix, in segment order."""
-    if len(lens) == 1:
-        return np.arange(starts[0], starts[0] + lens[0])
-    starts = np.asarray(starts, dtype=np.int64)
-    lens = np.asarray(lens, dtype=np.int64)
-    return np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    return np.concatenate([np.arange(s, s + n) for s, n in zip(starts, lens)])
 
 
 def _check_matrix(a, name: str) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Multi-level visual prompter: learnable aggregation tokens attend to the
 user query (self-attention over the concatenation), then to the retrieved
-semantic tokens, then to each visual level in parallel, and the per-level
-outputs are stacked row-wise into the prompt matrix.
+semantic tokens, then to each visual level in parallel; the per-level
+outputs are the prompt's level blocks, which the model places row-wise
+into its sequence in level order.
 
 The aggregation-token count and the width are `f_agg`'s shape, the level
 count is the number of level blocks, and each graph function takes the
@@ -110,14 +111,13 @@ class KvCache:
 
 
 def attention_output(block: AttnBlockParams, q_in: Tensor, ctx: Tensor, heads: int,
-                     q_lens=None, k_lens=None, causal: bool = False,
-                     cache: KvCache | None = None) -> Tensor:
+                     q_lens, k_lens, causal: bool = False, cache: KvCache | None = None) -> Tensor:
     """Multi-head attention without residual: project, attend with
     `ad.attention` (one node for every head and sample), output-project.
     `q_lens`/`k_lens` are the per-sample row counts of the stacked `q_in`
-    and `ctx` (one sample when not given). With `cache`, the queries attend
-    to the cached keys and values followed by those of `ctx`, which join
-    the cache, and `k_lens` counts the cached rows too."""
+    and `ctx`. With `cache`, the queries attend to the cached keys and
+    values followed by those of `ctx`, which join the cache, and `k_lens`
+    counts the cached rows too."""
     d = block.wq.value.shape[1]
     if d % heads != 0:
         raise ShapeError(f"attention: dim {d} not divisible by heads {heads}")
@@ -137,70 +137,61 @@ def attention_output(block: AttnBlockParams, q_in: Tensor, ctx: Tensor, heads: i
     return ad.matmul(ad.attention(q, k, v, heads, q_lens, k_lens, causal), block.wo)
 
 
-def _agg_lens(params: PrompterParams, ctx_lens) -> tuple[int, ...] | None:
-    """n_agg query rows for each sample of the context lengths `ctx_lens`;
-    None (one sample) when they are not given."""
-    return None if ctx_lens is None else (params.f_agg.value.shape[0],) * len(ctx_lens)
-
-
-def aggregate_query_graph(params: PrompterParams, f_user: Tensor, heads: int, user_lens=None) -> Tensor:
+def aggregate_query_graph(params: PrompterParams, f_user: Tensor, heads: int, user_lens) -> Tensor:
     """Per sample, the aggregation rows of [f_agg; that sample's user rows]
     after self-attention over those rows: (samples * n_agg) x dim,
     sample-major. `user_lens` counts each sample's rows of the stacked
-    `f_user` (one sample when not given). Only the aggregation rows are
-    kept, so only they are queried."""
+    `f_user`. Only the aggregation rows are kept, so only they are
+    queried."""
     n_agg, dim = params.f_agg.value.shape
     if f_user.value.shape[1] != dim:
         raise ShapeError(f"aggregate_query_graph: f_user dim {f_user.value.shape[1]} != {dim}")
-    user_lens = np.array([f_user.value.shape[0]] if user_lens is None else user_lens, dtype=np.int64)
-    if user_lens.sum() != f_user.value.shape[0]:
-        raise ShapeError(f"aggregate_query_graph: user lengths {user_lens.tolist()} "
-                         f"!= {f_user.value.shape[0]} rows")
+    user_lens = list(user_lens)
+    if sum(user_lens) != f_user.value.shape[0]:
+        raise ShapeError(f"aggregate_query_graph: user lengths {user_lens} != {f_user.value.shape[0]} rows")
     samples = len(user_lens)
+    # The table's rows n_agg.. are the user rows, sample after sample.
     table = ad.concat([params.f_agg, f_user], axis=0)
-    if samples == 1:  # the table is the sample's rows, in order
-        f_in, z0 = table, params.f_agg
-    else:  # the table's rows n_agg.. are the user rows, sample after sample
-        user_starts = n_agg + np.cumsum(user_lens) - user_lens
-        starts = np.stack([np.zeros(samples, dtype=np.int64), user_starts], axis=1).ravel()
-        lens = np.stack([np.full(samples, n_agg), user_lens], axis=1).ravel()
-        f_in = ad.embedding(table, ranges(starts, lens))
-        z0 = ad.embedding(params.f_agg, np.tile(np.arange(n_agg), samples))
+    starts, lens, u0 = [], [], n_agg
+    for n in user_lens:
+        starts += [0, u0]
+        lens += [n_agg, n]
+        u0 += n
+    f_in = ad.embedding(table, ranges(starts, lens))
+    z0 = ad.concat([params.f_agg] * samples, axis=0)
     return z0 + attention_output(params.self_attn, ad.layer_norm_rows(z0), f_in, heads,
-                                 (n_agg,) * samples, (user_lens + n_agg).tolist())
+                                 (n_agg,) * samples, [n_agg + n for n in user_lens])
 
 
 def attend_semantics_graph(params: PrompterParams, z1: Tensor, f_semantic: Tensor, heads: int,
-                           sem_lens=None) -> Tensor:
+                           sem_lens) -> Tensor:
     """Each sample's n_agg rows of z1 attend to its rows of the stacked
-    `f_semantic`, counted by `sem_lens` (one sample when not given)."""
+    `f_semantic`, counted by `sem_lens`."""
+    n_agg = params.f_agg.value.shape[0]
     return z1 + attention_output(params.sem_attn, ad.layer_norm_rows(z1), f_semantic, heads,
-                                 _agg_lens(params, sem_lens), sem_lens)
+                                 (n_agg,) * len(sem_lens), sem_lens)
 
 
 def attend_level_graph(params: PrompterParams, z2: Tensor, f_vis_l: Tensor, level: int, heads: int,
-                       vis_lens=None) -> Tensor:
+                       vis_lens) -> Tensor:
     """Each sample's n_agg rows of z2 attend to its rows of the stacked
-    visual level `f_vis_l`, counted by `vis_lens` (one sample when not
-    given)."""
+    visual level `f_vis_l`, counted by `vis_lens`."""
     levels = len(params.level_attn)
     if not 1 <= level <= levels:
         raise ShapeError(f"attend_level_graph: level {level} out of range 1..{levels}")
+    n_agg = params.f_agg.value.shape[0]
     return z2 + attention_output(params.level_attn[level - 1], ad.layer_norm_rows(z2), f_vis_l, heads,
-                                 _agg_lens(params, vis_lens), vis_lens)
+                                 (n_agg,) * len(vis_lens), vis_lens)
 
 
 def build_prompt_graph(params: PrompterParams, f_user: Tensor, f_semantic: Tensor,
-                       f_vis: list[Tensor], heads: int, user_lens=None, sem_lens=None,
-                       vis_lens=None) -> Tensor:
+                       f_vis: list[Tensor], heads: int, user_lens, sem_lens, vis_lens) -> list[Tensor]:
     """Prompt rows of a batch whose samples' user, semantic and visual rows
-    are stacked and counted by `user_lens`, `sem_lens` and `vis_lens` (give
-    all three, or none for one sample): (levels * samples * n_agg) x dim,
-    level-major. Row block l holds every sample's n_agg rows from visual
-    level l, in sample order."""
+    are stacked and counted by `user_lens`, `sem_lens` and `vis_lens`: one
+    (samples * n_agg) x dim block per visual level, in level order, each
+    holding every sample's n_agg rows in sample order."""
     if len(f_vis) != len(params.level_attn):
         raise ShapeError(f"build_prompt_graph: got {len(f_vis)} visual levels, expected {len(params.level_attn)}")
     z1 = aggregate_query_graph(params, f_user, heads, user_lens)
     z2 = attend_semantics_graph(params, z1, f_semantic, heads, sem_lens)
-    blocks = [attend_level_graph(params, z2, f, l, heads, vis_lens) for l, f in enumerate(f_vis, start=1)]
-    return ad.concat(blocks, axis=0)
+    return [attend_level_graph(params, z2, f, l, heads, vis_lens) for l, f in enumerate(f_vis, start=1)]

@@ -55,8 +55,8 @@ def test_criterion_2_prompt_shape_contract():
         f_user = ad.const(rng.normal((3, 8)))
         f_semantic = ad.const(rng.normal((4, 8)))
         f_vis = [ad.const(rng.normal((5, 6))) for _ in range(levels)]
-        s = pr.build_prompt_graph(params, f_user, f_semantic, f_vis, 2).value
-        assert s.shape == (n_agg * levels, 8)
+        blocks = pr.build_prompt_graph(params, f_user, f_semantic, f_vis, 2, [3], [4], [5])
+        assert [b.value.shape for b in blocks] == [(n_agg, 8)] * levels
         checked.append((n_agg, levels))
     _report(2, f"full-scale profile prompt is 432 x 3584; toy forwards match n_agg*levels for {checked}")
 

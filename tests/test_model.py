@@ -104,13 +104,13 @@ def test_encode_multilevel_shapes_and_distinct_taps():
     cfg = _small_cfg(visual_blocks=6, levels=3)
     model = vlm.init_model(cfg, seed=1)
     patches = Rng(2).normal((5, cfg.patch_dim))
-    taps = [t.value for t in vlm._encode_multilevel_graph(model, ad.const(patches))]
+    taps = [t.value for t in vlm._encode_multilevel_graph(model, ad.const(patches), [5])]
     assert len(taps) == 3
     assert all(t.shape == (5, cfg.d_v) for t in taps)
     assert not np.allclose(taps[0], taps[1])
     assert not np.allclose(taps[1], taps[2])
     with pytest.raises(ShapeError):
-        vlm._encode_multilevel_graph(model, ad.const(np.zeros((0, cfg.patch_dim))))
+        vlm._encode_multilevel_graph(model, ad.const(np.zeros((0, cfg.patch_dim))), [0])
 
 
 def test_assemble_sequence_tags_and_counts():
@@ -403,7 +403,7 @@ def test_attention_output_is_one_attention_node():
     # x, the four projections, q, k, v, the attention node and the output
     block = vlm.init_model(_small_cfg(), seed=50).lm.blocks[0].attn
     x = ad.const(Rng(51).normal((5, 16)))
-    assert _graph_nodes(vlm.attention_output(block, x, x, heads=2)) == 10
+    assert _graph_nodes(vlm.attention_output(block, x, x, 2, [5], [5])) == 10
 
 
 def test_caption_loss_graph_size():

@@ -37,21 +37,23 @@ def _mha_ref(block, q_in, ctx, heads):
 
 
 def _agg(params, f_user, heads=2):
-    return pr.aggregate_query_graph(params, ad.const(f_user), heads).value
+    return pr.aggregate_query_graph(params, ad.const(f_user), heads, [f_user.shape[0]]).value
 
 
 def _sem(params, z1, f_sem, heads=2):
-    return pr.attend_semantics_graph(params, ad.const(z1), ad.const(f_sem), heads).value
+    return pr.attend_semantics_graph(params, ad.const(z1), ad.const(f_sem), heads, [f_sem.shape[0]]).value
 
 
 def _lvl(params, z2, f_vis_l, level, heads=2):
-    return pr.attend_level_graph(params, ad.const(z2), ad.const(f_vis_l), level, heads).value
+    return pr.attend_level_graph(params, ad.const(z2), ad.const(f_vis_l), level, heads,
+                                 [f_vis_l.shape[0]]).value
 
 
 def _prompt(params, inputs, heads=2):
     f_user, f_sem, f_vis = inputs
-    return pr.build_prompt_graph(params, ad.const(f_user), ad.const(f_sem),
-                                 [ad.const(f) for f in f_vis], heads).value
+    blocks = pr.build_prompt_graph(params, ad.const(f_user), ad.const(f_sem), [ad.const(f) for f in f_vis],
+                                   heads, [f_user.shape[0]], [f_sem.shape[0]], [f_vis[0].shape[0]])
+    return np.concatenate([b.value for b in blocks])
 
 
 def test_heads_must_divide_dim():
@@ -74,7 +76,7 @@ def test_attention_convexity_with_identity_projections():
     eye = np.eye(4)
     block = pr.AttnBlockParams(*(ad.const(eye.copy()) for _ in range(4)))
     x = Rng(2).normal((5, 4))
-    out = pr.attention_output(block, ad.const(x), ad.const(x), heads=1).value
+    out = pr.attention_output(block, ad.const(x), ad.const(x), 1, [5], [5]).value
     lo, hi = x.min(axis=0), x.max(axis=0)
     assert np.all(out >= lo - 1e-12) and np.all(out <= hi + 1e-12)
 
@@ -126,11 +128,21 @@ def test_batched_prompt_matches_one_sample_prompts():
     lens = [[inp[0].shape[0] for inp in inputs], [inp[1].shape[0] for inp in inputs],
             [inp[2][0].shape[0] for inp in inputs]]
     got = pr.build_prompt_graph(params, ad.const(stacked[0]), ad.const(stacked[1]),
-                                [ad.const(f) for f in stacked[2]], 2, *lens).value
+                                [ad.const(f) for f in stacked[2]], 2, *lens)
+    assert len(got) == 2
     for i, inp in enumerate(inputs):
         alone = _prompt(params, inp)
         for l in range(2):
-            assert np.max(np.abs(got[(3 * l + i) * 3:(3 * l + i + 1) * 3] - alone[3 * l:3 * l + 3])) < 1e-12
+            assert np.max(np.abs(got[l].value[3 * i:3 * i + 3] - alone[3 * l:3 * l + 3])) < 1e-12
+
+
+def test_build_prompt_rejects_lengths_of_another_batch():
+    # lengths that count a different number of samples never pair rows up
+    params = _params(n_agg=3, dim=8, seed=30)
+    f_user, f_sem, f_vis = _toy_inputs(8, [8, 8])
+    with pytest.raises(ShapeError):
+        pr.build_prompt_graph(params, ad.const(f_user), ad.const(f_sem), [ad.const(f) for f in f_vis], 2,
+                              [3], [2, 3], [4])
 
 
 def test_aggregate_query_matches_per_head_oracle():
@@ -147,7 +159,7 @@ def test_attend_semantics_single_row_pre_residual():
     z1 = Rng(6).normal((3, 8))
     f_sem = Rng(7).normal((1, 8))
     pre = pr.attention_output(params.sem_attn, ad.const(_layer_norm_ref(z1)),
-                              ad.const(f_sem), heads=2).value
+                              ad.const(f_sem), 2, [3], [1]).value
     # softmax over one key is 1 regardless of query: all rows equal the
     # projected semantic row
     projected = (f_sem @ params.sem_attn.wv.value) @ params.sem_attn.wo.value
@@ -192,7 +204,7 @@ def test_attend_level_single_token_pre_residual():
     z2 = Rng(18).normal((2, 8))
     f_vis = Rng(19).normal((1, 5))
     block = params.level_attn[0]
-    pre = pr.attention_output(block, ad.const(_layer_norm_ref(z2)), ad.const(f_vis), 2).value
+    pre = pr.attention_output(block, ad.const(_layer_norm_ref(z2)), ad.const(f_vis), 2, [2], [1]).value
     projected = (f_vis @ block.wv.value) @ block.wo.value
     assert np.max(np.abs(pre - np.repeat(projected, 2, axis=0))) < 1e-12
 
@@ -218,7 +230,8 @@ def _toy_inputs(dim, level_dims, seed=30):
     rng = Rng(seed)
     f_user = rng.normal((3, dim))
     f_semantic = rng.normal((5, dim))
-    return f_user, f_semantic, [rng.normal((4 + l, d_l)) for l, d_l in enumerate(level_dims)]
+    # every level of one image has its patch count of rows
+    return f_user, f_semantic, [rng.normal((4, d_l)) for d_l in level_dims]
 
 
 def test_build_prompt_toy_shape_and_level_blocks():
@@ -265,7 +278,9 @@ def test_prompter_gradients_match_finite_differences():
     consts = (ad.const(f_user), ad.const(f_semantic), [ad.const(f) for f in f_vis])
 
     def build():
-        return ad.sum_all(pr.build_prompt_graph(params, consts[0], consts[1], consts[2], 2))
+        blocks = pr.build_prompt_graph(params, consts[0], consts[1], consts[2], 2,
+                                       [f_user.shape[0]], [f_semantic.shape[0]], [f_vis[0].shape[0]])
+        return ad.sum_all(ad.concat(blocks, axis=0))
 
     report = ad.check_gradients(build, params.named_parameters(), n_probes=80, rng=Rng(39))
     assert report.max_relative_error <= 1e-4, report
