@@ -7,14 +7,20 @@ score of a record is its float32 embedding widened to float64, dotted with the
 unit query on its own, and clipped to [-1, 1]; results are sorted by score
 descending, ties by ascending id.
 
-Retrieval is exact without scoring every record that way. The database keeps
-all embeddings, widened, in one contiguous (n, dim) matrix (the flat
-inner-product layout of FAISS, arXiv:1702.08734) and scores a query with one
-matrix-vector product. Those scores may differ from the per-row ones in the
-last bits, by at most a margin that follows from the dot-product rounding
-bound (see `retrieve_top_k`); only the rows within that margin of the k-th
-best are rescored exactly, so the result is identical to a full sort of the
-exact scores.
+The database is columnar and keeps one copy of each record: an int64 array
+of ids, one contiguous (n, dim) float64 matrix of the embeddings widened from
+float32 (the flat inner-product layout of FAISS, arXiv:1702.08734), and a
+list of texts. `get` and `records` build `SemanticRecord`s on demand; the
+float32 embedding they carry is the widened row narrowed back, which is exact.
+`load` finds every record's fields in one pass over the file's bytes and
+gathers the embeddings with one numpy index.
+
+Retrieval is exact without scoring every record that way. It scores a query
+against the matrix with one matrix-vector product. Those scores may differ
+from the per-row ones in the last bits, by at most a margin that follows from
+the dot-product rounding bound (see `retrieve_top_k`); only the rows within
+that margin of the k-th best are rescored exactly, so the result is identical
+to a full sort of the exact scores.
 
 File format (all little-endian)::
 
@@ -27,9 +33,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from bisect import bisect_left
 from dataclasses import dataclass
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +47,7 @@ FORMAT_VERSION = 1
 # ingest normalizes it to a float32 row whose norm is at most UNIT_ROW_NORM.
 MIN_NORM = 2.0**-500
 UNIT_ROW_NORM = 1.0 + 2.0**-20
+_ID_AND_LENGTH = struct.Struct("<QI")  # the fields that open each record
 
 
 @dataclass
@@ -63,27 +68,40 @@ class SemanticDatabase:
         if dim <= 0:
             raise ShapeError(f"database dim must be positive, got {dim}")
         self.dim = int(dim)
-        self.records: list[SemanticRecord] = []
-        # Row i of _emb is records[i].embedding widened to float64 and _ids[i]
-        # its id; rows past len(records) are spare capacity for ingest.
-        self._emb = np.empty((0, self.dim))
+        # Record i is (_ids[i], _texts[i], _emb[i]); rows of _ids and _emb
+        # past len(_texts) are spare capacity for ingest.
         self._ids = np.empty(0, dtype=np.int64)
+        self._emb = np.empty((0, self.dim))
+        self._texts: list[str] = []
         self._max_norm = UNIT_ROW_NORM  # bounds every stored row's L2 norm
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._texts)
+
+    @property
+    def records(self) -> list[SemanticRecord]:
+        """Every record in id order, built on demand."""
+        n = len(self._texts)
+        return [SemanticRecord(*rec) for rec in
+                zip(self._ids[:n].tolist(), self._texts, self._emb[:n].astype(np.float32))]
 
     def get(self, record_id: int) -> SemanticRecord:
         """The record with this id, found by bisection: ids strictly increase."""
-        i = bisect_left(self.records, record_id, key=attrgetter("id"))
-        if i < len(self.records) and self.records[i].id == record_id:
-            return self.records[i]
+        n = len(self._texts)
+        if 0 <= record_id < 1 << 63:  # every stored id is in the int64 range
+            i = int(self._ids[:n].searchsorted(record_id))
+            if i < n and self._ids.item(i) == record_id:
+                return SemanticRecord(self._ids.item(i), self._texts[i], self._emb[i].astype(np.float32))
         raise KeyError(record_id)
 
     def ingest(self, text: str, embedding) -> int:
         """Normalize and append one description; returns the new record id."""
         if not text:
             raise DomainError("ingest: empty text")
+        try:
+            text.encode("utf-8")  # so that save can write every stored text
+        except UnicodeEncodeError as e:
+            raise DomainError(f"ingest: text holds a lone surrogate at character {e.start}") from e
         emb = np.asarray(embedding, dtype=np.float64).reshape(-1)
         if emb.shape[0] != self.dim:
             raise ShapeError(f"ingest: embedding length {emb.shape[0]} != db dim {self.dim}")
@@ -92,18 +110,17 @@ class SemanticDatabase:
             raise DomainError("ingest: embedding is non-finite or its norm overflows")
         if norm < MIN_NORM:
             raise DomainError(f"ingest: zero or near-zero embedding vector (norm {norm:.3g} < 2^-500)")
-        unit = (emb / norm).astype(np.float32)
-        new_id = self.records[-1].id + 1 if self.records else 0
+        n = len(self._texts)
+        new_id = int(self._ids[n - 1]) + 1 if n else 0
         if new_id >= 1 << 63:
             raise DomainError(f"ingest: id {new_id} exceeds the int64 range")
-        n = len(self.records)
         if n == len(self._ids):  # full: double the capacity
             cap = max(16, 2 * n)
             self._emb = np.concatenate([self._emb[:n], np.empty((cap - n, self.dim))])
             self._ids = np.concatenate([self._ids[:n], np.empty(cap - n, dtype=np.int64)])
-        self._emb[n] = unit
+        self._emb[n] = (emb / norm).astype(np.float32)
         self._ids[n] = new_id
-        self.records.append(SemanticRecord(new_id, text, unit))
+        self._texts.append(text)
         return new_id
 
     def retrieve_top_k(self, query, k: int) -> list[RetrievalResult]:
@@ -118,7 +135,7 @@ class SemanticDatabase:
             raise DomainError("retrieve: zero query vector")
         if k < 0:
             raise DomainError(f"retrieve: k must be >= 0, got {k}")
-        n = len(self.records)
+        n = len(self._texts)
         if n == 0 or k == 0:
             return []
         unit = q / qn
@@ -146,18 +163,12 @@ class SemanticDatabase:
         return [RetrievalResult(int(ids[i]), float(scores[i])) for i in order]
 
     def save(self, path) -> None:
-        blob = bytearray()
-        blob += MAGIC
-        blob += struct.pack("<H", FORMAT_VERSION)
-        blob += struct.pack("<I", self.dim)
-        blob += struct.pack("<Q", len(self.records))
-        for rec in self.records:
-            text_bytes = rec.text.encode("utf-8")
-            blob += struct.pack("<Q", rec.id)
-            blob += struct.pack("<I", len(text_bytes))
-            blob += text_bytes
-            blob += rec.embedding.astype("<f4").tobytes()
-        Path(path).write_bytes(bytes(blob))
+        n = len(self._texts)
+        parts = [MAGIC, struct.pack("<HIQ", FORMAT_VERSION, self.dim, n)]
+        for rec_id, text, row in zip(self._ids[:n].tolist(), self._texts, self._emb[:n].astype("<f4")):
+            text_bytes = text.encode("utf-8")
+            parts += (_ID_AND_LENGTH.pack(rec_id, len(text_bytes)), text_bytes, row.tobytes())
+        Path(path).write_bytes(b"".join(parts))
 
     @staticmethod
     def load(path) -> "SemanticDatabase":
@@ -170,25 +181,38 @@ class SemanticDatabase:
         count = reader.u64("count")
         reader.need(count * (12 + 4 * dim), f"{count} records of dim {dim}")
         db = SemanticDatabase(dim)
+        # One pass finds each record's fields with plain integer bounds
+        # checks; a field's label is built only on the branch that raises.
+        size, emb_len, unpack = len(data), 4 * dim, _ID_AND_LENGTH.unpack_from
         ids, texts, offsets = [], [], []
-        prev_id = -1
-        # One handler around the whole loop keeps the per-record path as it was.
+        prev_id, off = -1, reader.offset
         try:
             for i in range(count):
-                rec_id = reader.u64(f"record {i} id")
+                text_at = off + 12
+                if text_at <= size:
+                    rec_id, text_len = unpack(data, off)
+                elif off + 8 <= size:  # only the text length is cut short, and the id is checked first
+                    rec_id, text_len = int.from_bytes(data[off : off + 8], "little"), 0
+                else:
+                    raise FormatError(f"truncated payload reading record {i} id at byte {off}")
                 if rec_id <= prev_id:
-                    raise FormatError(f"record ids not strictly increasing at byte {reader.offset - 8}")
-                prev_id = rec_id
-                text_len = reader.u32(f"record {i} text length")
-                texts.append(reader.take(text_len, f"record {i} text").decode("utf-8"))
+                    raise FormatError(f"record ids not strictly increasing at byte {off}")
+                if text_at > size:
+                    raise FormatError(f"truncated payload reading record {i} text length at byte {off + 8}")
+                prev_id, emb_at = rec_id, text_at + text_len
+                if emb_at > size:
+                    raise FormatError(f"truncated payload reading record {i} text at byte {text_at}")
+                texts.append(data[text_at:emb_at].decode("utf-8"))
+                off = emb_at + emb_len
+                if off > size:
+                    raise FormatError(f"truncated payload reading record {i} embedding at byte {emb_at}")
                 ids.append(rec_id)
-                offsets.append(reader.offset)
-                reader.take(4 * dim, f"record {i} embedding")
+                offsets.append(emb_at)
         except UnicodeDecodeError as e:
-            start = reader.offset - text_len
-            raise FormatError(f"record {i}: invalid UTF-8 in text at byte {start + e.start}") from e
+            raise FormatError(f"record {i}: invalid UTF-8 in text at byte {text_at + e.start}") from e
         if prev_id >= 1 << 63:  # ids increase, so only the last can leave the int64 range
             raise FormatError(f"record {count - 1}: id {prev_id} exceeds the int64 range")
+        reader.offset = off
         reader.end()
         if not count:
             return db
@@ -200,9 +224,9 @@ class SemanticDatabase:
         if not finite.all():
             i, j = divmod(int(np.argmin(finite)), dim)
             raise FormatError(f"non-finite value in record {i} embedding at byte {offsets[i] + 4 * j}")
-        db.records = [SemanticRecord(*rec) for rec in zip(ids, texts, rows)]
-        db._emb = rows.astype(np.float64)
         db._ids = np.array(ids, dtype=np.int64)
+        db._emb = rows.astype(np.float64)
+        db._texts = texts
         db._max_norm = max(UNIT_ROW_NORM, float(np.linalg.norm(db._emb, axis=1).max()))
         return db
 
@@ -240,7 +264,13 @@ def json_numbers(value, what: str) -> np.ndarray:
 
 
 def json_text(value, what: str) -> str:
-    """`value` if it is a string; otherwise FormatError naming `what`."""
+    """`value` if it is a string that UTF-8 can encode; otherwise FormatError
+    naming `what`. JSON's \\u escapes can spell a lone surrogate, which no
+    UTF-8 text holds."""
     if not isinstance(value, str):
         raise FormatError(f"{what} must be a string")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as e:
+        raise FormatError(f"{what} holds a lone surrogate at character {e.start}") from e
     return value

@@ -48,6 +48,14 @@ def test_build_db_malformed_line_exit_4(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_build_db_lone_surrogate_exit_4(tmp_path, capsys):
+    src = _write_jsonl(tmp_path / "t.jsonl", [{"text": "a\ud800b", "embedding": [1, 0]}])
+    out = tmp_path / "o.rsdb"
+    assert cli.run(["build-db", "--input", str(src), "--out", str(out), "--dim", "2"]) == 4
+    assert capsys.readouterr().err == "format error: line 1: 'text' holds a lone surrogate at character 1\n"
+    assert not out.exists()
+
+
 def test_build_db_without_embedding_needs_encoder(tmp_path, capsys):
     src = _write_jsonl(tmp_path / "t.jsonl", [{"text": "no embedding"}])
     code = cli.run(["build-db", "--input", str(src), "--out", str(tmp_path / "o.rsdb"),

@@ -269,9 +269,12 @@ def test_rsdb_invalid_utf8_reports_record_offset(inputs_dir, tmp_path):
 
 
 def test_rsdb_id_beyond_int64_rejected(inputs_dir, tmp_path):
-    db = SemanticDatabase.load(inputs_dir / "db.rsdb")
-    db.records[-1].id = 1 << 63
-    db.save(tmp_path / "db.rsdb")
+    blob = bytearray((inputs_dir / "db.rsdb").read_bytes())
+    # header 18 bytes, then records of 12 + text + 16 bytes: record 2's id
+    # is the 8 bytes after records 0 and 1 ("river bend", "city block")
+    at = 18 + 2 * (12 + 10 + 16)
+    blob[at : at + 8] = struct.pack("<Q", 1 << 63)
+    (tmp_path / "db.rsdb").write_bytes(bytes(blob))
     _assert_fails_closed("rsdb", inputs_dir, tmp_path / "db.rsdb", "record 2: id 9223372036854775808 exceeds")
 
 
@@ -313,6 +316,9 @@ JSONL_FIELD_FAULTS = {
     # case: (fixture whose line 2 is replaced, argv reading file p, line 2, message)
     "build_db_text_number": ("texts.jsonl", lambda d, p: _inputs(d)["texts"][2](p),
                              {"text": 5, "embedding": [1, 0, 0, 0]}, "'text' must be a string"),
+    "build_db_text_surrogate": ("texts.jsonl", lambda d, p: _inputs(d)["texts"][2](p),
+                                {"text": "a\ud800b", "embedding": [1, 0, 0, 0]},
+                                "'text' holds a lone surrogate at character 1"),
     "build_db_embedding_string": ("texts.jsonl", lambda d, p: _inputs(d)["texts"][2](p),
                                   {"text": "x", "embedding": "xy"},
                                   "'embedding' must be an array of numbers"),
@@ -321,9 +327,15 @@ JSONL_FIELD_FAULTS = {
                                   "'embedding' must be a flat array, got shape (2, 2)"),
     "train_caption_number": ("caption.jsonl", lambda d, p: _inputs(d)["caption"][2](p),
                              {"image": [[0.5] * 4], "caption": 7}, "'caption' must be a string"),
+    "train_query_surrogate": ("instruction.jsonl", lambda d, p: _inputs(d)["instruction"][2](p),
+                              {"image": [[0.5] * 4], "query": "q\udc00", "response": "r"},
+                              "'query' holds a lone surrogate at character 1"),
     "train_image_object": ("caption.jsonl", lambda d, p: _inputs(d)["caption"][2](p),
                            {"image": {"a": 1}, "caption": "c"},
                            "image features must be an array of numbers"),
+    "train_retriever_text_surrogate": ("pairs.jsonl", lambda d, p: _inputs(d)["pairs"][2](p),
+                                       {"image": [0.5] * 4, "text": "\ud800"},
+                                       "'text' holds a lone surrogate at character 0"),
     "train_retriever_text_number": ("pairs.jsonl", lambda d, p: _inputs(d)["pairs"][2](p),
                                     {"image": [0.5] * 4, "text": 5}, "'text' must be a string"),
     "eval_id_list": ("pred.jsonl", lambda d, p: _inputs(d)["pred"][2](p),
@@ -331,6 +343,9 @@ JSONL_FIELD_FAULTS = {
     "caption_references_string": ("refs.jsonl", _eval("caption", "gt"),
                                   {"id": 1, "references": "a b"},
                                   "'references' must be a list of strings, got 'a b'"),
+    "caption_output_surrogate": ("pred.jsonl", _eval("caption", "pred"),
+                                 {"id": 1, "output": "x\udfff"},
+                                 "'output' holds a lone surrogate at character 1"),
     "caption_output_number": ("pred.jsonl", _eval("caption", "pred"),
                               {"id": 1, "output": 5}, "'output' must be a string"),
     "ground_box_short": ("boxes.jsonl", _eval("ground", "gt"), {"id": 1, "box": [1, 2, 3]},

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 import struct
 
 import numpy as np
@@ -68,6 +69,16 @@ def test_ingest_validations():
         with pytest.raises(DomainError, match="non-finite"):
             db.ingest("bad", bad)
     assert len(db) == 0
+
+
+def test_ingest_rejects_text_utf8_cannot_encode(tmp_path):
+    db = SemanticDatabase(2)
+    db.ingest("kept", [1.0, 0.0])
+    with pytest.raises(DomainError, match="lone surrogate at character 1"):
+        db.ingest("a\ud800b", [1.0, 0.0])
+    assert len(db) == 1
+    db.save(tmp_path / "db.rsdb")
+    assert [r.text for r in SemanticDatabase.load(tmp_path / "db.rsdb").records] == ["kept"]
 
 
 def test_ingest_rejects_near_zero_embedding():
@@ -296,6 +307,131 @@ def _rsdb_with_ids(path, ids, dim=2):
     path.write_bytes(blob)
 
 
+def _rsdb_error(blob):
+    """The FormatError text `SemanticDatabase.load` must raise for `blob`,
+    found by reading the documented layout one field at a time; None for a
+    file it must accept."""
+    class _Fault(Exception):
+        pass
+
+    off = 0
+
+    def field(size, what):
+        nonlocal off
+        if off + size > len(blob):
+            raise _Fault(f"truncated payload reading {what} at byte {off}")
+        off += size
+        return blob[off - size : off]
+
+    try:
+        magic = field(4, "magic")
+        if magic != b"RSDB":
+            return f"bad magic {magic!r} at byte 0, expected b'RSDB'"
+        (version,) = struct.unpack("<H", field(2, "version"))
+        if version != 1:
+            return f"unsupported RSDB version {version} at byte 4"
+        (dim,) = struct.unpack("<I", field(4, "dim"))
+        if dim == 0:
+            return "non-positive dim 0 at byte 6"
+        (count,) = struct.unpack("<Q", field(8, "count"))
+        need, have = count * (12 + 4 * dim), len(blob) - off
+        if have < need:
+            return f"truncated payload: {count} records of dim {dim} need {need} bytes at byte 18, {have} remain"
+        prev, starts = -1, []
+        for i in range(count):
+            (rec_id,) = struct.unpack("<Q", field(8, f"record {i} id"))
+            if rec_id <= prev:
+                return f"record ids not strictly increasing at byte {off - 8}"
+            prev = rec_id
+            (length,) = struct.unpack("<I", field(4, f"record {i} text length"))
+            text = field(length, f"record {i} text")
+            try:
+                text.decode("utf-8")
+            except UnicodeDecodeError as e:
+                return f"record {i}: invalid UTF-8 in text at byte {off - length + e.start}"
+            starts.append(off)
+            field(4 * dim, f"record {i} embedding")
+    except _Fault as fault:
+        return str(fault)
+    if prev >= 1 << 63:
+        return f"record {count - 1}: id {prev} exceeds the int64 range"
+    if off != len(blob):
+        return f"trailing {len(blob) - off} bytes at byte {off}"
+    for i, start in enumerate(starts):
+        for j in range(dim):
+            if not np.isfinite(struct.unpack_from("<f", blob, start + 4 * j)[0]):
+                return f"non-finite value in record {i} embedding at byte {start + 4 * j}"
+    return None
+
+
+def _three_records():
+    """A 3-record RSDB whose first text is long and multi-byte, so that every
+    field of records 1 and 2 can be cut short while the header's size check
+    still passes, and the byte offset of each record's fields."""
+    texts = ["étang " * 12, "river", "city block"]
+    blob = bytearray(b"RSDB" + struct.pack("<HIQ", 1, 2, 3))
+    fields = []
+    for rec_id, text in zip((3, 7, 8), texts):
+        raw = text.encode("utf-8")
+        fields.append({"id": len(blob), "length": len(blob) + 8, "text": len(blob) + 12,
+                       "embedding": len(blob) + 12 + len(raw), "raw": raw})
+        blob += struct.pack("<QI", rec_id, len(raw)) + raw + np.array([0.6, 0.8], "<f4").tobytes()
+    return bytes(blob), fields
+
+
+def _corruptions():
+    """(case, bytes): every prefix of the 3-record file, then edits of its
+    ids, text lengths, count, trailing bytes, text bytes and embeddings."""
+    blob, fields = _three_records()
+    put = lambda at, fmt, value: blob[:at] + struct.pack(fmt, value) + blob[at + struct.calcsize(fmt):]
+    for cut in range(len(blob)):
+        yield f"cut {cut}", blob[:cut]
+    for i, f in enumerate(fields):
+        for rec_id in (0, 3, 7, 8, 9, (1 << 63) - 1, 1 << 63, (1 << 64) - 1):
+            yield f"record {i} id {rec_id}", put(f["id"], "<Q", rec_id)
+            yield f"record {i} id {rec_id}, length cut", put(f["id"], "<Q", rec_id)[: f["length"] + 2]
+        for length in (0, 1, 2, 5, len(f["raw"]) - 1, len(f["raw"]) + 1, len(f["raw"]) + 9,
+                       1000, (1 << 32) - 1):
+            yield f"record {i} length {length}", put(f["length"], "<I", length)
+        yield f"record {i} embedding nan", put(f["embedding"] + 4, "<f", float("nan"))
+        yield f"record {i} bad byte", put(f["text"] + 1, "<B", 0xFF)
+    for count in (0, 1, 2, 4, 1 << 40):
+        yield f"count {count}", put(10, "<Q", count)
+    yield "dim 0", put(6, "<I", 0)
+    yield "dim 3", put(6, "<I", 3)
+    yield "version 2", put(4, "<H", 2)
+    yield "magic", b"RSDX" + blob[4:]
+    for extra in (b"\0", b"tail!"):
+        yield f"trailing {len(extra)}", blob + extra
+    yield "split character", put(fields[0]["length"], "<I", 1)[:-1]
+
+
+def test_rsdb_loader_messages_match_a_field_by_field_reading(tmp_path):
+    """Every truncation and corruption of a small file gets the exact message
+    and byte offset of the first field that is short or wrong."""
+    blob, _ = _three_records()
+    assert _rsdb_error(blob) is None
+    seen = set()
+    for n, (case, data) in enumerate(_corruptions()):
+        path = tmp_path / f"case-{n}.rsdb"
+        path.write_bytes(data)
+        want = _rsdb_error(data)
+        if want is None:
+            SemanticDatabase.load(path).save(tmp_path / f"again-{n}.rsdb")
+            assert (tmp_path / f"again-{n}.rsdb").read_bytes() == data, case
+            continue
+        with pytest.raises(FormatError) as raised:
+            SemanticDatabase.load(path)
+        assert str(raised.value) == want, case
+        seen.add(re.sub(r"(?<![\w-])\d+", "N", want))
+    # each kind of message the loader has, with every record-level label
+    for label in ("id", "text length", "text", "embedding"):
+        assert f"truncated payload reading record N {label} at byte N" in seen
+    assert {"record ids not strictly increasing at byte N", "record N: id N exceeds the int64 range",
+            "record N: invalid UTF-8 in text at byte N", "trailing N bytes at byte N",
+            "non-finite value in record N embedding at byte N"} <= seen
+
+
 def _scan(db, record_id):
     return next((rec for rec in db.records if rec.id == record_id), None)
 
@@ -318,7 +454,9 @@ def test_get_matches_linear_scan(tmp_path_factory, ids, data):
             with pytest.raises(KeyError):
                 db.get(record_id)
         else:
-            assert db.get(record_id) is want
+            got = db.get(record_id)
+            assert (got.id, got.text) == (want.id, want.text)
+            assert got.embedding.dtype == np.float32 and np.array_equal(got.embedding, want.embedding)
 
 
 def _check_against_oracle(db, rng):
