@@ -76,7 +76,10 @@ def zero_grads(tensors) -> None:
 
 
 def backward(loss: Tensor) -> None:
-    """Backpropagate from a scalar loss through the whole graph."""
+    """Backpropagate from a scalar loss through the whole graph. Only the
+    leaves (parameters and constants) keep a `.grad`: an interior node's is
+    dropped once its backward has passed it on, so the backward holds the
+    gradients still in flight, not one per node."""
     if loss.value.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.value.shape}")
     topo = []
@@ -96,8 +99,10 @@ def backward(loss: Tensor) -> None:
                 stack.append((p, False))
     loss.grad = np.ones_like(loss.value)
     for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+        if node._backward is not None:
+            if node.grad is not None:
+                node._backward(node.grad)
+            node.grad = None  # every contribution has arrived and been passed on
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -286,10 +291,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, q_lens=None, k_lens=N
             _split(v.value[ki], g, b, heads)
         s = qh @ kh.transpose(0, 1, 3, 2)
         s *= c
-        if causal and a > 1:  # a lone row sees every key
-            np.copyto(s, CAUSAL_BIAS, where=_causal_hidden(a, b))
+        hidden = _causal_hidden(a, b) if causal and a > 1 else None  # a lone row sees every key
+        if hidden is not None:
+            np.copyto(s, CAUSAL_BIAS, where=hidden)
         s -= s.max(axis=3, keepdims=True)
+        if hidden is not None:  # exp of a hidden score is 0; keep it off numpy's slow underflow path
+            np.copyto(s, 0.0, where=hidden)
         p = np.exp(s, out=s)
+        if hidden is not None:
+            np.copyto(p, 0.0, where=hidden)
         p /= p.sum(axis=3, keepdims=True)
         passes.append((qi, ki, qh, kh, vh, p))
     out = _scatter([(qi, _merge(p @ vh)) for qi, _, _, _, vh, p in passes], tq, d)
@@ -385,7 +395,10 @@ def embedding(table: Tensor, ids) -> Tensor:
 
     def bw(g):
         full = np.zeros_like(table.value)
-        np.add.at(full, ids, g)
+        if ids.size and np.bincount(ids).max() > 1:
+            np.add.at(full, ids, g)
+        else:  # each row is written once; + 0.0 turns -0.0 into the +0.0 that add.at gives
+            full[ids] = g + 0.0
         _accumulate(table, full)
 
     return Tensor(out, parents=(table,), backward=bw)
@@ -456,8 +469,7 @@ def check_gradients(
     params = [(name, t) for name, t in params]
     rng = rng or Rng(0)
     zero_grads(t for _, t in params)
-    loss = build_loss()
-    backward(loss)
+    backward(build_loss())  # the graph dies here, before the probes build theirs
     analytic = {name: (np.zeros_like(t.value) if t.grad is None else t.grad.copy()) for name, t in params}
 
     sizes = [t.value.size for _, t in params]

@@ -204,6 +204,8 @@ def train_retriever(
         if not np.isfinite(loss.value):
             raise DomainError(f"train_retriever: non-finite loss {loss.value} at epoch {len(history)}")
         ad.backward(loss)
+        value = float(loss.value)
+        del loss  # so the next epoch's forward does not find this graph alive
         for name, t in named:
             g = t.grad if t.grad is not None else np.zeros_like(t.value)
             # An overflow ends the run below, naming the block, not as a warning.
@@ -215,7 +217,7 @@ def train_retriever(
             if not np.isfinite(t.value).all():
                 raise DomainError(f"train_retriever: parameter block {name} is not finite "
                                   f"after the update at epoch {len(history)}")
-        history.append(float(loss.value))
+        history.append(value)
     return params, history
 
 

@@ -158,8 +158,9 @@ def _run_training(model: VlmModel, samples: list[Sample], cfg: TrainConfig) -> l
                         f"training diverged: loss {loss.value} at step {steps} (stage {cfg.stage})"
                     )
                 ad.backward(loss)
-                opt.step(plan, cfg.weight_decay)
                 history.append(float(loss.value))
+                del loss  # so the next step's forward does not find this graph alive
+                opt.step(plan, cfg.weight_decay)
                 steps += 1
                 if cfg.max_steps is not None and steps >= cfg.max_steps:
                     return history

@@ -94,6 +94,50 @@ def test_segmented_attention_matches_one_segment_calls_bit_exact(causal):
         q0, k0 = q0 + a, k0 + b
 
 
+def _copyto_then_exp_attention(q, k, v, heads, w):
+    """One causal segment's output and q, k, v gradients under the upstream
+    gradient w, with the masked scores set to the causal bias and taken
+    through np.exp with the rest."""
+    a, d = q.shape
+    b, dk = k.shape[0], d // heads
+    split = lambda x: x.reshape(1, x.shape[0], heads, dk).transpose(0, 2, 1, 3)
+    merge = lambda x: x.transpose(0, 2, 1, 3).reshape(x.shape[2], d)
+    qh, kh, vh, gh = split(q), split(k), split(v), split(w)
+    c = 1.0 / np.sqrt(dk)
+    s = qh @ kh.transpose(0, 1, 3, 2)
+    s *= c
+    if a > 1:
+        np.copyto(s, ad.CAUSAL_BIAS, where=np.arange(b) > np.arange(b - a, b)[:, None])
+    s -= s.max(axis=3, keepdims=True)
+    p = np.exp(s)
+    p /= p.sum(axis=3, keepdims=True)
+    ds = gh @ vh.transpose(0, 1, 3, 2)
+    ds -= (ds * p).sum(axis=3, keepdims=True)
+    ds *= p
+    ds *= c
+    return (merge(p @ vh), merge(ds @ kh), merge(ds.transpose(0, 1, 3, 2) @ qh),
+            merge(p.transpose(0, 1, 3, 2) @ gh))
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_causal_attention_matches_copyto_then_exp_bit_exact(heads):
+    # the masked scores skip np.exp, yet every value and gradient is that
+    # of taking them through it
+    rng = Rng(30 + heads)
+    q, k, v = (ad.param(rng.normal((sum(n), 8))) for n in (Q_LENS, K_LENS, K_LENS))
+    weights = rng.normal(q.value.shape)
+    out = ad.attention(q, k, v, heads, Q_LENS, K_LENS, causal=True)
+    ad.backward(ad.sum_all(ad.mul(out, ad.const(weights))))
+    q0 = k0 = 0
+    for a, b in zip(Q_LENS, K_LENS):
+        qs, ks = slice(q0, q0 + a), slice(k0, k0 + b)
+        want = _copyto_then_exp_attention(q.value[qs], k.value[ks], v.value[ks], heads, weights[qs])
+        got = (out.value[qs], q.grad[qs], k.grad[ks], v.grad[ks])
+        for x, y in zip(got, want):
+            assert np.array_equal(x.view(np.int64), y.view(np.int64))
+        q0, k0 = q0 + a, k0 + b
+
+
 def test_segmented_attention_validates_lengths():
     def z(*shape):
         return ad.const(np.zeros(shape))
@@ -155,6 +199,22 @@ def test_embedding_backward_with_repeats():
 
     numeric = finite_diff_gradient(f, table_v.reshape(-1)).reshape(7, 3)
     assert compare_gradients(table.grad, numeric).max_relative_error < 1e-6
+
+
+@pytest.mark.parametrize("ids", [[3, 0, 5, 1], [1, 4, 1, 6, 1], []])
+def test_embedding_backward_matches_add_at_bit_exact(ids):
+    # unique ids are scattered by assignment, repeated ones through add.at;
+    # both give add.at's bits, +0.0 for a -0.0 gradient included
+    rng = Rng(7)
+    ids = np.array(ids, dtype=np.int64)
+    weights = rng.normal((ids.size, 3))
+    weights[:, 1] = -0.0
+    table = ad.param(rng.normal((7, 3)))
+    ad.backward(ad.sum_all(ad.mul(ad.embedding(table, ids), ad.const(weights))))
+    want = np.zeros((7, 3))
+    np.add.at(want, ids, weights)
+    assert np.array_equal(table.grad.view(np.int64), want.view(np.int64))
+    assert not np.signbit(table.grad[:, 1]).any()
 
 
 def test_cross_entropy_backward_with_ignored_rows():

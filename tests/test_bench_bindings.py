@@ -18,6 +18,10 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+from rsvlm import autodiff as ad
+from rsvlm.model import ModelConfig, init_model, sample_loss_graph
+from synthetic import caption_corpus
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 PACKAGE = PERFBENCH.parent / "src" / "rsvlm"
 # Reference implementations that only the tests call, each kept for its reason.
@@ -29,18 +33,34 @@ TEST_ONLY = {
 }
 
 
-def test_every_traced_binding_resolves(monkeypatch):
+def _perfbench_module(monkeypatch, name: str):
+    """The benchmark's module `name`, imported without writing bytecode."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     try:
-        points = importlib.import_module("harness").points(None)
+        return importlib.import_module(name)
     finally:  # the benchmark's modules leave with its path
-        for name, module in list(sys.modules.items()):
+        for mod_name, module in list(sys.modules.items()):
             if Path(getattr(module, "__file__", None) or "").parent == PERFBENCH:
-                del sys.modules[name]
+                del sys.modules[mod_name]
+
+
+def test_every_traced_binding_resolves(monkeypatch):
+    points = _perfbench_module(monkeypatch, "harness").points(None)
     assert points
     missing = [name for owner, attr, name, _ in points if not callable(owner.__dict__.get(attr))]
     assert missing == []
+
+
+def test_traced_node_count_survives_backward(monkeypatch):
+    # the traced run counts a step's nodes through `_parents` after
+    # `backward` returns: the backward drops interior gradients, not edges
+    graph_nodes = _perfbench_module(monkeypatch, "tracing").graph_nodes
+    cfg = ModelConfig()
+    loss = sample_loss_graph(init_model(cfg, seed=16), caption_corpus(17, cfg, n=4))
+    before = graph_nodes(loss)
+    ad.backward(loss)
+    assert graph_nodes(loss) == before > 200
 
 
 def _resolve(module: str, name: str):

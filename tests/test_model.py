@@ -375,14 +375,19 @@ def test_cached_chunks_match_one_pass():
                              [(0, 0, 0, cfg.max_seq - 12)], cache)
 
 
-def _graph_nodes(root) -> int:
-    seen, stack = {id(root)}, [root]
-    while stack:
-        for p in stack.pop()._parents:
+def _graph(root) -> list:
+    """The nodes reachable from `root` through their parents."""
+    seen, nodes = {id(root)}, [root]
+    for node in nodes:
+        for p in node._parents:
             if id(p) not in seen:
                 seen.add(id(p))
-                stack.append(p)
-    return len(seen)
+                nodes.append(p)
+    return nodes
+
+
+def _graph_nodes(root) -> int:
+    return len(_graph(root))
 
 
 def test_decode_step_graph_does_not_grow(monkeypatch):
@@ -463,6 +468,21 @@ def test_packed_batch_gradient_check():
     report = ad.check_gradients(lambda: vlm.sample_loss_graph(model, batch), model.named_parameters(),
                                 n_probes=200, rng=Rng(64))
     assert report.max_relative_error <= 1e-4, report
+
+
+def test_backward_keeps_gradients_only_on_leaves():
+    # an interior node's gradient is dropped once passed on; every parameter
+    # keeps the gradient it accumulated
+    cfg = ModelConfig(levels=3, expert_stride=1)
+    model = _spread_experts(vlm.init_model(cfg, seed=69), 69)
+    loss = vlm.sample_loss_graph(model, _mixed_batch(cfg, 70))
+    ad.backward(loss)
+    interior = [node for node in _graph(loss) if node._backward is not None]
+    assert len(interior) > 200
+    assert all(node.grad is None for node in interior)
+    named = model.named_parameters()
+    assert all(t.requires_grad for _, t in named)
+    assert [name for name, t in named if t.grad is None] == []
 
 
 def test_packed_training_step_graph_size():

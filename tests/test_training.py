@@ -1,4 +1,5 @@
 import contextlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,6 +171,25 @@ def test_stage1_halves_loss_on_caption_corpus():
     assert len(history) == 300
     final = float(np.mean([vlm.sample_loss(model, s) for s in samples]))
     assert final < 0.5 * initial, (initial, final)
+
+
+def test_training_peak_memory_is_that_of_one_step():
+    # no step's graph is alive while the next one is built, so three steps
+    # peak no higher than one plus the optimizer's moments (bytes traced by
+    # tracemalloc, not RSS; holding the last graph reads 1.6x here)
+    cfg = ModelConfig()
+    samples = caption_corpus(14, cfg, n=48)
+    peaks = []
+    for steps in (1, 3):
+        model = vlm.init_model(cfg, seed=15)
+        tcfg = tr.TrainConfig(stage="alignment", batch_size=16, max_steps=steps)
+        tracemalloc.start()
+        try:
+            tr.train_stage1(model, samples, tcfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 def test_divergence_aborts_with_diagnostics():
