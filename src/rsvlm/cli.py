@@ -141,6 +141,13 @@ def _load_retriever(path):
     return de.load_params(path) if path else None
 
 
+def _check_retriever_width(retriever, db: SemanticDatabase) -> None:
+    """The retriever's embeddings are queries of the database only when its
+    d_e is the database's dim; checked before any input is read."""
+    if retriever is not None and retriever.d_e != db.dim:
+        raise FormatError(f"retriever d_e is {retriever.d_e}, database dim is {db.dim}")
+
+
 def cmd_build_db(args, cfg: RunConfig) -> int:
     encoder = _load_retriever(args.encoder)
     dim = args.dim or (encoder.d_e if encoder else cfg.values["d_e"])
@@ -204,6 +211,8 @@ def cmd_train_retriever(args, cfg: RunConfig) -> int:
 
 def cmd_retrieve(args, cfg: RunConfig) -> int:
     db = SemanticDatabase.load(args.db)
+    encoder = _load_retriever(args.encoder)
+    _check_retriever_width(encoder, db)
     try:
         raw = json.loads(Path(args.query).read_bytes())
     except ValueError as e:
@@ -211,7 +220,6 @@ def cmd_retrieve(args, cfg: RunConfig) -> int:
     query = json_numbers(raw, f"query {args.query}")
     if query.ndim != 1:
         raise FormatError(f"query {args.query} must be a flat array, got shape {query.shape}")
-    encoder = _load_retriever(args.encoder)
     if encoder is not None:
         query = de.encode_image(encoder, query)
     with np.errstate(over="ignore"):  # a query whose norm overflows is rejected
@@ -235,12 +243,18 @@ def cmd_train(args, cfg: RunConfig) -> int:
     data_path = args.data or paths.get("data")
     if not data_path:
         raise ConfigError(["no training data: pass --data or set paths.data in the config"])
+    retriever_path = args.retriever or paths.get("retriever")
+    db_path = args.db or paths.get("db")
+    if db_path and not retriever_path:
+        raise ConfigError(["a semantic database needs a retriever: pass --retriever or set paths.retriever"])
+    if retriever_path and not db_path:
+        raise ConfigError(["a retriever needs a semantic database: pass --db or set paths.db"])
     mdl_cfg = cfg.model_config()
     init_path = args.init or paths.get("init_checkpoint")
     model = vlm.load_checkpoint(init_path) if init_path else vlm.init_model(mdl_cfg, cfg.values["seed"])
-    retriever = _load_retriever(args.retriever or paths.get("retriever"))
-    db_path = args.db or paths.get("db")
+    retriever = _load_retriever(retriever_path)
     db = SemanticDatabase.load(db_path) if db_path else None
+    _check_retriever_width(retriever, db)
     samples = training.load_samples(
         data_path, stage, retriever=retriever, db=db,
         k=cfg.values["k"], semantic_cap=cfg.values["semantic_cap"],
@@ -481,8 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--stage", type=int, choices=(1, 2), required=True)
     p.add_argument("--data", help="JSONL training data (or paths.data in config)")
-    p.add_argument("--db", help="RSDB database for semantic retrieval")
-    p.add_argument("--retriever", help="RSDE retriever checkpoint")
+    p.add_argument("--db", help="RSDB database for semantic retrieval (needs --retriever)")
+    p.add_argument("--retriever", help="RSDE retriever checkpoint (needs --db)")
     p.add_argument("--init", help="RSCK checkpoint to start from")
     p.add_argument("--out", help="RSCK checkpoint to write")
     p.set_defaults(func=cmd_train)

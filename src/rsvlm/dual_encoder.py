@@ -94,10 +94,6 @@ class DualEncoderParams:
     def hidden(self) -> int:
         return self.image_proj.w1.value.shape[1]
 
-    @property
-    def temperature(self) -> float:
-        return float(np.exp(self.log_temp.value[0, 0]))
-
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return (self.image_proj.named("image_proj") + self.text_proj.named("text_proj")
                 + [("log_temp", self.log_temp)])

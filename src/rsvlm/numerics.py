@@ -1,25 +1,14 @@
-"""Reference softmax and attention, PRNG, finite-difference gradient
-oracles, and the row-index helper of packed batches.
-
-Matrices are plain 2-D numpy arrays in row-major (C) order. Oracle and test
-paths run at float64; no silent broadcasting is performed by the public
-operations here, shape mismatches raise ShapeError naming both shapes. The
-softmax and attention here share no code with the autodiff graph that tests
-compare against them: composed per head, `scaled_dot_attention` is the
-oracle of the fused `autodiff.attention` op.
+"""PRNG, the relative error and report of the gradient check, and the
+row-index helper of packed batches. The independent oracles the tests
+compare the package against (softmax, attention, central differences) are
+in `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-
-from .errors import DomainError, ShapeError
-
-Matrix = np.ndarray
 
 # splitmix64 constants
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -32,70 +21,6 @@ def ranges(starts, lens) -> np.ndarray:
     """The concatenation of arange(s, s + n) over paired starts and lengths:
     the row indices of segments of a stacked matrix, in segment order."""
     return np.concatenate([np.arange(s, s + n) for s, n in zip(starts, lens)])
-
-
-def _check_matrix(a, name: str) -> np.ndarray:
-    m = np.asarray(a)
-    if m.ndim != 2:
-        raise ShapeError(f"{name} must be 2-D, got shape {m.shape}")
-    if not np.issubdtype(m.dtype, np.floating):
-        m = m.astype(np.float64)
-    return m
-
-
-def _check_finite(out: np.ndarray, op: str) -> np.ndarray:
-    if not np.all(np.isfinite(out)):
-        raise DomainError(f"{op} produced non-finite entries")
-    return out
-
-
-def softmax_rows(m) -> Matrix:
-    """Row-wise softmax with per-row max subtraction for overflow safety."""
-    m = _check_matrix(m, "m")
-    if m.size == 0:
-        raise ShapeError(f"softmax_rows: empty input of shape {m.shape}")
-    shifted = m - m.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return _check_finite(e / e.sum(axis=1, keepdims=True), "softmax_rows")
-
-
-def scaled_dot_attention(q, k, v) -> Matrix:
-    """softmax(q k^T / sqrt(q.cols)) v for single-head row-token matrices."""
-    q = _check_matrix(q, "q")
-    k = _check_matrix(k, "k")
-    v = _check_matrix(v, "v")
-    if q.shape[1] != k.shape[1]:
-        raise ShapeError(f"attention: q/k feature dims disagree, {q.shape} vs {k.shape}")
-    if k.shape[0] != v.shape[0]:
-        raise ShapeError(f"attention: k/v row counts disagree, {k.shape} vs {v.shape}")
-    weights = softmax_rows(q @ k.T / math.sqrt(q.shape[1]))
-    return _check_finite(weights @ v, "scaled_dot_attention")
-
-
-def finite_diff_gradient(f: Callable[[np.ndarray], float], x, eps: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function, one coordinate at a time.
-
-    Runs entirely at float64. This is the independent oracle every analytic
-    gradient in the package is checked against; it never shares code with the
-    backward passes it validates.
-    """
-    if eps <= 0:
-        raise DomainError(f"finite_diff_gradient: eps must be > 0, got {eps}")
-    x = np.asarray(x, dtype=np.float64).copy()
-    grad = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        fp = float(f(x))
-        flat[i] = orig - eps
-        fm = float(f(x))
-        flat[i] = orig
-        if not (math.isfinite(fp) and math.isfinite(fm)):
-            raise DomainError(f"finite_diff_gradient: non-finite value at coordinate {i}")
-        gflat[i] = (fp - fm) / (2.0 * eps)
-    return grad
 
 
 # Relative error floor: coordinates whose analytic and numeric gradients are
@@ -115,25 +40,8 @@ class GradReport:
     numeric: float
 
 
-def relative_error(analytic: float, numeric: float, floor: float = REL_ERROR_FLOOR) -> float:
-    return abs(analytic - numeric) / max(abs(analytic), abs(numeric), floor)
-
-
-def compare_gradients(analytic, numeric, floor: float = REL_ERROR_FLOOR) -> GradReport:
-    """Elementwise relative comparison of two gradient arrays of equal shape."""
-    a = np.asarray(analytic, dtype=np.float64)
-    n = np.asarray(numeric, dtype=np.float64)
-    if a.shape != n.shape:
-        raise ShapeError(f"compare_gradients: shape mismatch, {a.shape} vs {n.shape}")
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
-    rel = np.abs(a - n) / denom
-    worst = np.unravel_index(int(np.argmax(rel)), rel.shape) if rel.size else (0,)
-    return GradReport(
-        max_relative_error=float(rel.max()) if rel.size else 0.0,
-        worst_parameter_index=worst,
-        analytic=float(a[worst]) if rel.size else 0.0,
-        numeric=float(n[worst]) if rel.size else 0.0,
-    )
+def relative_error(analytic: float, numeric: float) -> float:
+    return abs(analytic - numeric) / max(abs(analytic), abs(numeric), REL_ERROR_FLOOR)
 
 
 def _mix64(z: int) -> int:

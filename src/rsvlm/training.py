@@ -69,11 +69,15 @@ class TrainConfig:
             raise ConfigError(problems)
 
 
-class AdamW:
-    """Decoupled weight-decay Adam; beta=(0.9, 0.999), eps=1e-8."""
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+
+class AdamW:
+    """Decoupled weight-decay Adam; betas ADAM_BETA1 and ADAM_BETA2, eps ADAM_EPS."""
+
+    def __init__(self):
         self.t = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
@@ -81,19 +85,19 @@ class AdamW:
     def step(self, items, weight_decay: float) -> None:
         """items: iterable of (name, tensor, lr); lr <= 0 entries are skipped."""
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
         for name, tensor, lr in items:
             if lr <= 0.0:
                 continue
             g = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.value)
             m = self._m.setdefault(name, np.zeros_like(tensor.value))
             v = self._v.setdefault(name, np.zeros_like(tensor.value))
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
             tensor.value -= lr * (update + weight_decay * tensor.value)
 
 
@@ -189,12 +193,7 @@ def train_stage2(model: VlmModel, instruction_samples: list[Sample], cfg: TrainC
 
 def caption_sample(patches, caption: str, semantic_ids=None) -> Sample:
     """Alignment record as a Sample: fixed captioning query, caption as response."""
-    return Sample(
-        patches=patches,
-        query_ids=encode_text(ALIGN_QUERY),
-        response_ids=encode_text(caption),
-        semantic_ids=list(semantic_ids) if semantic_ids else [SEP_ID],
-    )
+    return instruction_sample(patches, ALIGN_QUERY, caption, semantic_ids)
 
 
 def instruction_sample(patches, query: str, response: str, semantic_ids=None) -> Sample:

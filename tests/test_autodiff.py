@@ -5,7 +5,8 @@ import pytest
 
 from rsvlm import autodiff as ad
 from rsvlm.errors import ShapeError
-from rsvlm.numerics import Rng, compare_gradients, finite_diff_gradient
+from rsvlm.numerics import Rng
+from oracles import compare_gradients, finite_diff_gradient, total
 
 
 def _check_op(build, *shapes, seed=0, tol=1e-6):
@@ -15,14 +16,14 @@ def _check_op(build, *shapes, seed=0, tol=1e-6):
     values = [rng.normal(s) for s in shapes]
     for slot in range(len(values)):
         leaves = [ad.param(v.copy()) for v in values]
-        out = ad.sum_all(build(*leaves))
+        out = total(build(*leaves))
         ad.backward(out)
         analytic = leaves[slot].grad
 
         def f(flat):
             args = [ad.const(v.copy()) for v in values]
             args[slot] = ad.const(flat.reshape(shapes[slot]))
-            return float(ad.sum_all(build(*args)).value)
+            return total(build(*args)).value.item()
 
         numeric = finite_diff_gradient(f, values[slot].reshape(-1)).reshape(shapes[slot])
         report = compare_gradients(analytic, numeric)
@@ -81,13 +82,13 @@ def test_segmented_attention_matches_one_segment_calls_bit_exact(causal):
     q, k, v = (ad.param(rng.normal((sum(n), 8))) for n in (Q_LENS, K_LENS, K_LENS))
     weights = rng.normal(q.value.shape)
     out = ad.attention(q, k, v, 2, Q_LENS, K_LENS, causal)
-    ad.backward(ad.sum_all(ad.mul(out, ad.const(weights))))
+    ad.backward(total(ad.mul(out, ad.const(weights))))
     q0 = k0 = 0
     for a, b in zip(Q_LENS, K_LENS):
         qs, ks = slice(q0, q0 + a), slice(k0, k0 + b)
         parts = [ad.param(x.value[sl].copy()) for x, sl in ((q, qs), (k, ks), (v, ks))]
         alone = ad.attention(*parts, 2, causal=causal)
-        ad.backward(ad.sum_all(ad.mul(alone, ad.const(weights[qs]))))
+        ad.backward(total(ad.mul(alone, ad.const(weights[qs]))))
         assert np.array_equal(alone.value, out.value[qs])
         for part, whole, sl in zip(parts, (q, k, v), (qs, ks, ks)):
             assert np.array_equal(part.grad, whole.grad[sl])
@@ -127,7 +128,7 @@ def test_causal_attention_matches_copyto_then_exp_bit_exact(heads):
     q, k, v = (ad.param(rng.normal((sum(n), 8))) for n in (Q_LENS, K_LENS, K_LENS))
     weights = rng.normal(q.value.shape)
     out = ad.attention(q, k, v, heads, Q_LENS, K_LENS, causal=True)
-    ad.backward(ad.sum_all(ad.mul(out, ad.const(weights))))
+    ad.backward(total(ad.mul(out, ad.const(weights))))
     q0 = k0 = 0
     for a, b in zip(Q_LENS, K_LENS):
         qs, ks = slice(q0, q0 + a), slice(k0, k0 + b)
@@ -190,7 +191,7 @@ def test_embedding_backward_with_repeats():
     ids = np.array([1, 4, 1, 6, 1])
     weights = rng.normal((5, 3))
     table = ad.param(table_v.copy())
-    out = ad.sum_all(ad.mul(ad.embedding(table, ids), ad.const(weights)))
+    out = total(ad.mul(ad.embedding(table, ids), ad.const(weights)))
     ad.backward(out)
 
     def f(flat):
@@ -210,7 +211,7 @@ def test_embedding_backward_matches_add_at_bit_exact(ids):
     weights = rng.normal((ids.size, 3))
     weights[:, 1] = -0.0
     table = ad.param(rng.normal((7, 3)))
-    ad.backward(ad.sum_all(ad.mul(ad.embedding(table, ids), ad.const(weights))))
+    ad.backward(total(ad.mul(ad.embedding(table, ids), ad.const(weights))))
     want = np.zeros((7, 3))
     np.add.at(want, ids, weights)
     assert np.array_equal(table.grad.view(np.int64), want.view(np.int64))
@@ -275,7 +276,7 @@ def test_cross_entropy_validates_targets():
 def test_grad_accumulates_over_shared_subexpression():
     x = ad.param(np.array([[2.0]]))
     y = ad.add(ad.mul(x, x), x)  # d/dx (x^2 + x) = 2x + 1
-    ad.backward(ad.sum_all(y))
+    ad.backward(total(y))
     assert x.grad[0, 0] == pytest.approx(5.0)
 
 
@@ -291,7 +292,7 @@ def test_check_gradients_harness_probes_every_param():
     b = ad.param(rng.normal((4, 2)))
 
     def build():
-        return ad.sum_all(ad.tanh(ad.matmul(a, b)))
+        return total(ad.tanh(ad.matmul(a, b)))
 
     report = ad.check_gradients(build, [("a", a), ("b", b)], n_probes=10, rng=Rng(1))
     assert report.max_relative_error <= 1e-4

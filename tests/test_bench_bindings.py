@@ -7,9 +7,10 @@ would fail every benchmark run. These guards fail instead. The harness is
 imported without writing bytecode next to it, and its sources are read
 with `ast`, not imported.
 
-The converse guard: every module-level function and class of the package
-is used by the package or the benchmark, so no code is kept only for the
-tests."""
+The converse guard: every module-level function and class of the package,
+and every method and property of those classes, is used by the package or
+the benchmark, so no code is kept only for the tests; the tests' oracles
+live in `tests/oracles.py`."""
 
 import ast
 import importlib
@@ -24,13 +25,6 @@ from synthetic import caption_corpus
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 PACKAGE = PERFBENCH.parent / "src" / "rsvlm"
-# Reference implementations that only the tests call, each kept for its reason.
-TEST_ONLY = {
-    "numerics.finite_diff_gradient": "the central-difference oracle of every backward pass; it checks "
-                                     "every coordinate, where check_gradients samples them",
-    "numerics.compare_gradients": "compares an analytic gradient with that oracle's, elementwise",
-    "autodiff.sum_all": "the scalar reduction that turns an op's output into a loss in every gradient test",
-}
 
 
 def _perfbench_module(monkeypatch, name: str):
@@ -99,32 +93,136 @@ def test_every_package_name_the_benchmark_reads_resolves():
     assert [name for name, ok in reads.items() if not ok] == []
 
 
-def _names(node) -> Counter:
-    """Identifiers `node` names: names, attributes, imported names, and each
-    identifier-like word of a string constant (perfbench binds some
-    functions through `getattr` with a string)."""
-    found = Counter()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            found[sub.id] += 1
-        elif isinstance(sub, ast.Attribute):
-            found[sub.attr] += 1
-        elif isinstance(sub, ast.alias):
-            found[sub.name.split(".")[-1]] += 1
-        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            found.update(re.findall(r"[A-Za-z_]\w*", sub.value))
-    return found
+def _imports(tree, package: str, modules) -> tuple[dict, dict]:
+    """(alias -> package module, alias -> (package module, name)) for the
+    `from` imports in `tree` that read the package `package`."""
+    mods, names = {}, {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level:
+            source = node.module or "__init__"
+        elif (node.module or "").split(".")[0] == package:
+            source = node.module.partition(".")[2] or "__init__"
+        else:
+            continue
+        for alias in node.names:
+            local = alias.asname or alias.name
+            if source == "__init__" and alias.name in modules:
+                mods[local] = alias.name
+            else:
+                names[local] = (source, alias.name)
+    return mods, names
+
+
+def dead_definitions(package: Path, bench: Path) -> list[str]:
+    """The definitions of `package` that neither it nor the benchmark's
+    sources under `bench` use: `module.name` for a module-level function or
+    class, `Class.name` for a method or property of one (dunder methods are
+    the language's to call). A name or `alias.attr` credits only the
+    definition it resolves to, through re-exports; any other attribute read
+    credits the methods and properties of its name. A use inside the
+    definition itself does not count, nor does a word in a package string;
+    each identifier-like word of a benchmark string credits every definition
+    of that name, because the benchmark binds some functions through
+    `getattr`."""
+    parse = lambda path: ast.parse(path.read_text(encoding="utf-8"))
+    trees = {path.stem: parse(path) for path in sorted(package.glob("*.py"))}
+    defs = {module: {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+            for module, tree in trees.items()}
+    trees.update({str(path): parse(path) for path in sorted(bench.rglob("*.py"))})
+    imports = {module: _imports(tree, package.name, defs) for module, tree in trees.items()}
+
+    def resolve(module, name):
+        for _ in range(len(defs) + 1):  # a chain of re-exports visits each module once
+            if name in defs.get(module, ()):
+                return module, name
+            if name not in imports.get(module, ({}, {}))[1]:
+                return None
+            module, name = imports[module][1][name]
+        return None
+
+    def uses(node, module, strings=False) -> Counter:
+        """(module, name) per resolved use, ("", attr) per attribute read."""
+        found = Counter()
+        mods = imports[module][0]
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                found[resolve(module, sub.id)] += 1
+            elif isinstance(sub, ast.Attribute):
+                found["", sub.attr] += 1
+                if isinstance(sub.value, ast.Name) and sub.value.id in mods:
+                    found[resolve(mods[sub.value.id], sub.attr)] += 1
+            elif strings and isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                for word in re.findall(r"[A-Za-z_]\w*", sub.value):
+                    found["", word] += 1
+                    found.update((owner, word) for owner, names in defs.items() if word in names)
+        return found
+
+    used = sum((uses(tree, module, strings=module not in defs) for module, tree in trees.items()), Counter())
+    dead = []
+    for module in defs:
+        for node in trees[module].body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            members = [(f"{module}.{node.name}", (module, node.name), node)]
+            if isinstance(node, ast.ClassDef):
+                members += [(f"{node.name}.{m.name}", ("", m.name), m) for m in node.body
+                            if isinstance(m, ast.FunctionDef) and not (m.name.startswith("__") and m.name.endswith("__"))]
+            dead += [label for label, key, member in members if used[key] - uses(member, module)[key] <= 0]
+    return sorted(dead)
 
 
 def test_every_package_definition_has_a_caller_outside_the_tests():
-    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
-             for path in [*sorted(PACKAGE.glob("*.py")), *sorted(PERFBENCH.glob("*.py"))]}
-    used = sum((_names(tree) for tree in trees.values()), Counter())
-    unused = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in trees[path].body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                # a use inside the definition itself does not count
-                if used[node.name] - _names(node)[node.name] <= 0:
-                    unused.append(f"{path.stem}.{node.name}")
-    assert sorted(unused) == sorted(TEST_ONLY)
+    assert dead_definitions(PACKAGE, PERFBENCH) == []
+
+
+# A package and a benchmark with three definitions that only tests could use.
+PLANTED = {
+    "rsvlm/a.py": '''"""`helper` is named only in this docstring."""
+
+
+def helper():
+    pass
+
+
+def shared():
+    pass
+
+
+class Params:
+    @property
+    def width(self):
+        return 1
+
+    @property
+    def height(self):
+        return 2
+
+
+def run(params):
+    return params.width
+''',
+    "rsvlm/b.py": '''from . import a
+
+
+def shared():
+    pass
+
+
+def main():
+    return shared(), a.run(a.Params())
+''',
+    "perfbench/run.py": '''from rsvlm import b
+
+getattr(b, "main")()
+''',
+}
+
+
+def test_dead_code_guard_flags_planted_test_only_code(tmp_path):
+    for name, source in PLANTED.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(source, encoding="utf-8")
+    # named only in a docstring; "called" only through b.shared; a property no package code reads
+    assert dead_definitions(tmp_path / "rsvlm", tmp_path / "perfbench") == ["Params.height", "a.helper", "a.shared"]

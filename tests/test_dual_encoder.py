@@ -6,7 +6,8 @@ import pytest
 from rsvlm import autodiff as ad
 from rsvlm import dual_encoder as de
 from rsvlm.errors import DomainError, FormatError, ShapeError
-from rsvlm.numerics import Rng, compare_gradients, finite_diff_gradient
+from rsvlm.numerics import Rng
+from oracles import compare_gradients, finite_diff_gradient, total
 from synthetic import contrastive_corpus
 
 D_IMG, D_E, VOCAB, HIDDEN = 12, 16, 256, 32
@@ -61,7 +62,7 @@ def test_encode_gradients_match_finite_differences():
     ):
         names = [(n, t) for n, t in params.named_parameters() if n != "log_temp"]
         ad.zero_grads(t for _, t in names)
-        loss = ad.sum_all(ad.mul(encoder(params, ad.const(feats)), ad.const(target)))
+        loss = total(ad.mul(encoder(params, ad.const(feats)), ad.const(target)))
         ad.backward(loss)
         for name, tensor in names:
             if tensor.grad is None:
@@ -70,7 +71,7 @@ def test_encode_gradients_match_finite_differences():
 
             def f(flat, tensor=tensor, encoder=encoder, feats=feats):
                 tensor.value = flat.reshape(base.shape)
-                out = float(ad.sum_all(ad.mul(encoder(params, ad.const(feats)), ad.const(target))).value)
+                out = total(ad.mul(encoder(params, ad.const(feats)), ad.const(target))).value.item()
                 tensor.value = base
                 return out
 
@@ -118,13 +119,13 @@ def test_contrastive_loss_matches_row_wise_oracle():
 
     z_img = np.stack([de.encode_image(params, p.image_features) for p in batch])
     z_txt = np.stack([de.encode_text(params, p.text_tokens) for p in batch])
-    logits = (z_img @ z_txt.T) / params.temperature
-    total = 0.0
+    logits = (z_img @ z_txt.T) / np.exp(params.log_temp.value[0, 0])
+    summed = 0.0
     for mat in (logits, logits.T):
         for i in range(4):
             row = mat[i]
-            total += -math.log(math.exp(row[i]) / np.exp(row).sum())
-    oracle = total / 8.0
+            summed += -math.log(math.exp(row[i]) / np.exp(row).sum())
+    oracle = summed / 8.0
     assert loss == pytest.approx(oracle, abs=1e-10)
     assert loss >= 0.0
 
@@ -180,7 +181,7 @@ def test_train_loss_decreases():
         epochs=30, lr=0.1, seed=0,
     )
     assert history[-1] < history[0]
-    assert params.temperature > 0
+    assert np.exp(params.log_temp.value[0, 0]) > 0
 
 
 def test_train_requires_eight_pairs():

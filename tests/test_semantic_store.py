@@ -440,7 +440,7 @@ def _scan(db, record_id):
 @given(ids=st.lists(st.integers(0, (1 << 63) - 2), unique=True, max_size=40).map(sorted),
        data=st.data())
 def test_get_matches_linear_scan(tmp_path_factory, ids, data):
-    path = tmp_path_factory.getbasetemp() / "ids.rsdb"
+    path = tmp_path_factory.mktemp("ids") / "ids.rsdb"  # a fresh file: overwriting one flushes it
     _rsdb_with_ids(path, ids)
     db = SemanticDatabase.load(path)
     db.ingest("appended", [1.0, 0.0])  # id one past the last loaded id
