@@ -136,13 +136,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(out, parents=(a, b), backward=bw)
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    def bw(g):
-        _accumulate(a, g * c)
-
-    return Tensor(a.value * c, parents=(a,), backward=bw)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.value.ndim != 2 or b.value.ndim != 2:
         raise ShapeError(f"matmul: need 2-D operands, got {a.value.shape} and {b.value.shape}")

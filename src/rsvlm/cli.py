@@ -220,6 +220,9 @@ def cmd_retrieve(args, cfg: RunConfig) -> int:
     query = json_numbers(raw, f"query {args.query}")
     if query.ndim != 1:
         raise FormatError(f"query {args.query} must be a flat array, got shape {query.shape}")
+    what, width = ("retriever d_img_raw", encoder.d_img_raw) if encoder is not None else ("database dim", db.dim)
+    if query.shape[0] != width:
+        raise FormatError(f"query {args.query} has {query.shape[0]} values, {what} is {width}")
     if encoder is not None:
         query = de.encode_image(encoder, query)
     with np.errstate(over="ignore"):  # a query whose norm overflows is rejected
@@ -469,8 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--input", required=True, help="JSONL with 'text' (+ optional 'embedding')")
     p.add_argument("--out", required=True)
-    p.add_argument("--encoder", help="RSDE retriever checkpoint for text embedding")
-    p.add_argument("--dim", type=_number_in(int, 1), help="embedding dim when no encoder is given")
+    width = p.add_mutually_exclusive_group()
+    width.add_argument("--encoder", help="RSDE retriever checkpoint for text embedding")
+    width.add_argument("--dim", type=_number_in(int, 1), help="embedding dim when no encoder is given")
     p.set_defaults(func=cmd_build_db)
 
     p = sub.add_parser("train-retriever", help="contrastively train the dual encoder")

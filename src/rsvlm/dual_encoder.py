@@ -163,10 +163,10 @@ def contrastive_loss_graph(params: DualEncoderParams, batch) -> Tensor:
     z_txt = encode_text_rows(params, ad.const(bags))
     sims = ad.matmul(z_img, ad.transpose(z_txt))
     logits = ad.mul(sims, ad.exp(ad.neg(params.log_temp)))
+    # the mean of the image-to-text and text-to-image losses
     diag = np.arange(len(batch))
-    loss_i2t = ad.cross_entropy(logits, diag)
-    loss_t2i = ad.cross_entropy(ad.transpose(logits), diag)
-    return ad.scale(loss_i2t + loss_t2i, 0.5)
+    both = ad.concat([logits, ad.transpose(logits)])
+    return ad.cross_entropy(both, np.concatenate([diag, diag]), lens=[len(batch)] * 2)
 
 
 def train_retriever(

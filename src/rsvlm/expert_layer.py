@@ -1,14 +1,11 @@
 """Level-routed low-rank expert layer.
 
-A token sequence is laid out as contiguous row blocks, described by one
-tuple of row counts (n_image, n_level_1, ..., n_level_L, n_query): image
-rows, then the semantic prompt rows of each level in level order, then the
-query rows. A batch stacks its samples' sequences, one layout each. Each
-of the L experts is a bias-free linear bottleneck (rank-reduction
-u: d_h x d_r followed by rank-expansion v: d_r x d_h, applied to row tokens
-as x @ u @ v). Every expert reads every row, and the
-gate alone routes: image and query rows mix all L expert outputs through a
-per-row softmax gate, while a level-l semantic row weights expert l's
+The layer sees each hidden row's level: 0 on image and query rows, l on a
+level-l semantic prompt row. Each of the L experts is a bias-free linear
+bottleneck (rank-reduction u: d_h x d_r followed by rank-expansion
+v: d_r x d_h, applied to row tokens as x @ u @ v). Every expert reads every
+row, and the gate alone routes: level-0 rows mix all L expert outputs
+through a per-row softmax gate, while a level-l row weights expert l's
 output by one and every other expert's by exactly zero, so only its own
 level's expert reaches it. The merged expert output is added to a standard
 two-layer FFN of the same input.
@@ -96,55 +93,27 @@ def init_expert_layer(d_h: int, d_r: int, levels: int, d_inner: int, rng: Rng) -
     )
 
 
-def _check_layouts(layouts, rows: int, levels: int) -> None:
-    """Each layout is (n_image, n_level_1, ..., n_level_L, n_query): L + 2
-    non-negative row counts; together they count the hidden rows."""
-    for counts in layouts:
-        if len(counts) != levels + 2:
-            raise ShapeError(f"segment counts {counts} end at semantic level {len(counts) - 2}, "
-                             f"expected level {levels} (image, levels 1..{levels}, query)")
-        if min(counts) < 0:
-            raise ShapeError(f"segment counts {counts}: negative count")
-    total = sum(sum(counts) for counts in layouts)
-    if total != rows:
-        raise ShapeError(f"segment counts {list(layouts)} sum to {total} != hidden rows {rows}")
-
-
-def route(layouts) -> tuple[np.ndarray, np.ndarray]:
-    """Routing arrays of the stacked rows of samples with counts layouts
-    `layouts`: the T x 1 keep column (1 on image and query rows) and the
-    T x L one-hot rows (1 at each semantic row's own level)."""
-    t = sum(sum(counts) for counts in layouts)
-    keep = np.zeros((t, 1))
-    onehot = np.zeros((t, len(layouts[0]) - 2))
-    start = 0
-    for counts in layouts:
-        keep[start : start + counts[0]] = 1.0
-        start += counts[0]
-        for l, n in enumerate(counts[1:-1]):
-            onehot[start : start + n, l] = 1.0
-            start += n
-        keep[start : start + counts[-1]] = 1.0
-        start += counts[-1]
-    return keep, onehot
-
-
-def gate_weights_graph(gate_w: Tensor, hidden: Tensor, keep: np.ndarray, onehot: np.ndarray) -> Tensor:
-    """Per-row mixture weights: softmax rows where `keep` is 1 (image and
-    query rows), the `onehot` row of the row's own level elsewhere."""
+def gate_weights_graph(gate_w: Tensor, hidden: Tensor, row_levels: np.ndarray) -> Tensor:
+    """Per-row mixture weights: the softmax on level-0 rows, the one-hot of
+    the row's own level elsewhere. `row_levels` holds each hidden row's
+    level, one entry per row, each in 0..L."""
+    levels = gate_w.value.shape[1]
+    row_levels = np.asarray(row_levels)
+    if row_levels.shape != hidden.value.shape[:1] or ((row_levels < 0) | (row_levels > levels)).any():
+        raise ShapeError(f"row levels of shape {row_levels.shape}: need ({hidden.value.shape[0]},) "
+                         f"with values in 0..{levels}")
+    keep = row_levels[:, None] == 0
+    onehot = row_levels[:, None] == np.arange(1, levels + 1)
     soft = ad.softmax_rows(ad.matmul(hidden, gate_w))
     return ad.mul(soft, ad.const(keep)) + ad.const(onehot)
 
 
-def expert_block_graph(params: ExpertLayerParams, hidden: Tensor, layouts) -> Tensor:
-    """FFN(hidden) plus the gated merge of all expert outputs, over the
-    stacked rows of samples whose counts layouts are `layouts`, one per
-    sample in row order."""
+def expert_block_graph(params: ExpertLayerParams, hidden: Tensor, row_levels: np.ndarray) -> Tensor:
+    """FFN(hidden) plus the gated merge of all expert outputs; `row_levels`
+    holds each hidden row's level (0 on image and query rows)."""
     if hidden.value.shape[1] != params.d_h:
         raise ShapeError(f"expert block: hidden dim {hidden.value.shape[1]} != d_h {params.d_h}")
-    _check_layouts(layouts, hidden.value.shape[0], params.levels)
-    keep, onehot = route(layouts)
-    gates = gate_weights_graph(params.gate_w, hidden, keep, onehot)
+    gates = gate_weights_graph(params.gate_w, hidden, row_levels)
     merged = None
     for l, ex in enumerate(params.experts, start=1):
         h_l = ad.matmul(ad.matmul(hidden, ex.u), ex.v)

@@ -301,20 +301,19 @@ def _encode_multilevel_graph(model: VlmModel, patches: Tensor, n_patches) -> lis
     return taps
 
 
-def _lm_logits_graph(model: VlmModel, hidden: Tensor, layouts,
+def _lm_logits_graph(model: VlmModel, hidden: Tensor, lens, row_levels: np.ndarray,
                      cache: list[KvCache] | None = None) -> Tensor:
-    """Causal LM over the stacked rows of a batch; `layouts` holds each
-    sample's row-count tuple (n_image, n_level_1, ..., n_level_L, n_query)
-    of `_segments_for`, in row order, and a sample's rows attend only to
-    its own. Returns one row of vocab logits per hidden row. With `cache`
-    (one KvCache per block; a batch of one), the rows follow the cached
-    ones: they take the next positions, attend to the cached rows, and join
-    the cache, and the layout covers the new rows only. The expert layer
-    and the FFN are row-local, so only attention reads the cache."""
+    """Causal LM over the stacked rows of a batch; `lens` counts each
+    sample's rows, in row order, and a sample's rows attend only to its
+    own. `row_levels` holds each row's level for the expert layer (0 on
+    image and query rows, l on level-l prompt rows). Returns one row of
+    vocab logits per hidden row. With `cache` (one KvCache per block; a
+    batch of one), the rows follow the cached ones: they take the next
+    positions, attend to the cached rows, and join the cache. The expert
+    layer and the FFN are row-local, so only attention reads the cache."""
     cfg = model.config
-    lens = [sum(counts) for counts in layouts]
     if sum(lens) != hidden.value.shape[0]:
-        raise ShapeError(f"layouts {list(layouts)} count {sum(lens)} rows, hidden has {hidden.value.shape[0]}")
+        raise ShapeError(f"sample lengths {lens} count {sum(lens)} rows, hidden has {hidden.value.shape[0]}")
     if cache is not None and len(lens) != 1:
         raise ShapeError(f"a K/V cache holds one sequence, got {len(lens)}")
     offset = cache[0].rows if cache is not None else 0
@@ -328,7 +327,7 @@ def _lm_logits_graph(model: VlmModel, hidden: Tensor, layouts,
         x = x + attention_output(blk.attn, a, a, cfg.heads, lens, k_lens, causal=True, cache=kv)
         h = ad.layer_norm_rows(x)
         if blk.experts is not None:
-            x = x + expert_block_graph(blk.experts, h, layouts)
+            x = x + expert_block_graph(blk.experts, h, row_levels)
         else:
             x = x + ffn_graph(blk.ffn, h)
     return ad.matmul(ad.layer_norm_rows(x), model.lm.head)
@@ -342,10 +341,12 @@ def _segments_for(model: VlmModel, n_img: int, n_seq: int) -> tuple[int, ...]:
     return (n_img,) + (cfg.n_agg,) * cfg.levels + (n_seq,)
 
 
-def _sequence_graph(model: VlmModel, samples: list[Sample], seqs: list[list[int]]) -> tuple[Tensor, list]:
+def _sequence_graph(model: VlmModel, samples: list[Sample],
+                    seqs: list[list[int]]) -> tuple[Tensor, list[int], np.ndarray]:
     """The stacked [image; prompt level 1..L; query segment] rows of a batch,
-    sample after sample, with each sample's query-segment ids from `seqs`,
-    and their layouts."""
+    sample after sample, with each sample's query-segment ids from `seqs`;
+    each sample's row count; and each row's level: 0 on image and query
+    rows, l on level-l prompt rows."""
     cfg = model.config
     n_img = [s.patches.shape[0] for s in samples]
     n_seq = [len(ids) for ids in seqs]
@@ -354,32 +355,33 @@ def _sequence_graph(model: VlmModel, samples: list[Sample], seqs: list[list[int]
     embed = model.lm.embed
     f_user = ad.embedding(embed, np.concatenate([s.query_ids for s in samples]))
     f_sem = ad.embedding(embed, np.concatenate([s.semantic_ids for s in samples]))
-    levels = build_prompt_graph(model.prompter, f_user, f_sem, taps, cfg.prompter_heads,
-                                [len(s.query_ids) for s in samples], [len(s.semantic_ids) for s in samples],
-                                n_img)
+    prompts = build_prompt_graph(model.prompter, f_user, f_sem, taps, cfg.prompter_heads,
+                                 [len(s.query_ids) for s in samples], [len(s.semantic_ids) for s in samples],
+                                 n_img)
     img_tok = ad.matmul(taps[-1], model.proj_w) + model.proj_b
     q_emb = ad.embedding(embed, np.concatenate(seqs))
-    layouts = [_segments_for(model, n, m) for n, m in zip(n_img, n_seq)]
     # Each part (the image rows, each prompt level, the query segments)
-    # stacks its rows sample after sample, layouts[b][j] of them for sample
+    # stacks its rows sample after sample, counts[b, j] of them for sample
     # b; a sample's sequence takes its rows of every part in turn.
-    counts = np.array(layouts)
+    counts = np.array([_segments_for(model, n, m) for n, m in zip(n_img, n_seq)])
     part_start = np.cumsum(counts.sum(axis=0)) - counts.sum(axis=0)
     starts = part_start + np.cumsum(counts, axis=0) - counts
-    rows = ad.concat([img_tok, *levels, q_emb], axis=0)
-    return ad.embedding(rows, ranges(starts.ravel().tolist(), counts.ravel().tolist())), layouts
+    rows = ad.concat([img_tok, *prompts, q_emb], axis=0)
+    hidden = ad.embedding(rows, ranges(starts.ravel().tolist(), counts.ravel().tolist()))
+    part_levels = np.tile(np.r_[: cfg.levels + 1, 0], len(samples))
+    return hidden, counts.sum(axis=1).tolist(), np.repeat(part_levels, counts.ravel())
 
 
 def _loss_graph(model: VlmModel, samples: list[Sample], seqs: list[list[int]], targets) -> Tensor:
     """Mean over samples of each one's mean loss over its targeted rows;
     `targets` holds one target per query-segment row (-1 for none), and the
     image and prompt rows carry none."""
-    hidden, layouts = _sequence_graph(model, samples, seqs)
-    logits = _lm_logits_graph(model, hidden, layouts)
-    rows = []
-    for counts, tgt in zip(layouts, targets):
-        rows += [np.full(sum(counts[:-1]), -1, dtype=np.int64), np.asarray(tgt, dtype=np.int64)]
-    return ad.cross_entropy(logits, np.concatenate(rows), [sum(counts) for counts in layouts])
+    hidden, lens, row_levels = _sequence_graph(model, samples, seqs)
+    logits = _lm_logits_graph(model, hidden, lens, row_levels)
+    # The query segment is a sample's last rows.
+    rows = [np.pad(np.asarray(tgt, dtype=np.int64), (n - len(tgt), 0), constant_values=-1)
+            for n, tgt in zip(lens, targets)]
+    return ad.cross_entropy(logits, np.concatenate(rows), lens)
 
 
 def sample_loss_graph(model: VlmModel, samples: list[Sample]) -> Tensor:
@@ -405,6 +407,8 @@ def token_loss_graph(model: VlmModel, sample: Sample, seq_ids, targets) -> Tenso
     target per query-segment row (-1 for none); the image and prompt rows
     carry no target. Harnesses whose vocabularies lack the byte specials
     use it directly."""
+    if len(targets) != len(seq_ids):
+        raise ShapeError(f"token_loss_graph: {len(targets)} targets for {len(seq_ids)} query-segment rows")
     return _loss_graph(model, [sample], [list(seq_ids)], [targets])
 
 
@@ -428,16 +432,14 @@ def generate(model: VlmModel, patches, query_ids, max_tokens: int,
     )
     cfg = model.config
     seq_ids = list(sample.query_ids) + [SEP_ID]
-    counts = _segments_for(model, sample.patches.shape[0], len(seq_ids))
-    prefix = sum(counts)
+    prefix = sum(_segments_for(model, sample.patches.shape[0], len(seq_ids)))
     if prefix > cfg.max_seq:
         raise ShapeError(f"generate: prefix of {prefix} rows exceeds max_seq {cfg.max_seq}")
     # The step that decodes token j runs prefix + j - 1 rows.
     max_tokens = min(max_tokens, cfg.max_seq - prefix + 1)
     cache = [KvCache(prefix + max_tokens - 1) for _ in model.lm.blocks]
-    hidden, layouts = _sequence_graph(model, [sample], [seq_ids])
-    logits = _lm_logits_graph(model, hidden, layouts, cache).value
-    one_query_row = [(0,) * (len(counts) - 1) + (1,)]
+    hidden, lens, row_levels = _sequence_graph(model, [sample], [seq_ids])
+    logits = _lm_logits_graph(model, hidden, lens, row_levels, cache).value
     out: list[int] = []
     while True:
         nxt = int(np.argmax(logits[-1]))
@@ -447,7 +449,7 @@ def generate(model: VlmModel, patches, query_ids, max_tokens: int,
         if len(out) == max_tokens:
             return out
         row = ad.embedding(model.lm.embed, [nxt])
-        logits = _lm_logits_graph(model, row, one_query_row, cache).value
+        logits = _lm_logits_graph(model, row, [1], np.zeros(1, int), cache).value
 
 
 def save_checkpoint(model: VlmModel, path) -> None:

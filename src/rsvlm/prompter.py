@@ -118,9 +118,6 @@ def attention_output(block: AttnBlockParams, q_in: Tensor, ctx: Tensor, heads: i
     and `ctx`. With `cache`, the queries attend to the cached keys and
     values followed by those of `ctx`, which join the cache, and `k_lens`
     counts the cached rows too."""
-    d = block.wq.value.shape[1]
-    if d % heads != 0:
-        raise ShapeError(f"attention: dim {d} not divisible by heads {heads}")
     if q_in.value.shape[1] != block.wq.value.shape[0]:
         raise ShapeError(
             f"attention: query dim {q_in.value.shape[1]} != wq rows {block.wq.value.shape[0]}"
@@ -163,25 +160,11 @@ def aggregate_query_graph(params: PrompterParams, f_user: Tensor, heads: int, us
                                  (n_agg,) * samples, [n_agg + n for n in user_lens])
 
 
-def attend_semantics_graph(params: PrompterParams, z1: Tensor, f_semantic: Tensor, heads: int,
-                           sem_lens) -> Tensor:
-    """Each sample's n_agg rows of z1 attend to its rows of the stacked
-    `f_semantic`, counted by `sem_lens`."""
-    n_agg = params.f_agg.value.shape[0]
-    return z1 + attention_output(params.sem_attn, ad.layer_norm_rows(z1), f_semantic, heads,
-                                 (n_agg,) * len(sem_lens), sem_lens)
-
-
-def attend_level_graph(params: PrompterParams, z2: Tensor, f_vis_l: Tensor, level: int, heads: int,
-                       vis_lens) -> Tensor:
-    """Each sample's n_agg rows of z2 attend to its rows of the stacked
-    visual level `f_vis_l`, counted by `vis_lens`."""
-    levels = len(params.level_attn)
-    if not 1 <= level <= levels:
-        raise ShapeError(f"attend_level_graph: level {level} out of range 1..{levels}")
-    n_agg = params.f_agg.value.shape[0]
-    return z2 + attention_output(params.level_attn[level - 1], ad.layer_norm_rows(z2), f_vis_l, heads,
-                                 (n_agg,) * len(vis_lens), vis_lens)
+def cross_attend_graph(block: AttnBlockParams, z: Tensor, ctx: Tensor, heads: int, ctx_lens) -> Tensor:
+    """Each sample's n_agg rows of z attend to its rows of the stacked
+    context `ctx`, counted by `ctx_lens`, plus the residual."""
+    n_agg = z.value.shape[0] // len(ctx_lens)
+    return z + attention_output(block, ad.layer_norm_rows(z), ctx, heads, (n_agg,) * len(ctx_lens), ctx_lens)
 
 
 def build_prompt_graph(params: PrompterParams, f_user: Tensor, f_semantic: Tensor,
@@ -193,5 +176,5 @@ def build_prompt_graph(params: PrompterParams, f_user: Tensor, f_semantic: Tenso
     if len(f_vis) != len(params.level_attn):
         raise ShapeError(f"build_prompt_graph: got {len(f_vis)} visual levels, expected {len(params.level_attn)}")
     z1 = aggregate_query_graph(params, f_user, heads, user_lens)
-    z2 = attend_semantics_graph(params, z1, f_semantic, heads, sem_lens)
-    return [attend_level_graph(params, z2, f, l, heads, vis_lens) for l, f in enumerate(f_vis, start=1)]
+    z2 = cross_attend_graph(params.sem_attn, z1, f_semantic, heads, sem_lens)
+    return [cross_attend_graph(block, z2, f, heads, vis_lens) for block, f in zip(params.level_attn, f_vis)]

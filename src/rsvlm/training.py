@@ -249,10 +249,14 @@ def load_samples(
     patch_dim: int | None = None,
 ) -> list[Sample]:
     """Read a JSONL training file and attach retrieved semantics when a
-    database and retriever are supplied. A line's image features must have
-    `patch_dim` columns when it is given, and the retriever's d_img_raw when
-    semantics are retrieved; both are checked before the line's retrieval."""
-    retrieve = retriever is not None and db is not None
+    database and retriever are supplied; one without the other is a
+    ConfigError. A line's image features must have `patch_dim` columns when
+    it is given, and the retriever's d_img_raw when semantics are retrieved;
+    both are checked before the line's retrieval."""
+    if (retriever is None) != (db is None):
+        raise ConfigError([f"load_samples: retrieval needs a retriever and a db, got no "
+                           f"{'db' if db is None else 'retriever'}"])
+    retrieve = retriever is not None
     widths = [("model patch_dim", patch_dim)] if patch_dim is not None else []
     widths += [("retriever d_img_raw", retriever.d_img_raw)] if retrieve else []
     samples = []

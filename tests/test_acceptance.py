@@ -72,47 +72,46 @@ def test_criterion_3_end_to_end_gradient_suite():
 
 def test_criterion_4_router_mask_invariants():
     rng = Rng(42)
-    swaps = Rng(43)  # the gate and the replacement experts, apart from the layout stream
+    swaps = Rng(43)  # the gate and the replacement experts, apart from the level stream
     d_h, d_r = 12, 3
     cases = 0
     for _ in range(1000):
         levels = 1 + int(rng.u64(1)[0] % np.uint64(4))
-        counts = tuple(int(x % np.uint64(4)) for x in rng.u64(levels + 2))
-        row_levels = [0] * counts[0]
-        for l in range(1, levels + 1):
-            row_levels += [l] * counts[l]
-        row_levels += [0] * counts[-1]
-        t = len(row_levels)
-
-        keep, onehot = ex.route([counts])
-        stacked = (keep + onehot).sum(axis=1)
-        for pos, level in enumerate(row_levels):
-            expected = 1.0 if level else float(levels)
-            assert stacked[pos] == expected
+        t = int(rng.u64(1)[0] % np.uint64(13))
+        row_levels = (rng.u64(t) % np.uint64(levels + 1)).astype(np.int64)
 
         hidden = rng.normal((t, d_h))
         layer = ex.init_expert_layer(d_h, d_r, levels, 16, Rng(cases))
         for e in layer.experts:
             e.u.value, e.v.value = rng.normal((d_h, d_r)), rng.normal((d_r, d_h))
         layer.gate_w.value = swaps.normal((d_h, levels))
-        out = ex.expert_block_graph(layer, ad.const(hidden), [counts]).value
+
+        # every row's gate is exactly its level's one-hot or exactly its softmax row
+        gates = ex.gate_weights_graph(layer.gate_w, ad.const(hidden), row_levels).value
+        soft = ad.softmax_rows(ad.const(hidden @ layer.gate_w.value)).value
+        routed = row_levels > 0
+        assert np.array_equal(gates[~routed], soft[~routed])
+        assert np.array_equal(gates[routed], np.eye(levels)[row_levels[routed] - 1])
+
+        out = ex.expert_block_graph(layer, ad.const(hidden), row_levels).value
         for j in range(1, levels + 1):
-            rows = np.array(row_levels) == j
+            rows = row_levels == j
             perturbed = hidden.copy()
             perturbed[rows] += rng.normal((int(rows.sum()), d_h))
-            redone = ex.expert_block_graph(layer, ad.const(perturbed), [counts]).value
+            redone = ex.expert_block_graph(layer, ad.const(perturbed), row_levels).value
             assert np.array_equal(out[~rows], redone[~rows])
             for i, e in enumerate(layer.experts):
                 if i + 1 == j:
                     continue
                 kept = (e.u.value, e.v.value)
                 e.u.value, e.v.value = swaps.normal((d_h, d_r)), swaps.normal((d_r, d_h))
-                redone = ex.expert_block_graph(layer, ad.const(hidden), [counts]).value
+                redone = ex.expert_block_graph(layer, ad.const(hidden), row_levels).value
                 e.u.value, e.v.value = kept
                 assert np.array_equal(out[rows], redone[rows])
         cases += 1
-    _report(4, f"{cases} random layouts: route partition holds; level-j rows bit-identical when "
-               f"another expert is replaced, every other row when level-j rows are perturbed")
+    _report(4, f"{cases} random level arrays: each gate row is exactly its one-hot or its softmax; "
+               f"level-j rows bit-identical when another expert is replaced, every other row when "
+               f"level-j rows are perturbed")
 
 
 def test_criterion_5_retrieval_matches_exhaustive_oracle():

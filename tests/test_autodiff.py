@@ -182,7 +182,7 @@ def test_l2_normalize_backward():
 
 
 def test_scale_neg_mean():
-    _check_op(lambda a: ad.scale(ad.neg(a), 2.5), (3, 3))
+    _check_op(lambda a: ad.mul(ad.neg(a), ad.const(2.5)), (3, 3))
 
 
 def test_embedding_backward_with_repeats():

@@ -8,17 +8,8 @@ from rsvlm.numerics import Rng, ShapeRng
 from oracles import softmax_rows, total
 
 
-def _counts():
-    """Two image rows, one row each of levels 1 and 2, one query row."""
-    return (2, 1, 1, 1)
-
-
-def _row_levels(counts):
-    """Per-row level of a counts layout, row by row: 0 on image and query rows."""
-    levels = [0] * counts[0]
-    for l, n in enumerate(counts[1:-1], start=1):
-        levels += [l] * n
-    return levels + [0] * counts[-1]
+# Two image rows, one row each of levels 1 and 2, one query row.
+LEVELS = [0, 0, 1, 2, 0]
 
 
 def _expert(u, v, x_masked):
@@ -26,12 +17,12 @@ def _expert(u, v, x_masked):
     return ad.matmul(ad.matmul(ad.const(x_masked), ad.const(u)), ad.const(v)).value
 
 
-def _gates(w_g, hidden, counts):
-    return ex.gate_weights_graph(ad.const(w_g), ad.const(hidden), *ex.route([counts])).value
+def _gates(w_g, hidden, row_levels):
+    return ex.gate_weights_graph(ad.const(w_g), ad.const(hidden), row_levels).value
 
 
-def _block(params, hidden, counts):
-    return ex.expert_block_graph(params, ad.const(hidden), [counts]).value
+def _block(params, hidden, row_levels):
+    return ex.expert_block_graph(params, ad.const(hidden), row_levels).value
 
 
 def _ffn_ref(ffn, x):
@@ -39,10 +30,10 @@ def _ffn_ref(ffn, x):
     return (pre / (1.0 + np.exp(-pre))) @ ffn.w2.value + ffn.b2.value
 
 
-def _gates_ref(w_g, hidden, counts):
+def _gates_ref(w_g, hidden, row_levels):
     """Softmax rows from the numpy oracle; one-hot rows for semantic tokens."""
     gates = softmax_rows(hidden @ w_g)
-    for t, level in enumerate(_row_levels(counts)):
+    for t, level in enumerate(row_levels):
         if level:
             gates[t] = np.eye(w_g.shape[1])[level - 1]
     return gates
@@ -59,56 +50,61 @@ def _randomize(params, rng, std=1.0):
 
 
 def _tokens(d_h=12, seed=13):
-    return Rng(seed).normal((7, d_h)), (2, 2, 2, 1)
+    return Rng(seed).normal((7, d_h)), [0, 0, 1, 1, 2, 2, 0]
 
 
-def _masks(counts, levels):
+def _masks(row_levels, levels):
     """The masked formulation's input masks, the oracle of gate-only
     routing: expert l reads the image, query and level-l rows."""
-    row_levels = np.array(_row_levels(counts))
+    row_levels = np.array(row_levels)
     return [((row_levels == 0) | (row_levels == l)).astype(np.float64) for l in range(1, levels + 1)]
 
 
-def _expert_outputs(params, x, counts):
-    masks = _masks(counts, params.levels)
+def _expert_outputs(params, x, row_levels):
+    masks = _masks(row_levels, params.levels)
     return [_expert(e.u.value, e.v.value, masks[l][:, None] * x) for l, e in enumerate(params.experts)]
 
 
 def test_route_examples():
-    keep, onehot = ex.route([_counts()])
-    assert (keep[:, 0] + onehot[:, 0]).tolist() == [1, 1, 1, 0, 1]
-    assert (keep[:, 0] + onehot[:, 1]).tolist() == [1, 1, 0, 1, 1]
+    # the rows each expert reaches: every level-0 row and its own level's rows
+    rng = Rng(27)
+    gates = _gates(rng.normal((6, 2)), rng.normal((5, 6)), LEVELS)
+    assert (gates[:, 0] > 0).tolist() == [1, 1, 1, 0, 1]
+    assert (gates[:, 1] > 0).tolist() == [1, 1, 0, 1, 1]
 
 
 def test_route_single_level_all_ones():
-    keep, onehot = ex.route([(1, 1, 1)])
-    assert (keep[:, 0] + onehot[:, 0]).tolist() == [1, 1, 1]
+    rng = Rng(28)
+    gates = _gates(rng.normal((6, 1)), rng.normal((3, 6)), [0, 1, 0])
+    assert gates[:, 0].tolist() == [1, 1, 1]
 
 
 def test_mask_partition_property():
+    # every row's gate is exactly its level's one-hot or exactly its softmax row
     rng = Rng(0)
     for _ in range(50):
         levels = 1 + int(rng.u64(1)[0] % np.uint64(4))
-        counts = tuple(int(x % np.uint64(5)) for x in rng.u64(levels + 2))
-        keep, onehot = ex.route([counts])
-        total = (keep + onehot).sum(axis=1)
-        for t, level in enumerate(_row_levels(counts)):
-            if level:
-                assert total[t] == 1.0
-            else:
-                assert total[t] == levels
+        t = int(rng.u64(1)[0] % np.uint64(13))
+        row_levels = (rng.u64(t) % np.uint64(levels + 1)).astype(np.int64)
+        hidden = rng.normal((t, 6))
+        w_g = rng.normal((6, levels))
+        gates = _gates(w_g, hidden, row_levels)
+        soft = ad.softmax_rows(ad.const(hidden @ w_g)).value
+        routed = row_levels > 0
+        assert np.array_equal(gates[~routed], soft[~routed])
+        assert np.array_equal(gates[routed], np.eye(levels)[row_levels[routed] - 1])
 
 
 def test_segmented_tokens_validation():
     params = _layer(d_h=4, d_r=2)
     hidden = Rng(1).normal((5, 4))
-    _block(params, hidden, _counts())
-    with pytest.raises(ShapeError, match="semantic level 1, expected level 2"):
-        _block(params, hidden, (2, 1, 2))
-    with pytest.raises(ShapeError, match="negative count"):
-        _block(params, hidden, (3, -1, 2, 1))
-    with pytest.raises(ShapeError, match="sum to 4 != hidden rows 5"):
-        _block(params, hidden, (2, 1, 1, 0))
+    _block(params, hidden, LEVELS)
+    for bad in ([0, 0, 1, 2], [0, 0, 1, 2, 0, 0], [LEVELS], [0, -1, 1, 2, 0], [0, 0, 1, 3, 0]):
+        with pytest.raises(ShapeError, match=r"need \(5,\) with values in 0\.\.2"):
+            _block(params, hidden, bad)
+    # against one hidden row, a longer level array would broadcast
+    with pytest.raises(ShapeError, match=r"shape \(2,\): need \(1,\)"):
+        _block(params, hidden[:1], [0, 0])
 
 
 def test_expert_forward_zero_u():
@@ -136,21 +132,21 @@ def test_expert_forward_masked_rows_stay_zero():
     rng = Rng(5)
     x = rng.normal((5, 6))
     out = _expert(rng.normal((6, 3)), rng.normal((3, 6)), x)
-    gates = _gates(rng.normal((6, 2)), x, _counts())
+    gates = _gates(rng.normal((6, 2)), x, LEVELS)
     assert np.array_equal((out * gates[:, 0:1])[3], np.zeros(6))
 
 
 def test_gate_weights_zero_matrix_uniform():
-    counts = (2, 1, 1, 0, 1)
+    row_levels = [0, 0, 1, 2, 0]
     hidden = Rng(6).normal((5, 6))
-    gates = _gates(np.zeros((6, 3)), hidden, counts)
-    for t, level in enumerate(_row_levels(counts)):
+    gates = _gates(np.zeros((6, 3)), hidden, row_levels)
+    for t, level in enumerate(row_levels):
         if not level:
             assert np.allclose(gates[t], [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
 
 
 def test_gate_weights_semantic_rows_one_hot():
-    gates = _gates(Rng(7).normal((6, 3)), Rng(8).normal((5, 6)), (1, 1, 1, 1, 1))
+    gates = _gates(Rng(7).normal((6, 3)), Rng(8).normal((5, 6)), [0, 1, 2, 3, 0])
     assert gates[2].tolist() == [0.0, 1.0, 0.0]
     assert gates[1].tolist() == [1.0, 0.0, 0.0]
     assert gates[3].tolist() == [0.0, 0.0, 1.0]
@@ -158,7 +154,7 @@ def test_gate_weights_semantic_rows_one_hot():
 
 def test_gate_weights_rows_sum_to_one():
     rng = Rng(9)
-    gates = _gates(rng.normal((6, 2)), rng.normal((5, 6)), _counts())
+    gates = _gates(rng.normal((6, 2)), rng.normal((5, 6)), LEVELS)
     assert np.max(np.abs(gates.sum(axis=1) - 1.0)) < 1e-12
     assert np.all(gates >= 0.0)
 
@@ -169,17 +165,17 @@ def test_merge_experts_identities():
     params = _layer(levels=1, seed=10)
     _randomize(params, rng)
     x = rng.normal((4, 12))
-    counts = (1, 1, 2)
+    row_levels = [0, 1, 0, 0]
     ffn = ex.ffn_graph(params.ffn, ad.const(x)).value
-    assert np.array_equal(_block(params, x, counts), ffn + _expert_outputs(params, x, counts)[0])
+    assert np.array_equal(_block(params, x, row_levels), ffn + _expert_outputs(params, x, row_levels)[0])
     # semantic rows take their own level's output with coefficient one
     params = _layer(levels=2, seed=10)
     _randomize(params, rng)
-    x, counts = _tokens(seed=10)
-    hs = _expert_outputs(params, x, counts)
+    x, row_levels = _tokens(seed=10)
+    hs = _expert_outputs(params, x, row_levels)
     ffn = ex.ffn_graph(params.ffn, ad.const(x)).value
-    out = _block(params, x, counts)
-    for t, level in enumerate(_row_levels(counts)):
+    out = _block(params, x, row_levels)
+    for t, level in enumerate(row_levels):
         if level:
             assert np.array_equal(out[t], ffn[t] + hs[level - 1][t])
 
@@ -188,15 +184,15 @@ def test_merge_experts_matches_per_row_oracle():
     rng = Rng(11)
     params = _layer(levels=3, seed=11)
     _randomize(params, rng)
-    counts = (2, 1, 1, 1, 1)
+    row_levels = [0, 0, 1, 2, 3, 0]
     x = rng.normal((6, 12))
-    hs = _expert_outputs(params, x, counts)
-    gates = _gates_ref(params.gate_w.value, x, counts)
+    hs = _expert_outputs(params, x, row_levels)
+    gates = _gates_ref(params.gate_w.value, x, row_levels)
     oracle = _ffn_ref(params.ffn, x)
     for t in range(6):
         for l in range(3):
             oracle[t] += gates[t, l] * hs[l][t]
-    assert np.max(np.abs(_block(params, x, counts) - oracle)) < 1e-12
+    assert np.max(np.abs(_block(params, x, row_levels) - oracle)) < 1e-12
 
 
 def test_block_zero_experts_is_exact_ffn():
@@ -204,8 +200,8 @@ def test_block_zero_experts_is_exact_ffn():
     for e in params.experts:
         e.u.value[:] = 0.0
         e.v.value[:] = 0.0
-    x, counts = _tokens()
-    out = _block(params, x, counts)
+    x, row_levels = _tokens()
+    out = _block(params, x, row_levels)
     pre = x @ params.ffn.w1.value + params.ffn.b1.value
     act = pre * (1.0 / (1.0 + np.exp(-pre)))
     ffn = act @ params.ffn.w2.value + params.ffn.b2.value
@@ -215,8 +211,8 @@ def test_block_zero_experts_is_exact_ffn():
 def test_fresh_layer_is_exact_ffn_identity():
     # v initialized to zero: the expert path contributes exactly nothing
     params = _layer(seed=21)
-    x, counts = _tokens(seed=22)
-    out = _block(params, x, counts)
+    x, row_levels = _tokens(seed=22)
+    out = _block(params, x, row_levels)
     graph = ex.ffn_graph(params.ffn, ad.const(x)).value
     assert np.array_equal(out, graph)
 
@@ -224,17 +220,17 @@ def test_fresh_layer_is_exact_ffn_identity():
 def test_block_matches_straight_line_oracle():
     params = _layer(seed=14)
     _randomize(params, Rng(15))
-    x, counts = _tokens(seed=16)
+    x, row_levels = _tokens(seed=16)
 
-    masks = _masks(counts, 2)
+    masks = _masks(row_levels, 2)
     hs = [
         (masks[l][:, None] * x) @ params.experts[l].u.value @ params.experts[l].v.value
         for l in range(2)
     ]
-    gates = _gates_ref(params.gate_w.value, x, counts)
+    gates = _gates_ref(params.gate_w.value, x, row_levels)
     merged = sum(gates[:, l : l + 1] * hs[l] for l in range(2))
     oracle = _ffn_ref(params.ffn, x) + merged
-    assert np.max(np.abs(_block(params, x, counts) - oracle)) < 1e-12
+    assert np.max(np.abs(_block(params, x, row_levels) - oracle)) < 1e-12
 
 
 def test_masked_independence_bit_exact():
@@ -242,18 +238,18 @@ def test_masked_independence_bit_exact():
     rng = Rng(18)
     for e in params.experts:
         e.v.value = rng.normal(e.v.value.shape)
-    x, counts = _tokens(seed=19)
-    level_2 = np.array(_row_levels(counts)) == 2
+    x, row_levels = _tokens(seed=19)
+    level_2 = np.array(row_levels) == 2
     perturbed = x.copy()
     perturbed[level_2] += rng.normal((int(level_2.sum()), x.shape[1]))
     params.gate_w.value = rng.normal(params.gate_w.value.shape)
-    base = _block(params, x, counts)
+    base = _block(params, x, row_levels)
     # perturbing the level-2 rows leaves every other row unchanged
-    assert np.array_equal(_block(params, perturbed, counts)[~level_2], base[~level_2])
+    assert np.array_equal(_block(params, perturbed, row_levels)[~level_2], base[~level_2])
     # replacing expert 1 leaves every level-2 row unchanged
     params.experts[0].u.value = rng.normal(params.experts[0].u.value.shape)
     params.experts[0].v.value = rng.normal(params.experts[0].v.value.shape)
-    assert np.array_equal(_block(params, x, counts)[level_2], base[level_2])
+    assert np.array_equal(_block(params, x, row_levels)[level_2], base[level_2])
 
 
 def test_expert_layer_rank_validation():
@@ -263,19 +259,19 @@ def test_expert_layer_rank_validation():
 
 def test_block_rejects_out_of_range_level():
     params = _layer(levels=2)
-    with pytest.raises(ShapeError, match="level 3"):
-        _block(params, Rng(20).normal((5, 12)), (1, 1, 1, 1, 1))
+    with pytest.raises(ShapeError, match=r"values in 0\.\.2"):
+        _block(params, Rng(20).normal((5, 12)), [0, 1, 2, 3, 0])
 
 
 def test_expert_block_gradients_match_finite_differences():
     params = _layer(d_h=10, d_r=3, levels=2, d_i=12, seed=23)
     rng = Rng(24)
     _randomize(params, rng, std=0.3)
-    x, counts = _tokens(d_h=10, seed=25)
+    x, row_levels = _tokens(d_h=10, seed=25)
     weights = rng.normal(x.shape)
 
     def build():
-        out = ex.expert_block_graph(params, ad.const(x), [counts])
+        out = ex.expert_block_graph(params, ad.const(x), row_levels)
         return total(ad.mul(out, ad.const(weights)))
 
     report = ad.check_gradients(build, params.named_parameters(), n_probes=80, rng=Rng(26))

