@@ -156,17 +156,17 @@ def cmd_build_db(args, cfg: RunConfig) -> int:
     with np.errstate(over="ignore"):
         for lineno, obj in iter_jsonl(args.input):
             if "text" not in obj:
-                raise FormatError(f"line {lineno}: missing 'text' field")
+                raise FormatError(f"line {lineno}: missing field 'text'")
             text = json_text(obj["text"], f"line {lineno}: 'text'")
-            if "embedding" in obj:
-                emb = json_numbers(obj["embedding"], f"line {lineno}: 'embedding'")
-                if emb.ndim != 1:
-                    raise FormatError(f"line {lineno}: 'embedding' must be a flat array, got shape {emb.shape}")
-            elif encoder is not None:
-                emb = de.encode_text(encoder, de.tokenize_text(text, encoder.vocab))
-            else:
-                raise FormatError(f"line {lineno}: no 'embedding' field and no --encoder given")
             try:
+                if "embedding" in obj:
+                    emb = json_numbers(obj["embedding"], f"line {lineno}: 'embedding'")
+                    if emb.ndim != 1:
+                        raise FormatError(f"line {lineno}: 'embedding' must be a flat array, got shape {emb.shape}")
+                elif encoder is not None:
+                    emb = de.encode_text(encoder, de.tokenize_text(text, encoder.vocab))
+                else:
+                    raise FormatError(f"line {lineno}: no 'embedding' field and no --encoder given")
                 db.ingest(text, emb)
             except (ShapeError, DomainError) as e:
                 raise FormatError(f"line {lineno}: {e}") from e
@@ -180,14 +180,18 @@ def cmd_train_retriever(args, cfg: RunConfig) -> int:
     pairs = []
     lines_by_text: dict[tuple, int] = {}
     for lineno, obj in iter_jsonl(args.input):
-        if "image" not in obj or "text" not in obj:
-            raise FormatError(f"line {lineno}: need 'image' and 'text' fields")
+        for f in ("image", "text"):
+            if f not in obj:
+                raise FormatError(f"line {lineno}: missing field {f!r}")
         image = json_numbers(obj["image"], f"line {lineno}: 'image'")
         if image.shape != (v["d_img_raw"],):
             raise FormatError(f"line {lineno}: 'image' has shape {image.shape}, expected ({v['d_img_raw']},)")
         if not np.isfinite(image).all():
             raise FormatError(f"line {lineno}: 'image' holds a non-finite value")
-        tokens = de.tokenize_text(json_text(obj["text"], f"line {lineno}: 'text'"), v["bow_vocab"])
+        try:
+            tokens = de.tokenize_text(json_text(obj["text"], f"line {lineno}: 'text'"), v["bow_vocab"])
+        except DomainError as e:  # a text of only whitespace
+            raise FormatError(f"line {lineno}: {e}") from e
         # one contrastive batch holds every pair, and it may not repeat a text
         if tuple(tokens) in lines_by_text:
             raise FormatError(f"line {lineno}: text tokens repeat line {lines_by_text[tuple(tokens)]}")
@@ -282,14 +286,14 @@ def cmd_train(args, cfg: RunConfig) -> int:
 
 
 def _read_keyed_jsonl(path, required_fields, parse) -> dict:
-    """id -> parse(row) for each line; `parse` raises FormatError for a row
-    it cannot use, reported with the line. An id may appear on one line
-    only."""
+    """id -> parse(row) for each line; `parse` raises FormatError or
+    DomainError for a row it cannot use, reported with the line as a
+    FormatError. An id may appear on one line only."""
     rows, first_line = {}, {}
     for lineno, obj in iter_jsonl(path):
         for f in ("id",) + required_fields:
             if f not in obj:
-                raise FormatError(f"line {lineno}: missing {f!r} field")
+                raise FormatError(f"line {lineno}: missing field {f!r}")
         try:
             key = obj["id"]
             if not isinstance(key, (str, int, float)):
@@ -298,7 +302,7 @@ def _read_keyed_jsonl(path, required_fields, parse) -> dict:
                 raise FormatError(f"id {key!r} repeats line {first_line[key]}")
             first_line[key] = lineno
             rows[key] = parse(obj)
-        except FormatError as e:
+        except (FormatError, DomainError) as e:
             raise FormatError(f"line {lineno}: {e}") from e
     return rows
 

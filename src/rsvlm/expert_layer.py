@@ -7,8 +7,9 @@ v: d_r x d_h, applied to row tokens as x @ u @ v). Every expert reads every
 row, and the gate alone routes: level-0 rows mix all L expert outputs
 through a per-row softmax gate, while a level-l row weights expert l's
 output by one and every other expert's by exactly zero, so only its own
-level's expert reaches it. The merged expert output is added to a standard
-two-layer FFN of the same input.
+level's expert reaches it. The layer returns only the merged expert
+output; the transformer block that holds it adds the merge to its FFN of
+the same input.
 """
 
 from __future__ import annotations
@@ -46,15 +47,10 @@ class ExpertParams:
 class ExpertLayerParams:
     experts: list[ExpertParams]
     gate_w: Tensor  # d_h x L
-    ffn: FfnParams
 
     @property
     def levels(self) -> int:
         return len(self.experts)
-
-    @property
-    def d_h(self) -> int:
-        return self.experts[0].u.value.shape[0]
 
     def named_parameters(self, prefix: str = "") -> list[tuple[str, Tensor]]:
         out = []
@@ -62,7 +58,6 @@ class ExpertLayerParams:
             out.append((f"{prefix}experts.u{l}", ex.u))
             out.append((f"{prefix}experts.v{l}", ex.v))
         out.append((f"{prefix}gate.wg", self.gate_w))
-        out += self.ffn.named(f"{prefix}ffn")
         return out
 
 
@@ -75,8 +70,9 @@ def init_ffn(d_in: int, d_inner: int, d_out: int, rng: Rng) -> FfnParams:
     )
 
 
-def init_expert_layer(d_h: int, d_r: int, levels: int, d_inner: int, rng: Rng) -> ExpertLayerParams:
-    """U Gaussian, V zero (layer starts as an exact FFN), gate zero (uniform)."""
+def init_expert_layer(d_h: int, d_r: int, levels: int, rng: Rng) -> ExpertLayerParams:
+    """U Gaussian, V zero (the merge starts at exactly zero), gate zero
+    (uniform)."""
     if d_r >= d_h:
         raise ShapeError(f"expert rank d_r {d_r} must be < d_h {d_h}")
     experts = [
@@ -86,11 +82,7 @@ def init_expert_layer(d_h: int, d_r: int, levels: int, d_inner: int, rng: Rng) -
         )
         for l in range(1, levels + 1)
     ]
-    return ExpertLayerParams(
-        experts=experts,
-        gate_w=ad.param(rng.zeros((d_h, levels))),
-        ffn=init_ffn(d_h, d_inner, d_h, rng.spawn(100)),
-    )
+    return ExpertLayerParams(experts=experts, gate_w=ad.param(rng.zeros((d_h, levels))))
 
 
 def gate_weights_graph(gate_w: Tensor, hidden: Tensor, row_levels: np.ndarray) -> Tensor:
@@ -109,18 +101,15 @@ def gate_weights_graph(gate_w: Tensor, hidden: Tensor, row_levels: np.ndarray) -
 
 
 def expert_block_graph(params: ExpertLayerParams, hidden: Tensor, row_levels: np.ndarray) -> Tensor:
-    """FFN(hidden) plus the gated merge of all expert outputs; `row_levels`
-    holds each hidden row's level (0 on image and query rows)."""
-    if hidden.value.shape[1] != params.d_h:
-        raise ShapeError(f"expert block: hidden dim {hidden.value.shape[1]} != d_h {params.d_h}")
+    """The gated merge of all expert outputs; `row_levels` holds each
+    hidden row's level (0 on image and query rows)."""
     gates = gate_weights_graph(params.gate_w, hidden, row_levels)
     merged = None
     for l, ex in enumerate(params.experts, start=1):
         h_l = ad.matmul(ad.matmul(hidden, ex.u), ex.v)
         weighted = ad.mul(h_l, ad.narrow(gates, 1, l - 1, 1))
         merged = weighted if merged is None else merged + weighted
-    ffn_out = ffn_graph(params.ffn, hidden)
-    return ffn_out + merged
+    return merged
 
 
 def ffn_graph(ffn: FfnParams, x: Tensor) -> Tensor:

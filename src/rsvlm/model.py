@@ -4,10 +4,10 @@ A small pre-norm self-attention visual encoder is tapped at L depths to
 produce multi-level features. The prompter turns those features, the
 retrieved semantics, and the user query into prompt tokens. The decoder-only
 LM consumes [image tokens; prompt tokens per level; query tokens] under a
-causal mask, with the expert layer replacing the plain FFN in every
-`expert_stride`-th block. Query text uses a byte-level tokenizer (ids 0..255)
-plus EOS and SEP specials; retrieved semantic texts share the same LM
-embedding table.
+causal mask; both stacks run the same block, and every `expert_stride`-th LM
+block adds the expert layer's merge to its FFN. Query text uses a byte-level
+tokenizer (ids 0..255) plus EOS and SEP specials; retrieved semantic texts
+share the same LM embedding table.
 
 Training and generation share one forward over the stacked rows of a batch:
 the row-local ops (embeddings, layer norm, projections, FFN, expert block,
@@ -126,11 +126,9 @@ class ModelConfig:
             raise ConfigError(problems)
 
     def tap_indices(self) -> list[int]:
-        """1-based visual block indices feeding the L feature levels."""
-        taps = [max(1, (i * self.visual_blocks) // self.levels) for i in range(1, self.levels + 1)]
-        if len(set(taps)) != len(taps):
-            raise ConfigError([f"visual taps {taps} not strictly increasing"])
-        return taps
+        """1-based visual block indices feeding the L feature levels; with
+        visual_blocks >= levels they are distinct and the first is >= 1."""
+        return [(i * self.visual_blocks) // self.levels for i in range(1, self.levels + 1)]
 
     def expert_block_indices(self) -> list[int]:
         """1-based LM block indices that carry the expert layer."""
@@ -138,47 +136,45 @@ class ModelConfig:
 
 
 @dataclass
-class VisualBlockParams:
+class BlockParams:
+    """A pre-norm block of the visual encoder or the LM; an expert block
+    adds its expert layer's merge to the FFN's output."""
+
     attn: AttnBlockParams
-    mlp: FfnParams
+    ffn: FfnParams
+    experts: ExpertLayerParams | None = None
+
+    def named(self, prefix: str, ffn: str = "ffn") -> list[tuple[str, Tensor]]:
+        out = self.attn.named(f"{prefix}.attn")
+        if self.experts is not None:
+            out += self.experts.named_parameters(f"{prefix}.")
+        return out + self.ffn.named(f"{prefix}.{ffn}")
 
 
 @dataclass
 class VisualEncoderParams:
     patch_w: Tensor
     patch_b: Tensor
-    blocks: list[VisualBlockParams]
+    blocks: list[BlockParams]
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         out = [("patch_embed.w", self.patch_w), ("patch_embed.b", self.patch_b)]
         for i, blk in enumerate(self.blocks, start=1):
-            out += blk.attn.named(f"block{i}.attn")
-            out += blk.mlp.named(f"block{i}.mlp")
+            out += blk.named(f"block{i}", ffn="mlp")
         return out
-
-
-@dataclass
-class LmBlockParams:
-    attn: AttnBlockParams
-    ffn: FfnParams | None
-    experts: ExpertLayerParams | None
 
 
 @dataclass
 class LmParams:
     embed: Tensor
     pos: Tensor
-    blocks: list[LmBlockParams]
+    blocks: list[BlockParams]
     head: Tensor
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         out = [("embed", self.embed), ("pos", self.pos)]
         for i, blk in enumerate(self.blocks, start=1):
-            out += blk.attn.named(f"block{i}.attn")
-            if blk.experts is not None:
-                out += blk.experts.named_parameters(f"block{i}.")
-            else:
-                out += blk.ffn.named(f"block{i}.ffn")
+            out += blk.named(f"block{i}")
         out.append(("head", self.head))
         return out
 
@@ -241,9 +237,9 @@ def _init_model(cfg: ModelConfig, master: Rng | ShapeRng) -> VlmModel:
         patch_w=ad.param(vrng.spawn(0).normal((cfg.patch_dim, cfg.d_v), std=1.0 / math.sqrt(cfg.patch_dim))),
         patch_b=ad.param(vrng.zeros((1, cfg.d_v))),
         blocks=[
-            VisualBlockParams(
+            BlockParams(
                 attn=init_attn_block(cfg.d_v, cfg.d_v, cfg.d_v, vrng.spawn(10 + i)),
-                mlp=init_ffn(cfg.d_v, cfg.visual_inner, cfg.d_v, vrng.spawn(50 + i)),
+                ffn=init_ffn(cfg.d_v, cfg.visual_inner, cfg.d_v, vrng.spawn(50 + i)),
             )
             for i in range(cfg.visual_blocks)
         ],
@@ -254,17 +250,15 @@ def _init_model(cfg: ModelConfig, master: Rng | ShapeRng) -> VlmModel:
     expert_set = set(cfg.expert_block_indices())
     blocks = []
     for i in range(1, cfg.lm_blocks + 1):
-        attn = init_attn_block(cfg.d_h, cfg.d_h, cfg.d_h, lrng.spawn(10 + i))
-        if i in expert_set:
-            blocks.append(LmBlockParams(
-                attn=attn, ffn=None,
-                experts=init_expert_layer(cfg.d_h, cfg.d_r, cfg.levels, cfg.d_i, lrng.spawn(200 + i)),
-            ))
-        else:
-            blocks.append(LmBlockParams(
-                attn=attn, ffn=init_ffn(cfg.d_h, cfg.d_i, cfg.d_h, lrng.spawn(100 + i)),
-                experts=None,
-            ))
+        expert = i in expert_set
+        # An expert block's FFN comes from its expert layer's stream, which
+        # once owned it, so a seed keeps its parameters and RSCK bytes.
+        ffn_rng = lrng.spawn(200 + i).spawn(100) if expert else lrng.spawn(100 + i)
+        blocks.append(BlockParams(
+            attn=init_attn_block(cfg.d_h, cfg.d_h, cfg.d_h, lrng.spawn(10 + i)),
+            ffn=init_ffn(cfg.d_h, cfg.d_i, cfg.d_h, ffn_rng),
+            experts=init_expert_layer(cfg.d_h, cfg.d_r, cfg.levels, lrng.spawn(200 + i)) if expert else None,
+        ))
     lm = LmParams(
         embed=ad.param(lrng.spawn(1).normal((cfg.vocab, cfg.d_h), std=0.02)),
         pos=ad.param(lrng.spawn(2).normal((cfg.max_seq, cfg.d_h), std=0.02)),
@@ -286,19 +280,29 @@ def _encode_multilevel_graph(model: VlmModel, patches: Tensor, n_patches) -> lis
     stacked patch rows x d_v. `n_patches` counts each sample's rows; a
     sample's patches attend only to each other."""
     cfg = model.config
-    if patches.value.shape[0] < 1:
-        raise ShapeError(f"_encode_multilevel_graph: need a nonempty patch grid, got shape {patches.value.shape}")
     v = model.visual
     x = ad.matmul(patches, v.patch_w) + v.patch_b
     taps = []
     tap_set = set(cfg.tap_indices())
     for i, blk in enumerate(v.blocks, start=1):
-        a = ad.layer_norm_rows(x)
-        x = x + attention_output(blk.attn, a, a, cfg.visual_heads, n_patches, n_patches)
-        x = x + ffn_graph(blk.mlp, ad.layer_norm_rows(x))
+        x = _block_graph(blk, x, cfg.visual_heads, n_patches, n_patches)
         if i in tap_set:
             taps.append(x)
     return taps
+
+
+def _block_graph(blk: BlockParams, x: Tensor, heads: int, lens, k_lens, causal: bool = False,
+                 cache: KvCache | None = None, row_levels: np.ndarray | None = None) -> Tensor:
+    """One pre-norm block over the stacked rows `x`: self-attention (its
+    lengths, mask and cache as in `attention_output`), then the FFN plus, in
+    an expert block, the expert merge routed by `row_levels`."""
+    a = ad.layer_norm_rows(x)
+    x = x + attention_output(blk.attn, a, a, heads, lens, k_lens, causal, cache)
+    h = ad.layer_norm_rows(x)
+    out = ffn_graph(blk.ffn, h)
+    if blk.experts is not None:
+        out = out + expert_block_graph(blk.experts, h, row_levels)
+    return x + out
 
 
 def _lm_logits_graph(model: VlmModel, hidden: Tensor, lens, row_levels: np.ndarray,
@@ -321,15 +325,8 @@ def _lm_logits_graph(model: VlmModel, hidden: Tensor, lens, row_levels: np.ndarr
         raise ShapeError(f"sequence length {offset + max(lens)} exceeds max_seq {cfg.max_seq}")
     x = hidden + ad.embedding(model.lm.pos, ranges([offset] * len(lens), lens))
     k_lens = [offset + n for n in lens]
-    for i, blk in enumerate(model.lm.blocks):
-        a = ad.layer_norm_rows(x)
-        kv = cache[i] if cache is not None else None
-        x = x + attention_output(blk.attn, a, a, cfg.heads, lens, k_lens, causal=True, cache=kv)
-        h = ad.layer_norm_rows(x)
-        if blk.experts is not None:
-            x = x + expert_block_graph(blk.experts, h, row_levels)
-        else:
-            x = x + ffn_graph(blk.ffn, h)
+    for blk, kv in zip(model.lm.blocks, cache or [None] * len(model.lm.blocks)):
+        x = _block_graph(blk, x, cfg.heads, lens, k_lens, True, kv, row_levels)
     return ad.matmul(ad.layer_norm_rows(x), model.lm.head)
 
 

@@ -156,8 +156,7 @@ def aggregate_query_graph(params: PrompterParams, f_user: Tensor, heads: int, us
         u0 += n
     f_in = ad.embedding(table, ranges(starts, lens))
     z0 = ad.concat([params.f_agg] * samples, axis=0)
-    return z0 + attention_output(params.self_attn, ad.layer_norm_rows(z0), f_in, heads,
-                                 (n_agg,) * samples, [n_agg + n for n in user_lens])
+    return cross_attend_graph(params.self_attn, z0, f_in, heads, [n_agg + n for n in user_lens])
 
 
 def cross_attend_graph(block: AttnBlockParams, z: Tensor, ctx: Tensor, heads: int, ctx_lens) -> Tensor:

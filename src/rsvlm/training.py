@@ -17,6 +17,7 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from tokenize import TokenError
 
 import numpy as np
 
@@ -214,7 +215,11 @@ def load_patches(source, base_dir=None) -> np.ndarray:
         if not path.exists():
             raise FormatError(f"image feature file not found: {path}")
         if path.suffix == ".npy":
-            source = np.load(path)
+            try:
+                source = np.load(path)
+            except (EOFError, SyntaxError, TokenError, ValueError) as e:
+                # numpy raises all four for an empty or malformed file
+                raise FormatError(f"image feature file {path}: {e}") from e
         else:
             source = json.loads(path.read_text(encoding="utf-8"))
     arr = json_numbers(source, "image features")

@@ -30,10 +30,10 @@ def _report(n, text):
 
 def test_criterion_1_parameter_arithmetic():
     full = cli.PROFILES["paper"]
-    layer = ex.init_expert_layer(full["d_h"], full["d_r"], full["levels"], full["d_i"], ShapeRng())
+    layer = ex.init_expert_layer(full["d_h"], full["d_r"], full["levels"], ShapeRng())
     per_expert = layer.experts[0].u.value.size + layer.experts[0].v.value.size
     # a gated-FFN expert has three d_h x d_i projections (gate, up, down)
-    baseline = 3 * layer.ffn.w1.value.size
+    baseline = 3 * ex.init_ffn(full["d_h"], full["d_i"], full["d_h"], ShapeRng()).w1.value.size
     assert per_expert == 3_670_016
     assert baseline == 3 * 3584 * 18944 == 203_685_888
     ratio_pct = 100.0 * per_expert / baseline
@@ -81,7 +81,7 @@ def test_criterion_4_router_mask_invariants():
         row_levels = (rng.u64(t) % np.uint64(levels + 1)).astype(np.int64)
 
         hidden = rng.normal((t, d_h))
-        layer = ex.init_expert_layer(d_h, d_r, levels, 16, Rng(cases))
+        layer = ex.init_expert_layer(d_h, d_r, levels, Rng(cases))
         for e in layer.experts:
             e.u.value, e.v.value = rng.normal((d_h, d_r)), rng.normal((d_r, d_h))
         layer.gate_w.value = swaps.normal((d_h, levels))

@@ -25,11 +25,6 @@ def _block(params, hidden, row_levels):
     return ex.expert_block_graph(params, ad.const(hidden), row_levels).value
 
 
-def _ffn_ref(ffn, x):
-    pre = x @ ffn.w1.value + ffn.b1.value
-    return (pre / (1.0 + np.exp(-pre))) @ ffn.w2.value + ffn.b2.value
-
-
 def _gates_ref(w_g, hidden, row_levels):
     """Softmax rows from the numpy oracle; one-hot rows for semantic tokens."""
     gates = softmax_rows(hidden @ w_g)
@@ -39,8 +34,8 @@ def _gates_ref(w_g, hidden, row_levels):
     return gates
 
 
-def _layer(d_h=12, d_r=3, levels=2, d_i=16, seed=12):
-    return ex.init_expert_layer(d_h, d_r, levels, d_i, Rng(seed))
+def _layer(d_h=12, d_r=3, levels=2, seed=12):
+    return ex.init_expert_layer(d_h, d_r, levels, Rng(seed))
 
 
 def _randomize(params, rng, std=1.0):
@@ -105,6 +100,9 @@ def test_segmented_tokens_validation():
     # against one hidden row, a longer level array would broadcast
     with pytest.raises(ShapeError, match=r"shape \(2,\): need \(1,\)"):
         _block(params, hidden[:1], [0, 0])
+    # rows of the wrong width meet the gate's d_h rows
+    with pytest.raises(ShapeError):
+        _block(params, hidden[:, :3], LEVELS)
 
 
 def test_expert_forward_zero_u():
@@ -114,10 +112,10 @@ def test_expert_forward_zero_u():
 
 
 def test_expert_param_count_paper_scale():
-    params = ex.init_expert_layer(3584, 512, 3, 18944, ShapeRng())
+    params = ex.init_expert_layer(3584, 512, 3, ShapeRng())
     assert params.experts[0].u.value.size + params.experts[0].v.value.size == 3_670_016
     # a gated-FFN expert has three d_h x d_i projections (gate, up, down)
-    assert 3 * params.ffn.w1.value.size == 203_685_888
+    assert 3 * ex.init_ffn(3584, 18944, 3584, ShapeRng()).w1.value.size == 203_685_888
 
 
 def test_expert_forward_matches_matmul_oracle():
@@ -161,23 +159,21 @@ def test_gate_weights_rows_sum_to_one():
 
 def test_merge_experts_identities():
     rng = Rng(10)
-    # one level: every gate is exactly one, so the block adds the lone expert
+    # one level: every gate is exactly one, so the merge is the lone expert
     params = _layer(levels=1, seed=10)
     _randomize(params, rng)
     x = rng.normal((4, 12))
     row_levels = [0, 1, 0, 0]
-    ffn = ex.ffn_graph(params.ffn, ad.const(x)).value
-    assert np.array_equal(_block(params, x, row_levels), ffn + _expert_outputs(params, x, row_levels)[0])
+    assert np.array_equal(_block(params, x, row_levels), _expert_outputs(params, x, row_levels)[0])
     # semantic rows take their own level's output with coefficient one
     params = _layer(levels=2, seed=10)
     _randomize(params, rng)
     x, row_levels = _tokens(seed=10)
     hs = _expert_outputs(params, x, row_levels)
-    ffn = ex.ffn_graph(params.ffn, ad.const(x)).value
     out = _block(params, x, row_levels)
     for t, level in enumerate(row_levels):
         if level:
-            assert np.array_equal(out[t], ffn[t] + hs[level - 1][t])
+            assert np.array_equal(out[t], hs[level - 1][t])
 
 
 def test_merge_experts_matches_per_row_oracle():
@@ -188,33 +184,35 @@ def test_merge_experts_matches_per_row_oracle():
     x = rng.normal((6, 12))
     hs = _expert_outputs(params, x, row_levels)
     gates = _gates_ref(params.gate_w.value, x, row_levels)
-    oracle = _ffn_ref(params.ffn, x)
+    oracle = np.zeros((6, 12))
     for t in range(6):
         for l in range(3):
             oracle[t] += gates[t, l] * hs[l][t]
     assert np.max(np.abs(_block(params, x, row_levels) - oracle)) < 1e-12
 
 
-def test_block_zero_experts_is_exact_ffn():
+def test_block_zero_experts_merge_exactly_zero():
     params = _layer()
     for e in params.experts:
         e.u.value[:] = 0.0
         e.v.value[:] = 0.0
     x, row_levels = _tokens()
-    out = _block(params, x, row_levels)
-    pre = x @ params.ffn.w1.value + params.ffn.b1.value
+    assert np.array_equal(_block(params, x, row_levels), np.zeros_like(x))
+
+
+def test_ffn_matches_silu_oracle():
+    ffn = ex.init_ffn(12, 16, 12, Rng(12).spawn(100))
+    x, _ = _tokens()
+    pre = x @ ffn.w1.value + ffn.b1.value
     act = pre * (1.0 / (1.0 + np.exp(-pre)))
-    ffn = act @ params.ffn.w2.value + params.ffn.b2.value
-    assert np.array_equal(out, ffn)
+    assert np.array_equal(ex.ffn_graph(ffn, ad.const(x)).value, act @ ffn.w2.value + ffn.b2.value)
 
 
-def test_fresh_layer_is_exact_ffn_identity():
+def test_fresh_layer_merge_exactly_zero():
     # v initialized to zero: the expert path contributes exactly nothing
     params = _layer(seed=21)
     x, row_levels = _tokens(seed=22)
-    out = _block(params, x, row_levels)
-    graph = ex.ffn_graph(params.ffn, ad.const(x)).value
-    assert np.array_equal(out, graph)
+    assert np.array_equal(_block(params, x, row_levels), np.zeros_like(x))
 
 
 def test_block_matches_straight_line_oracle():
@@ -228,8 +226,7 @@ def test_block_matches_straight_line_oracle():
         for l in range(2)
     ]
     gates = _gates_ref(params.gate_w.value, x, row_levels)
-    merged = sum(gates[:, l : l + 1] * hs[l] for l in range(2))
-    oracle = _ffn_ref(params.ffn, x) + merged
+    oracle = sum(gates[:, l : l + 1] * hs[l] for l in range(2))
     assert np.max(np.abs(_block(params, x, row_levels) - oracle)) < 1e-12
 
 
@@ -254,7 +251,7 @@ def test_masked_independence_bit_exact():
 
 def test_expert_layer_rank_validation():
     with pytest.raises(ShapeError):
-        ex.init_expert_layer(8, 8, 2, 16, Rng(0))
+        ex.init_expert_layer(8, 8, 2, Rng(0))
 
 
 def test_block_rejects_out_of_range_level():
@@ -264,7 +261,7 @@ def test_block_rejects_out_of_range_level():
 
 
 def test_expert_block_gradients_match_finite_differences():
-    params = _layer(d_h=10, d_r=3, levels=2, d_i=12, seed=23)
+    params = _layer(d_h=10, d_r=3, levels=2, seed=23)
     rng = Rng(24)
     _randomize(params, rng, std=0.3)
     x, row_levels = _tokens(d_h=10, seed=25)

@@ -10,6 +10,7 @@ import json
 import re
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ MODEL = dict(d_h=8, heads=2, lm_blocks=1, expert_stride=1, levels=2, d_r=2, d_i=
              prompter_heads=2, patch_dim=4, d_v=4, visual_blocks=2, visual_heads=2,
              visual_inner=8, max_seq=64)
 ENCODER = dict(d_img_raw=4, d_e=4, bow_vocab=16, enc_hidden=6)
-KINDS = ["rsdb", "rsde", "rsck", "texts", "pairs", "caption", "instruction", "pred", "gt"]
+KINDS = ["rsdb", "rsde", "rsck", "texts", "pairs", "caption", "instruction", "npy", "pred", "gt"]
 # Each fuzz example writes a new file: overwriting one file makes ext4 flush
 # it on close, which costs far more than the example itself.
 _EXAMPLE = itertools.count()
@@ -60,10 +61,19 @@ def _write_inputs(d):
     _jsonl(d / "refs.jsonl", [{"id": i, "references": [f"class{i}", "a scene"]} for i in range(3)])
     _jsonl(d / "boxes.jsonl", [{"id": i, "box": [0, 0, 1, i + 1]} for i in range(3)])
     _jsonl(d / "plain_texts.jsonl", [{"text": "river bend"}, {"text": "dry field"}])
+    np.save(d / "image.npy", rng.normal(size=(2, 4)).round(3))
     (d / "query.json").write_text(json.dumps([0.5, 1.0, 0.0, -0.5]), encoding="utf-8")
     (d / "train.json").write_text(json.dumps({**MODEL, "max_steps": 1, "batch_size": 1}),
                                   encoding="utf-8")
     (d / "encoder.json").write_text(json.dumps(ENCODER), encoding="utf-8")
+
+
+def _caption_of(image):
+    """A caption file, next to the feature file `image`, whose one line
+    reads it."""
+    path = Path(image).with_suffix(".jsonl")
+    _jsonl(path, [{"image": image, "caption": "cap"}])
+    return str(path)
 
 
 def _inputs(d):
@@ -87,6 +97,8 @@ def _inputs(d):
         "instruction": ("instruction.jsonl",
                         lambda p: training.load_samples(p, training.STAGE_INSTRUCTION),
                         lambda p: train + ["--stage", "2", "--data", p]),
+        "npy": ("image.npy", lambda p: training.load_patches(str(p)),
+                lambda p: train + ["--stage", "1", "--data", _caption_of(p)]),
         "pred": ("pred.jsonl", lambda p: list(iter_jsonl(p)),
                  lambda p: ["eval", "--task", "classify", "--pred", p, "--gt", str(d / "gt.jsonl")]),
         "gt": ("gt.jsonl", lambda p: list(iter_jsonl(p)),
@@ -309,6 +321,12 @@ def test_non_finite_image_features_exit_4(inputs_dir, tmp_path, kind, source, va
     assert err == f"format error: line 2: {message}\n"
 
 
+def test_empty_npy_feature_file_exit_4(inputs_dir, tmp_path):
+    path = tmp_path / "image.npy"
+    path.write_bytes(b"")
+    _assert_fails_closed("npy", inputs_dir, path, f"image feature file {re.escape(str(path))}: ")
+
+
 def test_rsdb_invalid_utf8_reports_record_offset(inputs_dir, tmp_path):
     blob = bytearray((inputs_dir / "db.rsdb").read_bytes())
     # header 18 bytes, then id u64 and text length u32: text 0 starts at byte 30
@@ -388,6 +406,12 @@ JSONL_FIELD_FAULTS = {
                                        "'text' holds a lone surrogate at character 0"),
     "train_retriever_text_number": ("pairs.jsonl", lambda d, p: _inputs(d)["pairs"][2](p),
                                     {"image": [0.5] * 4, "text": 5}, "'text' must be a string"),
+    "train_retriever_text_blank": ("pairs.jsonl", lambda d, p: _inputs(d)["pairs"][2](p),
+                                   {"image": [0.5] * 4, "text": " \t "}, "tokenize_text: no tokens in text"),
+    "build_db_encoder_text_blank": ("plain_texts.jsonl",
+                                    lambda d, p: ["build-db", "--input", p, "--out", str(d / "out.rsdb"),
+                                                  "--encoder", str(d / "enc.rsde")],
+                                    {"text": "  "}, "tokenize_text: no tokens in text"),
     "eval_id_list": ("pred.jsonl", lambda d, p: _inputs(d)["pred"][2](p),
                      {"id": [1], "output": "x"}, "'id' must be a string or a number, got [1]"),
     "caption_references_string": ("refs.jsonl", _eval("caption", "gt"),
@@ -404,6 +428,8 @@ JSONL_FIELD_FAULTS = {
                           "a box must be a list of 4 numbers, got ['a', 1, 2, 3]"),
     "ground_box_missing": ("boxes.jsonl", _eval("ground", "gt"), {"id": 1, "boxes": []},
                            "need a 'box' or 'boxes' field"),
+    "ground_box_inverted": ("boxes.jsonl", _eval("ground", "gt"), {"id": 1, "box": [5, 0, 1, 1]},
+                            "invalid box: (5, 0, 1, 1)"),
 }
 
 
@@ -416,6 +442,26 @@ def test_mistyped_jsonl_field_exit_4(inputs_dir, tmp_path, case):
     code, err = _run(argv(inputs_dir, str(path)))
     assert code == 4, err
     assert err == f"format error: line 2: {message}\n"
+
+
+@pytest.mark.parametrize("kind,row,field", [
+    ("texts", {"embedding": [1, 0, 0, 0]}, "text"),
+    ("pairs", {"text": "a b"}, "image"),
+    ("pairs", {"image": [0.5] * 4}, "text"),
+    ("caption", {"image": [[0.5] * 4]}, "caption"),
+    ("instruction", {"image": [[0.5] * 4], "query": "q"}, "response"),
+    ("pred", {"output": "x"}, "id"),
+    ("pred", {"id": 1}, "output"),
+    ("gt", {"id": 1}, "label"),
+], ids=["build_db_text", "train_retriever_image", "train_retriever_text", "train_caption",
+        "train_response", "eval_id", "eval_output", "eval_label"])
+def test_missing_jsonl_field_exit_4(inputs_dir, tmp_path, kind, row, field):
+    name, _, argv = _inputs(inputs_dir)[kind]
+    first = (inputs_dir / name).read_text(encoding="utf-8").splitlines(keepends=True)[0]
+    path = tmp_path / name
+    path.write_text(first + json.dumps(row) + "\n", encoding="utf-8")
+    code, err = _run(argv(str(path)))
+    assert (code, err) == (4, f"format error: line 2: missing field '{field}'\n")
 
 
 def _head_bytes():

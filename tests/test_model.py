@@ -7,6 +7,7 @@ import pytest
 from rsvlm import autodiff as ad
 from rsvlm import model as vlm
 from rsvlm.errors import ConfigError, ShapeError
+from rsvlm.expert_layer import init_ffn
 from rsvlm.model import EOS_ID, SEP_ID, ModelConfig, Sample, encode_text
 from rsvlm.numerics import Rng
 from rsvlm.training import caption_sample, instruction_sample
@@ -84,6 +85,35 @@ def test_expert_block_indices():
     assert _small_cfg().expert_block_indices() == [2]
 
 
+def test_named_parameters_pin_the_checkpoint_manifest():
+    # RSCK files list their blocks by these names in this order
+    def attn(p):
+        return [f"{p}.w{x}" for x in "qkvo"]
+
+    def ffn(p):
+        return [f"{p}.{x}" for x in ("w1", "b1", "w2", "b2")]
+
+    cfg = ModelConfig()
+    model = vlm.init_model(cfg, seed=3)
+    names = ["visual.patch_embed.w", "visual.patch_embed.b"]
+    for i in (1, 2, 3):
+        names += attn(f"visual.block{i}.attn") + ffn(f"visual.block{i}.mlp")
+    names += ["prompter.f_agg", *attn("prompter.self_attn"), *attn("prompter.sem_attn"),
+              *attn("prompter.level_attn1"), *attn("prompter.level_attn2"),
+              "projector.w", "projector.b", "lm.embed", "lm.pos"]
+    for i in (1, 2, 3):
+        names += attn(f"lm.block{i}.attn") + ffn(f"lm.block{i}.ffn")
+    names += attn("lm.block4.attn") + ["lm.block4.experts.u1", "lm.block4.experts.v1",
+                                       "lm.block4.experts.u2", "lm.block4.experts.v2", "lm.block4.gate.wg"]
+    names += ffn("lm.block4.ffn") + ["lm.head"]
+    assert [n for n, _ in model.named_parameters()] == names
+    # an expert block's FFN comes from a child of its expert layer's stream
+    (i,) = cfg.expert_block_indices()
+    want = init_ffn(cfg.d_h, cfg.d_i, cfg.d_h, Rng(3).spawn(4).spawn(200 + i).spawn(100))
+    got = model.lm.blocks[i - 1].ffn
+    assert all(np.array_equal(a.value, b.value) for (_, a), (_, b) in zip(got.named("f"), want.named("f")))
+
+
 def _sequence(model, seed, n_img, ids):
     """Assembled rows (projected image tokens, a random prompt, embedded ids)
     and their row-count layout."""
@@ -114,6 +144,7 @@ def test_encode_multilevel_shapes_and_distinct_taps():
     assert all(t.shape == (5, cfg.d_v) for t in taps)
     assert not np.allclose(taps[0], taps[1])
     assert not np.allclose(taps[1], taps[2])
+    # attention refuses a sample of no rows
     with pytest.raises(ShapeError):
         vlm._encode_multilevel_graph(model, ad.const(np.zeros((0, cfg.patch_dim))), [0])
 
