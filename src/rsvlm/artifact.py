@@ -3,12 +3,14 @@ loaders, and the named-block codec of RSDE and RSCK. Every fault raises
 FormatError naming what was being read and the byte offset where it starts,
 so a loader never lets a `struct.error` or an oversized allocation out of a
 short or corrupted file. The saver refuses, with DomainError, a block that
-its loader would reject.
+its loader would reject. Every artifact and JSON output is written by
+`replace_file`, so a failed write leaves the previous file whole.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -84,7 +86,27 @@ def write_blocks(path, header: bytes, named) -> None:
             if not np.isfinite(block).all():
                 raise DomainError(f"parameter block {name} holds a value that is not finite as float32")
             blocks.append(block.tobytes())
-    Path(path).write_bytes(header + b"".join(blocks))
+    replace_file(path, header + b"".join(blocks))
+
+
+def replace_file(path, data: bytes) -> None:
+    """Write `data` to a temporary file beside `path`, then rename it over
+    `path`: a write that fails (a full disk, a crash) leaves the previous
+    file as it was, and the temporary file is removed. A symlink keeps
+    naming its file; a pipe or device (`/dev/stdout`) is written in place,
+    as renaming over it would replace the device itself."""
+    path = Path(path)
+    if path.exists() and not path.is_file():
+        path.write_bytes(data)
+        return
+    path = path.resolve()
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def fill_blocks(reader: Reader, named) -> None:

@@ -9,11 +9,17 @@ same-sized samples to (samples, heads, T, dk) and hands back 2-D values and
 gradients. The tests check every op against the independent numpy oracles
 in `tests/oracles.py`; `check_gradients` is the sampled central-difference
 check that `rsvlm grad-check` runs.
+
+Inside `no_grad()` the ops compute the same values but record no graph:
+each result is a leaf, with no parents, no backward and no gradient. The
+forwards whose gradient nobody reads (generation, the retriever's encoders,
+a sample's loss, the gradient check's probes) run there.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,6 +31,8 @@ CAUSAL_BIAS = -1e30  # the score of a key a causal row may not see
 LAYER_NORM_EPS = 1e-5  # added to each row's variance
 GRAD_CHECK_EPS = 1e-5  # the central-difference step of check_gradients
 
+_recording = True  # False inside no_grad()
+
 
 class Tensor:
     __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward")
@@ -32,9 +40,11 @@ class Tensor:
     def __init__(self, value, requires_grad: bool = False, parents=(), backward=None):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
-        self._parents = parents
-        self._backward = backward
+        if parents and _recording:
+            self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
+            self._parents, self._backward = parents, backward
+        else:
+            self.requires_grad, self._parents, self._backward = requires_grad, (), None
 
     @property
     def shape(self):
@@ -47,6 +57,18 @@ class Tensor:
         return add(self, other)
 
 
+@contextmanager
+def no_grad():
+    """Ops inside build leaves, not graph nodes; the previous mode comes
+    back on exit, also when an op raises."""
+    global _recording
+    saved, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = saved
+
+
 def param(value) -> Tensor:
     return Tensor(value, requires_grad=True)
 
@@ -56,10 +78,13 @@ def const(value) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add g to t's gradient. The first g becomes the gradient itself, so a
+    backward closure hands each parent an array that nothing else holds: a
+    fresh one, or a copy of a view or of an array it also hands another."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)
+        t.grad = g
     else:
         t.grad += g
 
@@ -113,8 +138,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.value + b.value
 
     def bw(g):
-        _accumulate(a, _unbroadcast(g, a.value.shape))
-        _accumulate(b, _unbroadcast(g, b.value.shape))
+        ga, gb = _unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape)
+        _accumulate(a, ga)
+        _accumulate(b, np.array(gb) if gb is ga else gb)
 
     return Tensor(out, parents=(a, b), backward=bw)
 
@@ -154,7 +180,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def transpose(a: Tensor) -> Tensor:
     def bw(g):
-        _accumulate(a, g.T)
+        _accumulate(a, np.array(g.T))
 
     return Tensor(a.value.T, parents=(a,), backward=bw)
 
@@ -169,7 +195,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         for t, size in zip(tensors, sizes):
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(offset, offset + size)
-            _accumulate(t, g[tuple(sl)])
+            _accumulate(t, np.array(g[tuple(sl)]))
             offset += size
 
     return Tensor(out, parents=tuple(tensors), backward=bw)
@@ -451,14 +477,15 @@ def check_gradients(
     """Probe analytic gradients of named parameters against central differences.
 
     `build_loss` must rebuild the scalar loss graph (one entry, of any
-    shape) from the parameters' current values. Every parameter receives at
-    least one probe; remaining probes are spread uniformly over all
+    shape) from the parameters' current values; the probes, which read
+    only its value, rebuild it inside `no_grad()`. Every parameter receives
+    at least one probe; remaining probes are spread uniformly over all
     coordinates.
     """
     params = [(name, t) for name, t in params]
     rng = rng or Rng(0)
     zero_grads(t for _, t in params)
-    backward(build_loss())  # the graph dies here, before the probes build theirs
+    backward(build_loss())  # the only graph the check builds dies here
     analytic = {name: (np.zeros_like(t.value) if t.grad is None else t.grad.copy()) for name, t in params}
 
     sizes = [t.value.size for _, t in params]
@@ -479,10 +506,11 @@ def check_gradients(
         name, t = params[pi]
         buf = t.value.reshape(-1)
         orig = buf[flat_idx]
-        buf[flat_idx] = orig + GRAD_CHECK_EPS
-        fp = build_loss().value.item()
-        buf[flat_idx] = orig - GRAD_CHECK_EPS
-        fm = build_loss().value.item()
+        with no_grad():
+            buf[flat_idx] = orig + GRAD_CHECK_EPS
+            fp = build_loss().value.item()
+            buf[flat_idx] = orig - GRAD_CHECK_EPS
+            fm = build_loss().value.item()
         buf[flat_idx] = orig
         numeric = (fp - fm) / (2.0 * GRAD_CHECK_EPS)
         ana = float(analytic[name].reshape(-1)[flat_idx])

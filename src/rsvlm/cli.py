@@ -29,6 +29,7 @@ from . import dual_encoder as de
 from . import metrics
 from . import model as vlm
 from . import training
+from .artifact import replace_file
 from .autodiff import check_gradients
 from .errors import ConfigError, DomainError, FormatError, ShapeError
 from .numerics import Rng
@@ -134,7 +135,7 @@ def _print_json(obj, out_path=None) -> None:
     line = json.dumps(obj, sort_keys=True)
     print(line)
     if out_path:
-        Path(out_path).write_text(line + "\n", encoding="utf-8")
+        replace_file(out_path, (line + "\n").encode("utf-8"))
 
 
 def _load_retriever(path):
@@ -240,7 +241,7 @@ def cmd_retrieve(args, cfg: RunConfig) -> int:
     for line in lines:
         print(line)
     if args.out:
-        Path(args.out).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        replace_file(args.out, "".join(line + "\n" for line in lines).encode("utf-8"))
     return EXIT_OK
 
 

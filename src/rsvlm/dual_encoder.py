@@ -136,13 +136,15 @@ def encode_text_rows(params: DualEncoderParams, bags: Tensor) -> Tensor:
 def encode_image(params: DualEncoderParams, image_features) -> np.ndarray:
     """Unit-norm embedding of one raw image-feature vector."""
     feats = np.asarray(image_features, dtype=np.float64).reshape(1, -1)
-    return encode_image_rows(params, ad.const(feats)).value[0]
+    with ad.no_grad():
+        return encode_image_rows(params, ad.const(feats)).value[0]
 
 
 def encode_text(params: DualEncoderParams, text_tokens) -> np.ndarray:
     """Unit-norm embedding of one token-id list (order-invariant bag)."""
     bag = bag_vector(text_tokens, params.vocab).reshape(1, -1)
-    return encode_text_rows(params, ad.const(bag)).value[0]
+    with ad.no_grad():
+        return encode_text_rows(params, ad.const(bag)).value[0]
 
 
 def _batch_arrays(params: DualEncoderParams, batch) -> tuple[np.ndarray, np.ndarray]:

@@ -48,10 +48,6 @@ class ExpertLayerParams:
     experts: list[ExpertParams]
     gate_w: Tensor  # d_h x L
 
-    @property
-    def levels(self) -> int:
-        return len(self.experts)
-
     def named_parameters(self, prefix: str = "") -> list[tuple[str, Tensor]]:
         out = []
         for l, ex in enumerate(self.experts, start=1):

@@ -17,7 +17,8 @@ one, and it prefills once: the visual encoder, the prompter and the prefix
 [image; prompt; query; SEP] run a single time and leave each block's keys
 and values in a cache. Every further token is one query-segment row through
 the same forward, attending to the cached rows; the expert layer and the FFN
-are row-local, so only attention reads the cache.
+are row-local, so only attention reads the cache. Generation runs inside
+`autodiff.no_grad()`, so none of its forwards records a graph.
 
 Checkpoint format (little-endian)::
 
@@ -306,15 +307,16 @@ def _block_graph(blk: BlockParams, x: Tensor, heads: int, lens, k_lens, causal: 
 
 
 def _lm_logits_graph(model: VlmModel, hidden: Tensor, lens, row_levels: np.ndarray,
-                     cache: list[KvCache] | None = None) -> Tensor:
+                     cache: list[KvCache] | None = None, last_row: bool = False) -> Tensor:
     """Causal LM over the stacked rows of a batch; `lens` counts each
     sample's rows, in row order, and a sample's rows attend only to its
     own. `row_levels` holds each row's level for the expert layer (0 on
     image and query rows, l on level-l prompt rows). Returns one row of
-    vocab logits per hidden row. With `cache` (one KvCache per block; a
-    batch of one), the rows follow the cached ones: they take the next
-    positions, attend to the cached rows, and join the cache. The expert
-    layer and the FFN are row-local, so only attention reads the cache."""
+    vocab logits per hidden row, or with `last_row` only the last one's.
+    With `cache` (one KvCache per block; a batch of one), the rows follow
+    the cached ones: they take the next positions, attend to the cached
+    rows, and join the cache. The expert layer and the FFN are row-local,
+    so only attention reads the cache."""
     cfg = model.config
     if sum(lens) != hidden.value.shape[0]:
         raise ShapeError(f"sample lengths {lens} count {sum(lens)} rows, hidden has {hidden.value.shape[0]}")
@@ -327,6 +329,8 @@ def _lm_logits_graph(model: VlmModel, hidden: Tensor, lens, row_levels: np.ndarr
     k_lens = [offset + n for n in lens]
     for blk, kv in zip(model.lm.blocks, cache or [None] * len(model.lm.blocks)):
         x = _block_graph(blk, x, cfg.heads, lens, k_lens, True, kv, row_levels)
+    if last_row:
+        x = ad.narrow(x, 0, x.value.shape[0] - 1, 1)
     return ad.matmul(ad.layer_norm_rows(x), model.lm.head)
 
 
@@ -396,7 +400,8 @@ def sample_loss_graph(model: VlmModel, samples: list[Sample]) -> Tensor:
 
 
 def sample_loss(model: VlmModel, sample: Sample) -> float:
-    return float(sample_loss_graph(model, [sample]).value)
+    with ad.no_grad():
+        return float(sample_loss_graph(model, [sample]).value)
 
 
 def token_loss_graph(model: VlmModel, sample: Sample, seq_ids, targets) -> Tensor:
@@ -418,7 +423,8 @@ def generate(model: VlmModel, patches, query_ids, max_tokens: int,
     One prefill runs the visual encoder, the prompter and the prefix
     [image; prompt; query; SEP] through the LM as a batch of one, filling a
     per-block K/V cache; each further token is one query row through the
-    same LM path."""
+    same LM path; the prefill takes the head on its last row only. No
+    step records an autodiff graph."""
     if max_tokens <= 0:
         return []
     sample = Sample(
@@ -435,18 +441,19 @@ def generate(model: VlmModel, patches, query_ids, max_tokens: int,
     # The step that decodes token j runs prefix + j - 1 rows.
     max_tokens = min(max_tokens, cfg.max_seq - prefix + 1)
     cache = [KvCache(prefix + max_tokens - 1) for _ in model.lm.blocks]
-    hidden, lens, row_levels = _sequence_graph(model, [sample], [seq_ids])
-    logits = _lm_logits_graph(model, hidden, lens, row_levels, cache).value
     out: list[int] = []
-    while True:
-        nxt = int(np.argmax(logits[-1]))
-        if nxt == EOS_ID:
-            return out
-        out.append(nxt)
-        if len(out) == max_tokens:
-            return out
-        row = ad.embedding(model.lm.embed, [nxt])
-        logits = _lm_logits_graph(model, row, [1], np.zeros(1, int), cache).value
+    with ad.no_grad():
+        hidden, lens, row_levels = _sequence_graph(model, [sample], [seq_ids])
+        logits = _lm_logits_graph(model, hidden, lens, row_levels, cache, last_row=True).value
+        while True:
+            nxt = int(np.argmax(logits[-1]))
+            if nxt == EOS_ID:
+                return out
+            out.append(nxt)
+            if len(out) == max_tokens:
+                return out
+            row = ad.embedding(model.lm.embed, [nxt])
+            logits = _lm_logits_graph(model, row, [1], np.zeros(1, int), cache).value
 
 
 def save_checkpoint(model: VlmModel, path) -> None:

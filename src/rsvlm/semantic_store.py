@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifact import Reader
+from .artifact import Reader, replace_file
 from .errors import DomainError, FormatError, ShapeError
 
 MAGIC = b"RSDB"
@@ -168,7 +168,7 @@ class SemanticDatabase:
         for rec_id, text, row in zip(self._ids[:n].tolist(), self._texts, self._emb[:n].astype("<f4")):
             text_bytes = text.encode("utf-8")
             parts += (_ID_AND_LENGTH.pack(rec_id, len(text_bytes)), text_bytes, row.tobytes())
-        Path(path).write_bytes(b"".join(parts))
+        replace_file(path, b"".join(parts))
 
     @staticmethod
     def load(path) -> "SemanticDatabase":

@@ -297,3 +297,70 @@ def test_check_gradients_harness_probes_every_param():
     report = ad.check_gradients(build, [("a", a), ("b", b)], n_probes=10, rng=Rng(1))
     assert report.max_relative_error <= 1e-4
     assert report.max_relative_error < 1e-6
+
+
+def _every_op(a, b):
+    """One result of each op, from 4 x 4 tensors a and b."""
+    rng = Rng(10)
+    s = ad.softmax_rows(a)
+    return [
+        ad.add(a, b), ad.neg(a), ad.mul(a, b), ad.matmul(a, b), ad.transpose(a),
+        ad.concat([a, b], axis=1), ad.narrow(a, 0, 1, 2), s,
+        ad.attention(a, b, s, 2, [1, 3], [1, 3], causal=True), ad.layer_norm_rows(b), ad.silu(a),
+        ad.tanh(a), ad.exp(b), ad.l2_normalize_rows(a), ad.embedding(b, [3, 0, 3]),
+        ad.cross_entropy(ad.matmul(a, b), [1, -1, 0, 3], [1, 3]),
+        ad.matmul(ad.const(rng.normal((1, 4))), a),
+    ]
+
+
+def test_no_grad_ops_build_leaves_of_the_same_values():
+    rng = Rng(11)
+    a, b = ad.param(rng.normal((4, 4))), ad.param(rng.normal((4, 4)))
+    recorded = _every_op(a, b)
+    assert all(t._parents and t.requires_grad for t in recorded)
+    with ad.no_grad():
+        leaves = _every_op(a, b)
+    for got, want in zip(leaves, recorded):
+        assert got._parents == () and got._backward is None and not got.requires_grad
+        assert got.value.shape == want.value.shape and np.array_equal(got.value, want.value)
+    assert a.requires_grad and a.grad is None  # a parameter stays one
+
+
+def test_no_grad_is_restored_after_a_raise_and_a_nested_use():
+    x = ad.param(np.ones((2, 3)))
+    with pytest.raises(ShapeError):
+        with ad.no_grad():
+            ad.matmul(x, x)
+    assert ad.add(x, x)._parents == (x, x)
+    with ad.no_grad():
+        with ad.no_grad():
+            assert ad.add(x, x)._parents == ()
+        assert ad.add(x, x)._parents == ()  # still tape-free after the inner exit
+    assert ad.add(x, x).requires_grad
+
+
+def test_parameter_used_inside_no_grad_gets_no_gradient():
+    rng = Rng(12)
+    x, w, v = ad.const(rng.normal((3, 4))), ad.param(rng.normal((4, 4))), ad.param(rng.normal((4, 2)))
+    with ad.no_grad():
+        h = ad.tanh(ad.matmul(x, w))
+    ad.backward(total(ad.matmul(h, v)))
+    assert w.grad is None
+    assert np.array_equal(v.grad, h.value.T @ np.ones((3, 2)))
+
+
+def test_backward_hands_each_parent_its_own_array():
+    # add with equal shapes, concat, transpose and narrow pass a parent the
+    # gradient's array or a view of it; each leaf's gradient must own its memory
+    rng = Rng(13)
+    a, b = ad.param(rng.normal((3, 4))), ad.param(rng.normal((3, 4)))
+    y = ad.concat([ad.add(a, b), ad.transpose(ad.transpose(a)), ad.narrow(b, 0, 1, 2), a], axis=0)
+    ad.backward(total(ad.mul(y, ad.const(rng.normal((11, 4))))))
+    assert not np.shares_memory(a.grad, b.grad)
+    assert a.grad.flags.owndata and b.grad.flags.owndata
+    c = ad.param(rng.normal((2, 2)))
+    ad.backward(total(ad.concat([c, c, ad.add(c, c)])))
+    assert np.array_equal(c.grad, np.full((2, 2), 4.0))
+    d, e = ad.param(np.zeros((2, 2))), ad.param(np.zeros((2, 2)))
+    ad.backward(total(ad.add(ad.add(d, e), ad.tanh(d))))  # d's second gradient arrives after e's
+    assert np.array_equal(d.grad, np.full((2, 2), 2.0)) and np.array_equal(e.grad, np.ones((2, 2)))

@@ -56,7 +56,7 @@ def _masks(row_levels, levels):
 
 
 def _expert_outputs(params, x, row_levels):
-    masks = _masks(row_levels, params.levels)
+    masks = _masks(row_levels, len(params.experts))
     return [_expert(e.u.value, e.v.value, masks[l][:, None] * x) for l, e in enumerate(params.experts)]
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from rsvlm import autodiff as ad
+from rsvlm import dual_encoder as de
 from rsvlm import model as vlm
 from rsvlm.errors import ConfigError, ShapeError
 from rsvlm.expert_layer import init_ffn
@@ -385,12 +387,15 @@ def test_cached_generate_ends_exactly_at_max_seq(monkeypatch, expert_stride):
     want, want_steps = _recompute_oracle(model, sample, fits)
     assert len(want) == fits
     rows, steps = [], []
+    forward = vlm._lm_logits_graph
 
-    def record(logits):
-        rows.append(logits.value.shape[0])
+    def record(model, hidden, *args, **kwargs):
+        rows.append(hidden.value.shape[0])  # the hidden rows each call runs
+        logits = forward(model, hidden, *args, **kwargs)
         steps.append(logits.value[-1])
+        return logits
 
-    _recorded_logits(monkeypatch, record)
+    monkeypatch.setattr(vlm, "_lm_logits_graph", record)
     got = vlm.generate(model, sample.patches, sample.query_ids, fits + 5, semantic_ids=sample.semantic_ids)
     assert got == want
     assert rows == [13] + [1] * (fits - 1)  # no step after the last token
@@ -442,7 +447,31 @@ def test_decode_step_graph_does_not_grow(monkeypatch):
     prefill, decode = nodes[0], nodes[1:]
     assert len(decode) == 30
     assert decode[0] == decode[29] and len(set(decode)) == 1
-    assert decode[0] < prefill
+    # generation records no graph: the prefill's and every step's logits have no parents
+    assert prefill == decode[0] == 1
+
+
+def test_tape_free_forwards_match_recorded_ones_bit_exact(monkeypatch):
+    # generation, the retriever's encoders and sample_loss run tape-free;
+    # with the mode made a no-op they record graphs and give the same bits
+    cfg = _small_cfg()
+    model = _with_experts(vlm.init_model(cfg, seed=60), 60)
+    model.lm.head.value[:, EOS_ID] = 0.0
+    enc = de.init_params(d_img_raw=6, d_e=8, vocab=24, hidden=10, seed=61)
+    samples = [_sample(cfg, seed=62 + i, n_patches=2 + i) for i in range(3)]
+
+    def forwards():
+        return [(de.encode_image(enc, s.patches.mean(axis=0)), de.encode_text(enc, [i, 3, i + 7]),
+                 vlm.sample_loss(model, s), vlm.generate(model, s.patches, s.query_ids, 12, s.semantic_ids))
+                for i, s in enumerate(samples)]
+
+    tape_free = forwards()
+    monkeypatch.setattr(ad, "no_grad", contextlib.nullcontext)
+    recorded = forwards()
+    for (img, txt, loss, tokens), (img_r, txt_r, loss_r, tokens_r) in zip(tape_free, recorded):
+        assert np.array_equal(img, img_r) and np.array_equal(txt, txt_r)
+        assert loss.hex() == loss_r.hex()
+        assert tokens == tokens_r and len(tokens) == 12
 
 
 def test_attention_output_is_one_attention_node():
