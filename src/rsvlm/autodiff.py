@@ -467,6 +467,30 @@ def cross_entropy(logits: Tensor, targets, lens=None) -> Tensor:
     return Tensor(out, parents=(logits,), backward=bw)
 
 
+def batches(items, size: int, epochs: int, rng: Rng):
+    """`items` in lists of `size`, a fresh `rng.permutation` each epoch; its last may be short."""
+    for _ in range(epochs):
+        order = rng.permutation(len(items))
+        for start in range(0, len(items), size):
+            yield [items[i] for i in order[start : start + size]]
+
+
+def descend(params, batches, loss_of: Callable, update: Callable, what: str):
+    """The training step loop: per batch, zero every gradient of `params`, build
+    `loss_of(batch)`, raise DomainError unless it is finite, backpropagate, run
+    `update(step)` and yield the loss. A loop left early builds no further forward."""
+    for step, batch in enumerate(batches):
+        zero_grads(params)
+        loss = loss_of(batch)
+        if not np.isfinite(loss.value):
+            raise DomainError(f"{what} diverged: non-finite loss {loss.value} at step {step}")
+        backward(loss)
+        value = float(loss.value)
+        del loss  # so the next step's forward does not find this graph alive
+        update(step)
+        yield value
+
+
 def check_gradients(
     build_loss: Callable[[], Tensor],
     params: Sequence[tuple],

@@ -155,9 +155,7 @@ def cmd_build_db(args, cfg: RunConfig) -> int:
     db = SemanticDatabase(dim)
     # an embedding whose squared norm overflows is rejected by ingest
     with np.errstate(over="ignore"):
-        for lineno, obj in iter_jsonl(args.input):
-            if "text" not in obj:
-                raise FormatError(f"line {lineno}: missing field 'text'")
+        for lineno, obj in iter_jsonl(args.input, ("text",)):
             text = json_text(obj["text"], f"line {lineno}: 'text'")
             try:
                 if "embedding" in obj:
@@ -180,10 +178,7 @@ def cmd_train_retriever(args, cfg: RunConfig) -> int:
     v = cfg.values
     pairs = []
     lines_by_text: dict[tuple, int] = {}
-    for lineno, obj in iter_jsonl(args.input):
-        for f in ("image", "text"):
-            if f not in obj:
-                raise FormatError(f"line {lineno}: missing field {f!r}")
+    for lineno, obj in iter_jsonl(args.input, ("image", "text")):
         image = json_numbers(obj["image"], f"line {lineno}: 'image'")
         if image.shape != (v["d_img_raw"],):
             raise FormatError(f"line {lineno}: 'image' has shape {image.shape}, expected ({v['d_img_raw']},)")
@@ -291,10 +286,7 @@ def _read_keyed_jsonl(path, required_fields, parse) -> dict:
     DomainError for a row it cannot use, reported with the line as a
     FormatError. An id may appear on one line only."""
     rows, first_line = {}, {}
-    for lineno, obj in iter_jsonl(path):
-        for f in ("id",) + required_fields:
-            if f not in obj:
-                raise FormatError(f"line {lineno}: missing field {f!r}")
+    for lineno, obj in iter_jsonl(path, ("id",) + required_fields):
         try:
             key = obj["id"]
             if not isinstance(key, (str, int, float)):

@@ -193,17 +193,8 @@ def train_retriever(
     params = init_params(d_img_raw, d_e, vocab, hidden, seed)
     named = params.named_parameters()
     velocity = {name: np.zeros_like(t.value) for name, t in named}
-    order_rng = Rng(seed).spawn(99)
-    history = []
-    for _ in range(epochs):
-        batch = [pairs[i] for i in order_rng.permutation(len(pairs))]
-        ad.zero_grads(t for _, t in named)
-        loss = contrastive_loss_graph(params, batch)
-        if not np.isfinite(loss.value):
-            raise DomainError(f"train_retriever: non-finite loss {loss.value} at epoch {len(history)}")
-        ad.backward(loss)
-        value = float(loss.value)
-        del loss  # so the next epoch's forward does not find this graph alive
+
+    def update(epoch):
         for name, t in named:
             g = t.grad if t.grad is not None else np.zeros_like(t.value)
             # An overflow ends the run below, naming the block, not as a warning.
@@ -214,9 +205,11 @@ def train_retriever(
                 t.value -= lr * g
             if not np.isfinite(t.value).all():
                 raise DomainError(f"train_retriever: parameter block {name} is not finite "
-                                  f"after the update at epoch {len(history)}")
-        history.append(value)
-    return params, history
+                                  f"after the update at epoch {epoch}")
+
+    steps = ad.descend([t for _, t in named], ad.batches(pairs, len(pairs), epochs, Rng(seed).spawn(99)),
+                       lambda batch: contrastive_loss_graph(params, batch), update, "train_retriever")
+    return params, list(steps)
 
 
 def recall_at_1(params: DualEncoderParams, pairs) -> float:

@@ -231,9 +231,9 @@ class SemanticDatabase:
         return db
 
 
-def iter_jsonl(path):
+def iter_jsonl(path, required=()):
     """Yield (line_number, object) pairs; a line that is not UTF-8 JSON
-    holding an object raises FormatError."""
+    holding an object with every field in `required` raises FormatError."""
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
@@ -247,6 +247,9 @@ def iter_jsonl(path):
                 raise FormatError(f"line {lineno}: invalid JSON ({e.msg})") from e
             if not isinstance(obj, dict):
                 raise FormatError(f"line {lineno}: expected a JSON object, got {type(obj).__name__}")
+            for field in required:
+                if field not in obj:
+                    raise FormatError(f"line {lineno}: missing field {field!r}")
             yield lineno, obj
 
 

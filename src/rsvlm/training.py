@@ -66,6 +66,8 @@ class TrainConfig:
             problems.append(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             problems.append(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.max_steps is not None and self.max_steps < 1:
+            problems.append(f"max_steps must be >= 1, got {self.max_steps}")
         if problems:
             raise ConfigError(problems)
 
@@ -84,13 +86,11 @@ class AdamW:
         self._v: dict[str, np.ndarray] = {}
 
     def step(self, items, weight_decay: float) -> None:
-        """items: iterable of (name, tensor, lr); lr <= 0 entries are skipped."""
+        """items: iterable of (name, tensor, lr), each lr > 0."""
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
         for name, tensor, lr in items:
-            if lr <= 0.0:
-                continue
             g = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.value)
             m = self._m.setdefault(name, np.zeros_like(tensor.value))
             v = self._v.setdefault(name, np.zeros_like(tensor.value))
@@ -145,32 +145,20 @@ def _run_training(model: VlmModel, samples: list[Sample], cfg: TrainConfig) -> l
     if not samples:
         raise DomainError("training needs at least one sample")
     named = model.named_parameters()
-    lrs = _learning_rates(cfg)
-    plan = [(name, tensor, lrs[component_of(name)]) for name, tensor in named]
+    lr_of = _learning_rates(cfg)
+    lrs = [(name, tensor, lr_of[component_of(name)]) for name, tensor in named]
+    plan = [item for item in lrs if item[2] > 0.0]
     opt = AdamW()
-    order_rng = Rng(cfg.seed).spawn(7)
+    steps = ad.descend([tensor for _, tensor in named],
+                       ad.batches(samples, cfg.batch_size, cfg.epochs, Rng(cfg.seed).spawn(7)),
+                       lambda batch: sample_loss_graph(model, batch),
+                       lambda step: opt.step(plan, cfg.weight_decay), f"training (stage {cfg.stage})")
     history: list[float] = []
-    steps = 0
-    with _frozen([tensor for _, tensor, lr in plan if lr <= 0.0]):
-        for _ in range(cfg.epochs):
-            order = order_rng.permutation(len(samples))
-            for start in range(0, len(samples), cfg.batch_size):
-                batch = [samples[i] for i in order[start : start + cfg.batch_size]]
-                ad.zero_grads(t for _, t in named)
-                loss = sample_loss_graph(model, batch)
-                if not np.isfinite(loss.value):
-                    raise DomainError(
-                        f"training diverged: loss {loss.value} at step {steps} (stage {cfg.stage})"
-                    )
-                ad.backward(loss)
-                history.append(float(loss.value))
-                del loss  # so the next step's forward does not find this graph alive
-                opt.step(plan, cfg.weight_decay)
-                steps += 1
-                if cfg.max_steps is not None and steps >= cfg.max_steps:
-                    return history
-                if cfg.stop_loss is not None and history[-1] < cfg.stop_loss:
-                    return history
+    with _frozen([tensor for _, tensor, lr in lrs if lr <= 0.0]):
+        for loss in steps:
+            history.append(loss)
+            if len(history) == cfg.max_steps or (cfg.stop_loss is not None and loss < cfg.stop_loss):
+                break
     return history
 
 
@@ -264,8 +252,9 @@ def load_samples(
     retrieve = retriever is not None
     widths = [("model patch_dim", patch_dim)] if patch_dim is not None else []
     widths += [("retriever d_img_raw", retriever.d_img_raw)] if retrieve else []
+    fields = ("image", "caption") if stage == STAGE_ALIGNMENT else ("image", "query", "response")
     samples = []
-    for lineno, obj in iter_jsonl(path):
+    for lineno, obj in iter_jsonl(path, fields):
         try:
             patches = load_patches(obj["image"], base_dir)
             for what, width in widths:
@@ -276,8 +265,6 @@ def load_samples(
             else:
                 sample = instruction_sample(patches, json_text(obj["query"], "'query'"),
                                             json_text(obj["response"], "'response'"))
-        except KeyError as e:
-            raise FormatError(f"line {lineno}: missing field {e.args[0]!r}") from e
         except (ShapeError, ValueError) as e:
             raise FormatError(f"line {lineno}: {e}") from e
         if retrieve:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rsvlm import autodiff as ad
-from rsvlm.errors import ShapeError
+from rsvlm.errors import DomainError, ShapeError
 from rsvlm.numerics import Rng
 from oracles import compare_gradients, finite_diff_gradient, total
 
@@ -364,3 +364,54 @@ def test_backward_hands_each_parent_its_own_array():
     d, e = ad.param(np.zeros((2, 2))), ad.param(np.zeros((2, 2)))
     ad.backward(total(ad.add(ad.add(d, e), ad.tanh(d))))  # d's second gradient arrives after e's
     assert np.array_equal(d.grad, np.full((2, 2), 2.0)) and np.array_equal(e.grad, np.ones((2, 2)))
+
+
+def test_batches_permute_every_epoch_afresh_and_keep_a_short_last_batch():
+    items = list("abcdefg")
+    got = list(ad.batches(items, 3, 2, Rng(5)))
+    rng, want = Rng(5), []
+    for _ in range(2):
+        order = rng.permutation(len(items))
+        want += [[items[i] for i in order[start : start + 3]] for start in (0, 3, 6)]
+    assert got == want
+    assert [len(batch) for batch in got] == [3, 3, 1] * 2
+    for epoch in (got[:3], got[3:]):
+        assert sorted(sum(epoch, [])) == items
+    assert got[:3] != got[3:]
+
+
+def _descent(losses, calls):
+    """A one-weight loss `w * x` per batch x, and its step loop; `calls`
+    records each forward and each update in order."""
+    w = ad.param(1.0)
+
+    def loss_of(x):
+        calls.append(("forward", x))
+        return ad.mul(w, ad.const(x))
+
+    return w, ad.descend([w], losses, loss_of, lambda step: calls.append(("update", step)), "toy")
+
+
+def test_descend_zeroes_backpropagates_and_updates_once_per_step():
+    calls = []
+    w, steps = _descent([2.0, 3.0], calls)
+    assert list(steps) == [2.0, 3.0]
+    assert calls == [("forward", 2.0), ("update", 0), ("forward", 3.0), ("update", 1)]
+    assert w.grad == 3.0  # the second step's alone: zeroed in between
+
+
+def test_descend_raises_on_a_non_finite_loss_before_its_update():
+    calls = []
+    _, steps = _descent([1.0, float("inf"), 2.0], calls)
+    with pytest.raises(DomainError, match="^toy diverged: non-finite loss inf at step 1$"):
+        list(steps)
+    assert calls == [("forward", 1.0), ("update", 0), ("forward", float("inf"))]
+
+
+def test_descend_left_early_builds_no_further_forward():
+    calls = []
+    _, steps = _descent([1.0, 2.0, 3.0], calls)
+    for _ in steps:
+        break
+    steps.close()
+    assert calls == [("forward", 1.0), ("update", 0)]

@@ -20,8 +20,9 @@ from collections import Counter
 from pathlib import Path
 
 from rsvlm import autodiff as ad
+from rsvlm import training
 from rsvlm.model import ModelConfig, init_model, sample_loss_graph
-from synthetic import caption_corpus
+from synthetic import caption_corpus, instruction_corpus
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 PACKAGE = PERFBENCH.parent / "src" / "rsvlm"
@@ -44,6 +45,32 @@ def test_every_traced_binding_resolves(monkeypatch):
     assert points
     missing = [name for owner, attr, name, _ in points if not callable(owner.__dict__.get(attr))]
     assert missing == []
+
+
+def test_traced_training_bindings_see_every_step(monkeypatch):
+    # the traced run rebinds these two as below; a step loop holding its own
+    # reference would bypass the wrappers, and the per-step forward and
+    # AdamW metrics would read 0 without an error
+    calls = Counter()
+
+    def counting(key, fn):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(training, "sample_loss_graph", counting("forward", training.sample_loss_graph))
+    monkeypatch.setattr(training.AdamW, "step", counting("update", training.AdamW.step))
+    cfg = ModelConfig()
+    for train, stage, corpus in ((training.train_stage1, training.STAGE_ALIGNMENT, caption_corpus(18, cfg, n=6)),
+                                 (training.train_stage2, training.STAGE_INSTRUCTION,
+                                  instruction_corpus(19, cfg, n=6))):
+        for max_steps, steps in ((None, 4), (3, 3)):  # 2 epochs of 2 batches, or stopped early
+            calls.clear()
+            tcfg = training.TrainConfig(stage=stage, epochs=2, batch_size=4, max_steps=max_steps)
+            _, history = train(init_model(cfg, seed=20), corpus, tcfg)
+            assert len(history) == steps
+            assert calls == {"forward": steps, "update": steps}
 
 
 def test_traced_node_count_survives_backward(monkeypatch):

@@ -227,6 +227,7 @@ CONFIG_FAULTS = {
     "lr_prompter_nan": ({"lr_prompter": float("nan")}, "lr_prompter"),
     "weight_decay_infinite": ({"weight_decay": float("inf")}, "weight_decay"),
     "weight_decay_negative": ({"weight_decay": -1e300}, "weight_decay"),
+    "max_steps_zero": ({"max_steps": 0}, "max_steps"), "max_steps_negative": ({"max_steps": -3}, "max_steps"),
 }
 
 

@@ -184,6 +184,31 @@ def test_train_loss_decreases():
     assert np.exp(params.log_temp.value[0, 0]) > 0
 
 
+def test_train_momentum_is_heavy_ball_across_epochs():
+    # two epochs against a numpy replay of v <- m*v + g, w <- w - lr*v on the
+    # same gradients: a velocity dropped, or reset between epochs, differs
+    # from the replay after the second update
+    pairs = contrastive_corpus(8, n=8)
+    lr, momentum, seed = 0.1, 0.9, 4
+    params, history = de.train_retriever(pairs, d_img_raw=D_IMG, d_e=D_E, vocab=VOCAB, hidden=HIDDEN,
+                                         epochs=2, lr=lr, seed=seed, momentum=momentum)
+    replay = de.init_params(D_IMG, D_E, VOCAB, HIDDEN, seed)
+    named = replay.named_parameters()
+    velocity = {name: np.zeros_like(t.value) for name, t in named}
+    order_rng, losses = Rng(seed).spawn(99), []
+    for _ in range(2):
+        ad.zero_grads(t for _, t in named)
+        loss = de.contrastive_loss_graph(replay, [pairs[i] for i in order_rng.permutation(len(pairs))])
+        ad.backward(loss)
+        losses.append(float(loss.value))
+        for name, t in named:
+            velocity[name] = momentum * velocity[name] + t.grad
+            t.value -= lr * velocity[name]
+    assert history == losses
+    for (name, trained), (_, replayed) in zip(params.named_parameters(), named):
+        assert np.array_equal(trained.value, replayed.value), name
+
+
 def test_train_requires_eight_pairs():
     with pytest.raises(DomainError):
         de.train_retriever(contrastive_corpus(5, n=4), d_img_raw=D_IMG, d_e=D_E,

@@ -36,6 +36,11 @@ def test_train_config_validation():
                                   "max_steps must be int or None, got 2.0",
                                   "train_projector_stage1 must be bool, got 1"]
     assert tr.TrainConfig(stage="alignment", lr_prompter=1, stop_loss=0).lr_prompter == 1
+    for max_steps in (0, -3):  # not one silent step
+        with pytest.raises(ConfigError) as err:
+            tr.TrainConfig(stage="alignment", max_steps=max_steps)
+        assert err.value.problems == [f"max_steps must be >= 1, got {max_steps}"]
+    assert tr.TrainConfig(stage="alignment", max_steps=1).max_steps == 1
 
 
 def test_stage1_freeze_contract_bit_exact():
