@@ -417,10 +417,14 @@ def embedding(table: Tensor, ids) -> Tensor:
     out = table.value[ids]
 
     def bw(g):
-        full = np.zeros_like(table.value)
         if ids.size and np.bincount(ids).max() > 1:
-            np.add.at(full, ids, g)
+            # one bin per (id, column): bincount adds each bin's entries in
+            # id order to 0.0, the sums np.add.at makes, in one pass
+            d = table.value.shape[1]
+            bins = (ids[:, None] * d + np.arange(d)).reshape(-1)
+            full = np.bincount(bins, weights=g.reshape(-1), minlength=table.value.size).reshape(table.value.shape)
         else:  # each row is written once; + 0.0 turns -0.0 into the +0.0 that add.at gives
+            full = np.zeros_like(table.value)
             full[ids] = g + 0.0
         _accumulate(table, full)
 

@@ -16,6 +16,7 @@ Checkpoint format (little-endian)::
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -40,6 +41,7 @@ _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def _fnv1a(token: str) -> int:
     h = _FNV_OFFSET
     for byte in token.encode("utf-8"):
@@ -60,10 +62,15 @@ def bag_vector(token_ids, vocab: int) -> np.ndarray:
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.size == 0:
         raise DomainError("bag_vector: empty token list")
-    if ids.min() < 0 or ids.max() >= vocab:
+    # the bound keeps bincount from sizing its counts by a huge id; it
+    # refuses a negative one itself
+    if ids.max() >= vocab:
         raise ShapeError(f"bag_vector: token id out of range for vocab {vocab}")
-    counts = np.bincount(ids, minlength=vocab).astype(np.float64)
-    return counts / np.linalg.norm(counts)
+    try:
+        counts = np.bincount(ids, minlength=vocab)
+    except ValueError:
+        raise ShapeError(f"bag_vector: token id out of range for vocab {vocab}") from None
+    return counts / math.sqrt(counts.dot(counts))
 
 
 @dataclass

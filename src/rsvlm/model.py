@@ -10,10 +10,12 @@ tokenizer (ids 0..255) plus EOS and SEP specials; retrieved semantic texts
 share the same LM embedding table.
 
 Training and generation share one forward over the stacked rows of a batch:
-the row-local ops (embeddings, layer norm, projections, FFN, expert block,
-head) run once over every sample's rows, and attention keeps each sample's
-rows to themselves. A training step is one graph; generation is a batch of
-one, and it prefills once: the visual encoder, the prompter and the prefix
+the row-local ops (embeddings, layer norm, projections, FFN, expert block)
+run once over every sample's rows, and attention keeps each sample's rows
+to themselves. Only the rows whose logits are read go on past the last
+block's keys and values: a training step's targeted rows, the prefill's
+last row. A training step is one graph; generation is a batch of one, and
+it prefills once: the visual encoder, the prompter and the prefix
 [image; prompt; query; SEP] run a single time and leave each block's keys
 and values in a cache. Every further token is one query-segment row through
 the same forward, attending to the cached rows; the expert layer and the FFN
@@ -293,12 +295,19 @@ def _encode_multilevel_graph(model: VlmModel, patches: Tensor, n_patches) -> lis
 
 
 def _block_graph(blk: BlockParams, x: Tensor, heads: int, lens, k_lens, causal: bool = False,
-                 cache: KvCache | None = None, row_levels: np.ndarray | None = None) -> Tensor:
+                 cache: KvCache | None = None, row_levels: np.ndarray | None = None, read=None) -> Tensor:
     """One pre-norm block over the stacked rows `x`: self-attention (its
     lengths, mask and cache as in `attention_output`), then the FFN plus, in
-    an expert block, the expert merge routed by `row_levels`."""
+    an expert block, the expert merge routed by `row_levels`. With `read`,
+    each sample's count of trailing rows to return, the keys and values
+    still come from every row, so `cache` fills as without it; the queries,
+    the residual, the FFN and the expert merge run on the read rows only."""
     a = ad.layer_norm_rows(x)
-    x = x + attention_output(blk.attn, a, a, heads, lens, k_lens, causal, cache)
+    q = a
+    if read is not None:
+        rows = ranges(np.cumsum(lens) - read, read)
+        q, x, lens, row_levels = ad.embedding(a, rows), ad.embedding(x, rows), read, row_levels[rows]
+    x = x + attention_output(blk.attn, q, a, heads, lens, k_lens, causal, cache)
     h = ad.layer_norm_rows(x)
     out = ffn_graph(blk.ffn, h)
     if blk.experts is not None:
@@ -307,16 +316,18 @@ def _block_graph(blk: BlockParams, x: Tensor, heads: int, lens, k_lens, causal: 
 
 
 def _lm_logits_graph(model: VlmModel, hidden: Tensor, lens, row_levels: np.ndarray,
-                     cache: list[KvCache] | None = None, last_row: bool = False) -> Tensor:
+                     cache: list[KvCache] | None = None, read=None) -> Tensor:
     """Causal LM over the stacked rows of a batch; `lens` counts each
     sample's rows, in row order, and a sample's rows attend only to its
     own. `row_levels` holds each row's level for the expert layer (0 on
-    image and query rows, l on level-l prompt rows). Returns one row of
-    vocab logits per hidden row, or with `last_row` only the last one's.
-    With `cache` (one KvCache per block; a batch of one), the rows follow
-    the cached ones: they take the next positions, attend to the cached
-    rows, and join the cache. The expert layer and the FFN are row-local,
-    so only attention reads the cache."""
+    image and query rows, l on level-l prompt rows). Returns the vocab
+    logits of each sample's last `read[i]` rows, sample after sample (of
+    every row without `read`): the last block runs its queries, FFN and
+    expert merge, and the final layer norm and the head run, on those rows
+    only. With `cache` (one KvCache per block; a batch of one), the rows
+    follow the cached ones: they take the next positions, attend to the
+    cached rows, and join the cache. The expert layer and the FFN are
+    row-local, so only attention reads the cache."""
     cfg = model.config
     if sum(lens) != hidden.value.shape[0]:
         raise ShapeError(f"sample lengths {lens} count {sum(lens)} rows, hidden has {hidden.value.shape[0]}")
@@ -327,10 +338,10 @@ def _lm_logits_graph(model: VlmModel, hidden: Tensor, lens, row_levels: np.ndarr
         raise ShapeError(f"sequence length {offset + max(lens)} exceeds max_seq {cfg.max_seq}")
     x = hidden + ad.embedding(model.lm.pos, ranges([offset] * len(lens), lens))
     k_lens = [offset + n for n in lens]
-    for blk, kv in zip(model.lm.blocks, cache or [None] * len(model.lm.blocks)):
-        x = _block_graph(blk, x, cfg.heads, lens, k_lens, True, kv, row_levels)
-    if last_row:
-        x = ad.narrow(x, 0, x.value.shape[0] - 1, 1)
+    blocks = model.lm.blocks
+    for i, (blk, kv) in enumerate(zip(blocks, cache or [None] * len(blocks)), start=1):
+        x = _block_graph(blk, x, cfg.heads, lens, k_lens, True, kv, row_levels,
+                         read if i == len(blocks) else None)
     return ad.matmul(ad.layer_norm_rows(x), model.lm.head)
 
 
@@ -376,26 +387,33 @@ def _sequence_graph(model: VlmModel, samples: list[Sample],
 def _loss_graph(model: VlmModel, samples: list[Sample], seqs: list[list[int]], targets) -> Tensor:
     """Mean over samples of each one's mean loss over its targeted rows;
     `targets` holds one target per query-segment row (-1 for none), and the
-    image and prompt rows carry none."""
+    image and prompt rows carry none. The LM reads each sample's logits
+    from its first targeted row on, the query segment being its last rows."""
     hidden, lens, row_levels = _sequence_graph(model, samples, seqs)
-    logits = _lm_logits_graph(model, hidden, lens, row_levels)
-    # The query segment is a sample's last rows.
-    rows = [np.pad(np.asarray(tgt, dtype=np.int64), (n - len(tgt), 0), constant_values=-1)
-            for n, tgt in zip(lens, targets)]
-    return ad.cross_entropy(logits, np.concatenate(rows), lens)
+    tails = []
+    for tgt in targets:
+        tgt = np.asarray(tgt, dtype=np.int64)
+        hit = np.flatnonzero(tgt >= 0)
+        # a sample with no target keeps its last row, and cross_entropy names it
+        tails.append(tgt[hit[0] if hit.size else -1:])
+    read = [len(t) for t in tails]
+    logits = _lm_logits_graph(model, hidden, lens, row_levels, read=read)
+    return ad.cross_entropy(logits, np.concatenate(tails), read)
 
 
 def sample_loss_graph(model: VlmModel, samples: list[Sample]) -> Tensor:
     """Autoregressive loss of a batch over each sample's response span
     (teacher forcing): the mean over samples of each one's mean token loss.
-    One graph over the stacked rows of every sample."""
+    One graph over the stacked rows of every sample. SEP predicts the first
+    response token and the last response token EOS, so a sample's
+    supervised rows are its last len(response) + 1; EOS itself is never an
+    input row, as no row before it may read it."""
     seqs, targets = [], []
     for sample in samples:
         if not sample.response_ids:
             raise ShapeError("sample_loss: sample has no response tokens")
-        seqs.append(list(sample.query_ids) + [SEP_ID] + list(sample.response_ids) + [EOS_ID])
-        # SEP predicts the first response token, the last response token EOS
-        targets.append([-1] * len(sample.query_ids) + list(sample.response_ids) + [EOS_ID, -1])
+        seqs.append(list(sample.query_ids) + [SEP_ID] + list(sample.response_ids))
+        targets.append([-1] * len(sample.query_ids) + list(sample.response_ids) + [EOS_ID])
     return _loss_graph(model, samples, seqs, targets)
 
 
@@ -423,8 +441,9 @@ def generate(model: VlmModel, patches, query_ids, max_tokens: int,
     One prefill runs the visual encoder, the prompter and the prefix
     [image; prompt; query; SEP] through the LM as a batch of one, filling a
     per-block K/V cache; each further token is one query row through the
-    same LM path; the prefill takes the head on its last row only. No
-    step records an autodiff graph."""
+    same LM path. The prefill reads its last row only: the last block's
+    queries, FFN and expert merge, and the head, run on that row. No step
+    records an autodiff graph."""
     if max_tokens <= 0:
         return []
     sample = Sample(
@@ -444,7 +463,7 @@ def generate(model: VlmModel, patches, query_ids, max_tokens: int,
     out: list[int] = []
     with ad.no_grad():
         hidden, lens, row_levels = _sequence_graph(model, [sample], [seq_ids])
-        logits = _lm_logits_graph(model, hidden, lens, row_levels, cache, last_row=True).value
+        logits = _lm_logits_graph(model, hidden, lens, row_levels, cache, read=[1]).value
         while True:
             nxt = int(np.argmax(logits[-1]))
             if nxt == EOS_ID:

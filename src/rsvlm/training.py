@@ -78,28 +78,44 @@ ADAM_EPS = 1e-8
 
 
 class AdamW:
-    """Decoupled weight-decay Adam; betas ADAM_BETA1 and ADAM_BETA2, eps ADAM_EPS."""
+    """Decoupled weight-decay Adam over a fixed plan of (tensor, lr) pairs,
+    each lr > 0; betas ADAM_BETA1 and ADAM_BETA2, eps ADAM_EPS. The first
+    and second moments of every planned tensor live in two flat buffers, so
+    a step gathers the gradients and values once, runs each op of the
+    update once over the whole buffer and writes each tensor back in place.
+    Every op is elementwise, so each entry's bits are those of a
+    tensor-by-tensor update."""
 
-    def __init__(self):
+    def __init__(self, plan, weight_decay: float):
         self.t = 0
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self.weight_decay = weight_decay
+        self._tensors = [tensor for tensor, _ in plan]
+        sizes = [tensor.value.size for tensor in self._tensors]
+        starts = np.cumsum([0] + sizes).tolist()
+        self._slices = [slice(a, b) for a, b in zip(starts, starts[1:])]
+        self._lr = np.repeat(np.array([lr for _, lr in plan], dtype=np.float64), sizes)
+        self._m = np.zeros(self._lr.size)
+        self._v = np.zeros(self._lr.size)
 
-    def step(self, items, weight_decay: float) -> None:
-        """items: iterable of (name, tensor, lr), each lr > 0."""
+    def step(self) -> None:
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
-        for name, tensor, lr in items:
-            g = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.value)
-            m = self._m.setdefault(name, np.zeros_like(tensor.value))
-            v = self._v.setdefault(name, np.zeros_like(tensor.value))
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-            tensor.value -= lr * (update + weight_decay * tensor.value)
+        g = np.zeros(self._lr.size)  # a tensor without a gradient contributes zeros
+        w = np.empty(self._lr.size)
+        for tensor, sl in zip(self._tensors, self._slices):
+            w[sl] = tensor.value.reshape(-1)
+            if tensor.grad is not None:
+                g[sl] = tensor.grad.reshape(-1)
+        m, v = self._m, self._v
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        w -= self._lr * (update + self.weight_decay * w)
+        for tensor, sl in zip(self._tensors, self._slices):
+            tensor.value[...] = w[sl].reshape(tensor.value.shape)
 
 
 def component_of(name: str) -> str:
@@ -146,15 +162,14 @@ def _run_training(model: VlmModel, samples: list[Sample], cfg: TrainConfig) -> l
         raise DomainError("training needs at least one sample")
     named = model.named_parameters()
     lr_of = _learning_rates(cfg)
-    lrs = [(name, tensor, lr_of[component_of(name)]) for name, tensor in named]
-    plan = [item for item in lrs if item[2] > 0.0]
-    opt = AdamW()
+    lrs = [(tensor, lr_of[component_of(name)]) for name, tensor in named]
+    opt = AdamW([(tensor, lr) for tensor, lr in lrs if lr > 0.0], cfg.weight_decay)
     steps = ad.descend([tensor for _, tensor in named],
                        ad.batches(samples, cfg.batch_size, cfg.epochs, Rng(cfg.seed).spawn(7)),
                        lambda batch: sample_loss_graph(model, batch),
-                       lambda step: opt.step(plan, cfg.weight_decay), f"training (stage {cfg.stage})")
+                       lambda step: opt.step(), f"training (stage {cfg.stage})")
     history: list[float] = []
-    with _frozen([tensor for _, tensor, lr in lrs if lr <= 0.0]):
+    with _frozen([tensor for tensor, lr in lrs if lr <= 0.0]):
         for loss in steps:
             history.append(loss)
             if len(history) == cfg.max_steps or (cfg.stop_loss is not None and loss < cfg.stop_loss):

@@ -1,8 +1,9 @@
 """Independent oracles the tests compare the package against: a row softmax
 and single-head scaled-dot attention in plain numpy (composed per head,
 `scaled_dot_attention` is the oracle of the fused `autodiff.attention` op),
-a central-difference gradient with an elementwise comparison, and `total`,
-the scalar every gradient test backpropagates from.
+a central-difference gradient with an elementwise comparison, `total`,
+the scalar every gradient test backpropagates from, and `adamw_replay`,
+AdamW applied one tensor at a time.
 
 Matrices are plain 2-D numpy arrays at float64. Shape mismatches raise
 ShapeError naming both shapes, with no silent broadcasting. None of this
@@ -108,3 +109,25 @@ def total(x: ad.Tensor) -> ad.Tensor:
     entry, so a test's gradients are those of the op under test alone."""
     rows, cols = x.value.shape
     return ad.matmul(ad.matmul(ad.const(np.ones((1, rows))), x), ad.const(np.ones((cols, 1))))
+
+
+def adamw_replay(values, grads, lrs, weight_decay: float, betas=(0.9, 0.999), eps: float = 1e-8) -> list:
+    """Decoupled weight-decay Adam run tensor by tensor from `values`: per
+    step, `grads` holds each tensor's gradient (None for a zero one), and
+    `lrs` holds each tensor's learning rate. Returns every tensor's values
+    after each step."""
+    b1, b2 = betas
+    values = [np.array(v, dtype=np.float64) for v in values]
+    m = [np.zeros_like(v) for v in values]
+    s = [np.zeros_like(v) for v in values]
+    out = []
+    for t, step_grads in enumerate(grads, start=1):
+        for i, (g, lr) in enumerate(zip(step_grads, lrs)):
+            g = np.zeros_like(values[i]) if g is None else g
+            m[i] = b1 * m[i] + (1.0 - b1) * g
+            s[i] = b2 * s[i] + (1.0 - b2) * g * g
+            m_hat = m[i] / (1.0 - b1 ** t)
+            s_hat = s[i] / (1.0 - b2 ** t)
+            values[i] = values[i] - lr * (m_hat / (np.sqrt(s_hat) + eps) + weight_decay * values[i])
+        out.append([v.copy() for v in values])
+    return out

@@ -204,8 +204,8 @@ def test_embedding_backward_with_repeats():
 
 @pytest.mark.parametrize("ids", [[3, 0, 5, 1], [1, 4, 1, 6, 1], []])
 def test_embedding_backward_matches_add_at_bit_exact(ids):
-    # unique ids are scattered by assignment, repeated ones through add.at;
-    # both give add.at's bits, +0.0 for a -0.0 gradient included
+    # unique ids are scattered by assignment, repeated ones through one
+    # bincount; both give add.at's bits, +0.0 for a -0.0 gradient included
     rng = Rng(7)
     ids = np.array(ids, dtype=np.int64)
     weights = rng.normal((ids.size, 3))
@@ -216,6 +216,22 @@ def test_embedding_backward_matches_add_at_bit_exact(ids):
     np.add.at(want, ids, weights)
     assert np.array_equal(table.grad.view(np.int64), want.view(np.int64))
     assert not np.signbit(table.grad[:, 1]).any()
+
+
+def test_embedding_backward_with_heavy_repeats_matches_add_at_bit_exact():
+    # a training step's semantic tokens: thousands of ids over the LM's
+    # 258-row table, each row hit about eleven times
+    rng = np.random.default_rng(8)
+    ids = rng.integers(258, size=2900)
+    weights = rng.normal(size=(2900, 32))
+    weights[rng.random(weights.shape) < 0.2] = -0.0
+    weights[:, 5] = -0.0  # a column of -0.0 sums only
+    table = ad.param(np.zeros((258, 32)))
+    ad.backward(total(ad.mul(ad.embedding(table, ids), ad.const(weights))))
+    want = np.zeros((258, 32))
+    np.add.at(want, ids, weights)
+    assert np.array_equal(table.grad.view(np.int64), want.view(np.int64))
+    assert not np.signbit(table.grad[:, 5]).any()
 
 
 def test_cross_entropy_backward_with_ignored_rows():

@@ -48,6 +48,18 @@ def test_tokenizer_is_stable_and_casefolds():
         de.tokenize_text("   ", VOCAB)
 
 
+def test_fnv1a_and_bag_vector():
+    assert de._fnv1a("a") == de._fnv1a("a") == 0xAF63DC4C8601EC8C  # the published FNV-1a 64 vector
+    ids = [3, 1, 3, 0, 3]
+    counts = np.bincount(ids, minlength=5).astype(np.float64)
+    assert np.array_equal(de.bag_vector(ids, 5), counts / np.linalg.norm(counts))
+    with pytest.raises(DomainError, match=r"^bag_vector: empty token list$"):
+        de.bag_vector([], 5)
+    for bad in ([1, -1], [1, 5], [2**40]):  # a huge id is refused before any count is sized
+        with pytest.raises(ShapeError, match=r"^bag_vector: token id out of range for vocab 5$"):
+            de.bag_vector(bad, 5)
+
+
 def test_encode_gradients_match_finite_differences():
     """d cosine(encode(x), target) / d params, against the oracle."""
     params = _params(3)

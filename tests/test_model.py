@@ -563,6 +563,83 @@ def test_packed_training_step_graph_size():
     assert _graph_nodes(vlm.sample_loss_graph(vlm.init_model(cfg, seed=66), batch)) <= 300
 
 
+@pytest.mark.parametrize("expert_stride", [1, 2])
+def test_read_rows_match_the_full_forward(expert_stride):
+    cfg = _small_cfg(expert_stride=expert_stride, heads=4)
+    model = _with_experts(vlm.init_model(cfg, seed=71), 71)
+    batch = _mixed_batch(cfg, 72)
+    seqs = [list(s.query_ids) + [SEP_ID] + list(s.response_ids) for s in batch]
+    hidden, lens, row_levels = vlm._sequence_graph(model, batch, seqs)
+    full = vlm._lm_logits_graph(model, hidden, lens, row_levels).value
+    ends = np.cumsum(lens)
+    for read in ([len(s.response_ids) + 1 for s in batch], [1] * len(batch), [1, lens[1], 7, 2], lens):
+        got = vlm._lm_logits_graph(model, hidden, lens, row_levels, read=read).value
+        want = np.concatenate([full[end - r : end] for end, r in zip(ends, read)])
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), read
+
+
+def test_last_block_and_head_run_on_the_read_rows_only(monkeypatch):
+    # every block but the last, and the last one's keys and values, see all
+    # rows; the last block's queries, the head and the loss see the read ones
+    cfg = _small_cfg()
+    model = _with_experts(vlm.init_model(cfg, seed=73), 73)
+    model.lm.head.value[:, EOS_ID] = 0.0
+    query_rows, ctx_rows, logit_rows, ce_rows = [], [], [], []
+    attend, forward, cross_entropy = vlm.attention_output, vlm._lm_logits_graph, ad.cross_entropy
+
+    def attention_output(block, q_in, ctx, *args):
+        query_rows.append(q_in.value.shape[0])
+        ctx_rows.append(ctx.value.shape[0])
+        return attend(block, q_in, ctx, *args)
+
+    def lm(*args, **kwargs):
+        logits = forward(*args, **kwargs)
+        logit_rows.append(logits.value.shape[0])
+        return logits
+
+    def ce(logits, *args):
+        ce_rows.append(logits.value.shape[0])
+        return cross_entropy(logits, *args)
+
+    monkeypatch.setattr(vlm, "attention_output", attention_output)
+    monkeypatch.setattr(vlm, "_lm_logits_graph", lm)
+    monkeypatch.setattr(ad, "cross_entropy", ce)
+    batch = _mixed_batch(cfg, 74)
+    rows = sum(sum(vlm._segments_for(model, s.patches.shape[0], len(s.query_ids) + 1 + len(s.response_ids)))
+               for s in batch)
+    read = sum(len(s.response_ids) + 1 for s in batch)
+    vlm.sample_loss_graph(model, batch)
+    n = len(model.lm.blocks)
+    assert query_rows[-n:] == [rows] * (n - 1) + [read]
+    assert ctx_rows[-n:] == [rows] * n
+    assert logit_rows == ce_rows == [read]
+    for seen in (query_rows, ctx_rows, logit_rows):
+        seen.clear()
+    sample = batch[0]
+    vlm.generate(model, sample.patches, sample.query_ids, 1, sample.semantic_ids)
+    prefix = sum(vlm._segments_for(model, sample.patches.shape[0], len(sample.query_ids) + 1))
+    assert query_rows[-n:] == [prefix] * (n - 1) + [1]
+    assert ctx_rows[-n:] == [prefix] * n
+    assert logit_rows == [1]
+
+
+def test_a_training_sample_may_fill_max_seq():
+    # EOS is a target, never an input row, so image + prompt + query + SEP +
+    # response may take every position, as in generation
+    cfg = _small_cfg()
+    model = vlm.init_model(cfg, seed=75)
+    sample = _sample(cfg, seed=76)
+    # 3 patches + 2 * 2 prompt rows + 5 query tokens + SEP = a 13-row prefix
+    sample.response_ids = encode_text("a" * (cfg.max_seq - 13))
+    loss = vlm.sample_loss_graph(model, [sample])
+    ad.backward(loss)
+    assert np.isfinite(loss.value)
+    sample.response_ids = encode_text("a" * (cfg.max_seq - 12))
+    with pytest.raises(ShapeError, match=f"sequence length {cfg.max_seq + 1} exceeds max_seq {cfg.max_seq}"):
+        vlm.sample_loss_graph(model, [sample])
+
+
 def test_kv_cache_writes_views_of_one_buffer():
     cache = vlm.KvCache(5)
     rng = Rng(67)

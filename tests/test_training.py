@@ -4,10 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rsvlm import autodiff as ad
 from rsvlm import model as vlm
 from rsvlm import training as tr
 from rsvlm.errors import ConfigError, DomainError, FormatError
 from rsvlm.model import ModelConfig, encode_text
+from rsvlm.numerics import Rng
+from oracles import adamw_replay
 from synthetic import caption_corpus, instruction_corpus
 
 
@@ -41,6 +44,30 @@ def test_train_config_validation():
             tr.TrainConfig(stage="alignment", max_steps=max_steps)
         assert err.value.problems == [f"max_steps must be >= 1, got {max_steps}"]
     assert tr.TrainConfig(stage="alignment", max_steps=1).max_steps == 1
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+def test_adamw_matches_a_per_tensor_replay_bit_exact(weight_decay):
+    rng = Rng(30)
+    shapes = [(3, 4), (1, 5), (2, 2), (6, 1)]
+    lrs = [1e-2, 3e-3, 1e-2, 5e-4]
+    tensors = [ad.param(rng.normal(shape)) for shape in shapes]
+    grads = [[rng.normal(shape) for shape in shapes] for _ in range(3)]
+    grads[1][2] = None  # no gradient reached this tensor at step 2
+    want = adamw_replay([t.value for t in tensors], grads, lrs, weight_decay)
+    arrays = [t.value for t in tensors]
+    opt = tr.AdamW(list(zip(tensors, lrs)), weight_decay)
+    for step_grads, step_want in zip(grads, want):
+        for t, g in zip(tensors, step_grads):
+            t.grad = g
+        opt.step()
+        for t, array, w in zip(tensors, arrays, step_want):
+            assert t.value is array  # updated in place
+            assert np.array_equal(t.value.view(np.int64), w.view(np.int64))
+    assert opt.t == 3
+    empty = tr.AdamW([], weight_decay)  # every parameter frozen
+    empty.step()
+    assert empty.t == 1
 
 
 def test_stage1_freeze_contract_bit_exact():
