@@ -19,7 +19,6 @@ a sample's loss, the gradient check's probes) run there.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,14 +36,10 @@ _recording = True  # False inside no_grad()
 class Tensor:
     __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, value, requires_grad: bool = False, parents=(), backward=None):
+    def __init__(self, value, requires_grad: bool = False):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
-        if parents and _recording:
-            self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
-            self._parents, self._backward = parents, backward
-        else:
-            self.requires_grad, self._parents, self._backward = requires_grad, (), None
+        self.requires_grad, self._parents, self._backward = requires_grad, (), None
 
     @property
     def shape(self):
@@ -57,16 +52,41 @@ class Tensor:
         return add(self, other)
 
 
-@contextmanager
-def no_grad():
+_new_tensor = Tensor.__new__
+
+
+def _result(value: np.ndarray, parents: tuple, backward) -> Tensor:
+    """An op's result, which holds `value`, the float64 array the op
+    computed, without converting it. While recording, a node of `parents`
+    that requires a gradient if one of them does; inside no_grad, a leaf."""
+    t = _new_tensor(Tensor)
+    # a ufunc of 0-d operands returns a numpy scalar, not an array
+    t.value = value if type(value) is np.ndarray else np.asarray(value)
+    t.grad = None
+    if _recording:
+        t.requires_grad, t._parents, t._backward = False, parents, backward
+        for p in parents:
+            if p.requires_grad:
+                t.requires_grad = True
+                break
+    else:
+        t.requires_grad, t._parents, t._backward = False, (), None
+    return t
+
+
+class no_grad:
     """Ops inside build leaves, not graph nodes; the previous mode comes
     back on exit, also when an op raises."""
-    global _recording
-    saved, _recording = _recording, False
-    try:
-        yield
-    finally:
-        _recording = saved
+
+    __slots__ = ("_saved",)
+
+    def __enter__(self):
+        global _recording
+        self._saved, _recording = _recording, False
+
+    def __exit__(self, *exc):
+        global _recording
+        _recording = self._saved
 
 
 def param(value) -> Tensor:
@@ -105,7 +125,8 @@ def zero_grads(tensors) -> None:
 
 
 def backward(loss: Tensor) -> None:
-    """Backpropagate from a scalar loss through the whole graph. Only the
+    """Backpropagate from a scalar loss through the whole graph, once: a
+    backward closure may reuse its forward's arrays in place. Only the
     leaves (parameters and constants) keep a `.grad`: an interior node's is
     dropped once its backward has passed it on, so the backward holds the
     gradients still in flight, not one per node."""
@@ -142,14 +163,14 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(a, ga)
         _accumulate(b, np.array(gb) if gb is ga else gb)
 
-    return Tensor(out, parents=(a, b), backward=bw)
+    return _result(out, (a, b), bw)
 
 
 def neg(a: Tensor) -> Tensor:
     def bw(g):
         _accumulate(a, -g)
 
-    return Tensor(-a.value, parents=(a,), backward=bw)
+    return _result(-a.value, (a,), bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -159,7 +180,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(a, _unbroadcast(g * b.value, a.value.shape))
         _accumulate(b, _unbroadcast(g * a.value, b.value.shape))
 
-    return Tensor(out, parents=(a, b), backward=bw)
+    return _result(out, (a, b), bw)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -175,14 +196,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             _accumulate(b, a.value.T @ g)
 
-    return Tensor(out, parents=(a, b), backward=bw)
+    return _result(out, (a, b), bw)
 
 
 def transpose(a: Tensor) -> Tensor:
     def bw(g):
         _accumulate(a, np.array(g.T))
 
-    return Tensor(a.value.T, parents=(a,), backward=bw)
+    return _result(a.value.T, (a,), bw)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -198,7 +219,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             _accumulate(t, np.array(g[tuple(sl)]))
             offset += size
 
-    return Tensor(out, parents=tuple(tensors), backward=bw)
+    return _result(out, tuple(tensors), bw)
 
 
 def narrow(a: Tensor, axis: int, start: int, size: int) -> Tensor:
@@ -217,7 +238,7 @@ def narrow(a: Tensor, axis: int, start: int, size: int) -> Tensor:
         full[sl] = g
         _accumulate(a, full)
 
-    return Tensor(out, parents=(a,), backward=bw)
+    return _result(out, (a,), bw)
 
 
 def softmax_rows(a: Tensor) -> Tensor:
@@ -228,7 +249,7 @@ def softmax_rows(a: Tensor) -> Tensor:
     def bw(g):
         _accumulate(a, y * (g - (g * y).sum(axis=1, keepdims=True)))
 
-    return Tensor(y, parents=(a,), backward=bw)
+    return _result(y, (a,), bw)
 
 
 def _causal_hidden(q_len: int, k_len: int) -> np.ndarray:
@@ -251,15 +272,18 @@ def _merge(x: np.ndarray) -> np.ndarray:
 
 def _rows(starts: list[int], n: int):
     """Rows of the segments of length n that begin at `starts`: a slice for
-    one segment, so a lone sample costs no gathered copy."""
+    one segment, so a size that only one sample has costs no gathered copy."""
     if len(starts) == 1:
         return slice(starts[0], starts[0] + n)
     return (np.array(starts)[:, None] + np.arange(n)).reshape(-1)
 
 
+_EVERY_ROW = slice(None)  # the rows of a lone segment, which is neither grouped nor gathered
+
+
 def _scatter(parts, total: int, d: int) -> np.ndarray:
     """total x d rows from (rows, values) parts that cover each row once."""
-    if len(parts) == 1 and isinstance(parts[0][0], slice):  # one segment of every row
+    if parts[0][0] is _EVERY_ROW:
         return parts[0][1]
     out = np.empty((total, d))
     for idx, x in parts:
@@ -296,20 +320,24 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, q_lens=None, k_lens=N
         raise ShapeError(f"attention: segment lengths {q_lens} over {k_lens} must be positive, "
                          f"pair up and count the {tq} query and {tk} key rows")
     c = 1.0 / math.sqrt(d // heads)
-    # (q_len, k_len) -> the first query and key row of each such segment
-    groups: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
-    q0 = k0 = 0
-    for a, b in zip(q_lens, k_lens):
-        q_starts, k_starts = groups.setdefault((a, b), ([], []))
-        q_starts.append(q0)
-        k_starts.append(k0)
-        q0, k0 = q0 + a, k0 + b
+    # (q_len, k_len, query rows, key rows, segments) of each batched pass
+    if len(q_lens) == 1:
+        segments = [(tq, tk, _EVERY_ROW, _EVERY_ROW, 1)]
+    else:
+        # (q_len, k_len) -> the first query and key row of each such segment
+        groups: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+        q0 = k0 = 0
+        for a, b in zip(q_lens, k_lens):
+            q_starts, k_starts = groups.setdefault((a, b), ([], []))
+            q_starts.append(q0)
+            k_starts.append(k0)
+            q0, k0 = q0 + a, k0 + b
+        segments = [(a, b, _rows(q_starts, a), _rows(k_starts, b), len(q_starts))
+                    for (a, b), (q_starts, k_starts) in groups.items()]
     passes = []
-    for (a, b), (q_starts, k_starts) in groups.items():
+    for a, b, qi, ki, g in segments:
         if causal and a > b:
             raise ShapeError(f"attention: a causal segment of {a} queries over {b} keys")
-        qi, ki = _rows(q_starts, a), _rows(k_starts, b)
-        g = len(q_starts)
         qh, kh, vh = _split(q.value[qi], g, a, heads), _split(k.value[ki], g, b, heads), \
             _split(v.value[ki], g, b, heads)
         s = qh @ kh.transpose(0, 1, 3, 2)
@@ -346,24 +374,25 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, q_lens=None, k_lens=N
             if parts:
                 _accumulate(t, _scatter(parts, total, d))
 
-    return Tensor(out, parents=(q, k, v), backward=bw)
+    return _result(out, (q, k, v), bw)
 
 
 def layer_norm_rows(a: Tensor) -> Tensor:
     """Per-row standardization without learned affine parameters. The
-    reductions and divisions are those of np.mean and np.var, done once."""
+    reductions and divisions are those of np.mean and np.var, done once:
+    np.add.reduce, which .sum and np.mean call, then a division by n."""
     x = a.value
     n = x.shape[1]
-    xc = x - x.sum(axis=1, keepdims=True) / n
-    inv = 1.0 / np.sqrt((xc * xc).sum(axis=1, keepdims=True) / n + LAYER_NORM_EPS)
+    xc = x - np.add.reduce(x, axis=1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=1, keepdims=True) / n + LAYER_NORM_EPS)
     y = xc * inv
 
     def bw(g):
-        gm = g.mean(axis=1, keepdims=True)
-        gy = (g * y).mean(axis=1, keepdims=True)
+        gm = np.add.reduce(g, axis=1, keepdims=True) / n
+        gy = np.add.reduce(g * y, axis=1, keepdims=True) / n
         _accumulate(a, inv * (g - gm - y * gy))
 
-    return Tensor(y, parents=(a,), backward=bw)
+    return _result(y, (a,), bw)
 
 
 def silu(a: Tensor) -> Tensor:
@@ -374,7 +403,7 @@ def silu(a: Tensor) -> Tensor:
     def bw(g):
         _accumulate(a, g * sig * (1.0 + x * (1.0 - sig)))
 
-    return Tensor(y, parents=(a,), backward=bw)
+    return _result(y, (a,), bw)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -383,7 +412,7 @@ def tanh(a: Tensor) -> Tensor:
     def bw(g):
         _accumulate(a, g * (1.0 - y * y))
 
-    return Tensor(y, parents=(a,), backward=bw)
+    return _result(y, (a,), bw)
 
 
 def exp(a: Tensor) -> Tensor:
@@ -392,20 +421,20 @@ def exp(a: Tensor) -> Tensor:
     def bw(g):
         _accumulate(a, g * y)
 
-    return Tensor(y, parents=(a,), backward=bw)
+    return _result(y, (a,), bw)
 
 
 def l2_normalize_rows(a: Tensor) -> Tensor:
     x = a.value
     norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
-    if np.any(norms == 0.0):
+    if not norms.all():  # a NaN norm is not zero, as with norms == 0.0
         raise DomainError("l2_normalize_rows: zero-norm row")
     y = x / norms
 
     def bw(g):
         _accumulate(a, (g - y * (g * y).sum(axis=1, keepdims=True)) / norms)
 
-    return Tensor(y, parents=(a,), backward=bw)
+    return _result(y, (a,), bw)
 
 
 def embedding(table: Tensor, ids) -> Tensor:
@@ -428,7 +457,7 @@ def embedding(table: Tensor, ids) -> Tensor:
             full[ids] = g + 0.0
         _accumulate(table, full)
 
-    return Tensor(out, parents=(table,), backward=bw)
+    return _result(out, (table,), bw)
 
 
 def cross_entropy(logits: Tensor, targets, lens=None) -> Tensor:
@@ -455,20 +484,21 @@ def cross_entropy(logits: Tensor, targets, lens=None) -> Tensor:
     if tgt.max() >= rows.shape[1]:
         raise ShapeError(f"cross_entropy: target id exceeds vocab {rows.shape[1]}")
     mx = rows.max(axis=1, keepdims=True)
-    lse = mx[:, 0] + np.log(np.exp(rows - mx).sum(axis=1))
+    e = np.exp(rows - mx)
+    lse = mx[:, 0] + np.log(e.sum(axis=1))
     picked = rows[np.arange(sel.size), tgt]
     starts = np.cumsum(n_sup) - n_sup
     out = np.array((np.add.reduceat(lse - picked, starts) / n_sup).mean())
 
     def bw(g):
-        p = np.exp(rows - mx)
+        p = e  # the forward's exponentials, normalised in place: the backward runs once
         p /= p.sum(axis=1, keepdims=True)
         p[np.arange(sel.size), tgt] -= 1.0
         full = np.zeros_like(logits.value)
         full[sel] = p * (float(g) / (len(lens) * n_sup[seg]))[:, None]
         _accumulate(logits, full)
 
-    return Tensor(out, parents=(logits,), backward=bw)
+    return _result(out, (logits,), bw)
 
 
 def batches(items, size: int, epochs: int, rng: Rng):

@@ -63,8 +63,9 @@ def bag_vector(token_ids, vocab: int) -> np.ndarray:
     if ids.size == 0:
         raise DomainError("bag_vector: empty token list")
     # the bound keeps bincount from sizing its counts by a huge id; it
-    # refuses a negative one itself
-    if ids.max() >= vocab:
+    # refuses a negative one, or ids that are not one list, itself. The
+    # largest id is found in Python: numpy's max costs more than the list.
+    if ids.ndim == 1 and max(ids.tolist()) >= vocab:
         raise ShapeError(f"bag_vector: token id out of range for vocab {vocab}")
     try:
         counts = np.bincount(ids, minlength=vocab)

@@ -43,8 +43,9 @@ from .errors import DomainError, FormatError, ShapeError
 
 MAGIC = b"RSDB"
 FORMAT_VERSION = 1
-# An embedding whose norm is at least MIN_NORM has x.x clear of underflow, so
-# ingest normalizes it to a float32 row whose norm is at most UNIT_ROW_NORM.
+# An embedding or query whose norm is at least MIN_NORM has x.x clear of
+# underflow, so ingest normalizes it to a float32 row whose norm is at most
+# UNIT_ROW_NORM, and retrieval divides a query by its true norm.
 MIN_NORM = 2.0**-500
 UNIT_ROW_NORM = 1.0 + 2.0**-20
 _ID_AND_LENGTH = struct.Struct("<QI")  # the fields that open each record
@@ -102,7 +103,9 @@ class SemanticDatabase:
             text.encode("utf-8")  # so that save can write every stored text
         except UnicodeEncodeError as e:
             raise DomainError(f"ingest: text holds a lone surrogate at character {e.start}") from e
-        emb = np.asarray(embedding, dtype=np.float64).reshape(-1)
+        emb = np.asarray(embedding, dtype=np.float64)
+        if emb.ndim != 1:
+            emb = emb.reshape(-1)
         if emb.shape[0] != self.dim:
             raise ShapeError(f"ingest: embedding length {emb.shape[0]} != db dim {self.dim}")
         norm = math.sqrt(emb.dot(emb))  # what np.linalg.norm computes
@@ -111,7 +114,7 @@ class SemanticDatabase:
         if norm < MIN_NORM:
             raise DomainError(f"ingest: zero or near-zero embedding vector (norm {norm:.3g} < 2^-500)")
         n = len(self._texts)
-        new_id = int(self._ids[n - 1]) + 1 if n else 0
+        new_id = self._ids.item(n - 1) + 1 if n else 0
         if new_id >= 1 << 63:
             raise DomainError(f"ingest: id {new_id} exceeds the int64 range")
         if n == len(self._ids):  # full: double the capacity
@@ -128,11 +131,11 @@ class SemanticDatabase:
         q = np.asarray(query, dtype=np.float64).reshape(-1)
         if q.shape[0] != self.dim:
             raise ShapeError(f"retrieve: query length {q.shape[0]} != db dim {self.dim}")
-        qn = float(np.linalg.norm(q))
+        qn = math.sqrt(q.dot(q))  # what np.linalg.norm computes
         if not math.isfinite(qn):
             raise DomainError("retrieve: query is non-finite or its norm overflows")
-        if qn == 0.0:
-            raise DomainError("retrieve: zero query vector")
+        if qn < MIN_NORM:  # ingest's rule: below it, q.q underflows and q / qn is wrong
+            raise DomainError(f"retrieve: zero or near-zero query vector (norm {qn:.3g} < 2^-500)")
         if k < 0:
             raise DomainError(f"retrieve: k must be >= 0, got {k}")
         n = len(self._texts)

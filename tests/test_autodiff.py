@@ -1,5 +1,7 @@
 """Finite-difference checks of every autodiff op's backward pass."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -74,17 +76,16 @@ def test_segmented_attention_backward(heads, causal):
               (sum(Q_LENS), 8), (sum(K_LENS), 8), (sum(K_LENS), 8), (sum(Q_LENS), 8), seed=10 + heads)
 
 
-@pytest.mark.parametrize("causal", [False, True])
-def test_segmented_attention_matches_one_segment_calls_bit_exact(causal):
-    # the (3, 5) segments run as one batched pass, yet each segment's values
-    # and gradients are those of calling the op on that segment alone
+def _matches_one_segment_calls(q_lens, k_lens, causal):
+    """Each segment's values and gradients in one segmented call are those
+    of calling the op on that segment alone, bit for bit."""
     rng = Rng(20)
-    q, k, v = (ad.param(rng.normal((sum(n), 8))) for n in (Q_LENS, K_LENS, K_LENS))
+    q, k, v = (ad.param(rng.normal((sum(n), 8))) for n in (q_lens, k_lens, k_lens))
     weights = rng.normal(q.value.shape)
-    out = ad.attention(q, k, v, 2, Q_LENS, K_LENS, causal)
+    out = ad.attention(q, k, v, 2, q_lens, k_lens, causal)
     ad.backward(total(ad.mul(out, ad.const(weights))))
     q0 = k0 = 0
-    for a, b in zip(Q_LENS, K_LENS):
+    for a, b in zip(q_lens, k_lens):
         qs, ks = slice(q0, q0 + a), slice(k0, k0 + b)
         parts = [ad.param(x.value[sl].copy()) for x, sl in ((q, qs), (k, ks), (v, ks))]
         alone = ad.attention(*parts, 2, causal=causal)
@@ -93,6 +94,18 @@ def test_segmented_attention_matches_one_segment_calls_bit_exact(causal):
         for part, whole, sl in zip(parts, (q, k, v), (qs, ks, ks)):
             assert np.array_equal(part.grad, whole.grad[sl])
         q0, k0 = q0 + a, k0 + b
+
+
+@pytest.mark.parametrize("causal", [False, True])
+def test_segmented_attention_matches_one_segment_calls_bit_exact(causal):
+    # the (3, 5) segments run as one batched pass, yet each segment's values
+    # and gradients are those of calling the op on that segment alone
+    _matches_one_segment_calls(Q_LENS, K_LENS, causal)
+
+
+def test_attention_whose_first_segment_is_alone_matches_one_segment_calls():
+    # the first pass covers one segment's rows here, not every row
+    _matches_one_segment_calls((2, 3, 3), (4, 5, 5), causal=True)
 
 
 def _copyto_then_exp_attention(q, k, v, heads, w):
@@ -153,6 +166,23 @@ def test_segmented_attention_validates_lengths():
         ad.attention(z(4, 4), z(5, 4), z(5, 4), 2, (1, 3), (3, 2), causal=True)
 
 
+
+@pytest.mark.parametrize("q_rows,k_rows,q_lens,k_lens", [
+    (4, 5, (3,), (5,)), (4, 5, [4], [4]), (4, 5, (5,), (5,)), (0, 5, None, None), (4, 0, None, None),
+    (4, 5, (4,), (4, 1)),
+])
+def test_one_segment_attention_validates_lengths(q_rows, k_rows, q_lens, k_lens):
+    # a lone segment skips the grouping, not the check or its message
+    z = lambda rows: ad.const(np.zeros((rows, 4)))
+    shown_q = (q_rows,) if q_lens is None else tuple(q_lens)
+    shown_k = (k_rows,) if k_lens is None else tuple(k_lens)
+    want = (f"attention: segment lengths {shown_q} over {shown_k} must be positive, "
+            f"pair up and count the {q_rows} query and {k_rows} key rows")
+    with pytest.raises(ShapeError, match=f"^{re.escape(want)}$"):
+        ad.attention(z(q_rows), z(k_rows), z(k_rows), 2, q_lens, k_lens)
+    with pytest.raises(ShapeError, match="^attention: a causal segment of 4 queries over 3 keys$"):
+        ad.attention(z(4), z(3), z(3), 2, causal=True)
+
 def test_attention_validates_shapes():
     def z(*shape):
         return ad.const(np.zeros(shape))
@@ -171,11 +201,36 @@ def test_layer_norm_backward():
     _check_op(lambda a, b: ad.mul(ad.layer_norm_rows(a), b), (4, 6), (4, 6))
 
 
+
+def test_layer_norm_is_np_mean_and_var_bit_exact():
+    # the reductions and divisions are np.mean's and np.var's, done once
+    rng = Rng(15)
+    x, g = ad.param(rng.normal((40, 7)) * 3.0 + 1.0), rng.normal((40, 7))
+    y = ad.layer_norm_rows(x)
+    want = (x.value - x.value.mean(axis=1, keepdims=True)) * (
+        1.0 / np.sqrt(x.value.var(axis=1, keepdims=True) + ad.LAYER_NORM_EPS))
+    assert y.value.tobytes() == want.tobytes()
+    ad.backward(total(ad.mul(y, ad.const(g))))
+    inv = 1.0 / np.sqrt(x.value.var(axis=1, keepdims=True) + ad.LAYER_NORM_EPS)
+    dy = g - g.mean(axis=1, keepdims=True) - want * (g * want).mean(axis=1, keepdims=True)
+    assert x.grad.tobytes() == (inv * dy).tobytes()
+
 def test_silu_tanh_exp_backward():
     _check_op(lambda a: ad.silu(a), (3, 5))
     _check_op(lambda a: ad.tanh(a), (3, 5))
     _check_op(lambda a: ad.exp(a), (2, 4), seed=3)
 
+
+
+def test_l2_normalize_rejects_a_zero_row_only():
+    x = np.array([[3.0, 4.0], [0.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(DomainError, match="^l2_normalize_rows: zero-norm row$"):
+        ad.l2_normalize_rows(ad.const(x))
+    with pytest.raises(DomainError, match="zero-norm row"):
+        ad.l2_normalize_rows(ad.const(np.zeros((1, 3))))
+    with np.errstate(invalid="ignore"):  # a NaN row is not a zero row: it passes through
+        y = ad.l2_normalize_rows(ad.const(np.array([[np.nan, 1.0], [0.0, -2.0]]))).value
+    assert np.isnan(y[0]).all() and y[1].tolist() == [0.0, -1.0]
 
 def test_l2_normalize_backward():
     _check_op(lambda a, b: ad.mul(ad.l2_normalize_rows(a), b), (4, 5), (4, 5))
@@ -254,6 +309,23 @@ def test_cross_entropy_backward_with_ignored_rows():
     # ignored rows receive no gradient
     assert np.array_equal(logits.grad[1], np.zeros(9))
 
+
+
+def test_cross_entropy_gradient_is_the_recomputed_softmax_bit_exact():
+    # the backward normalises the forward's exponentials in place, which
+    # gives the bits of recomputing them
+    rng = Rng(16)
+    logits, targets, lens = ad.param(rng.normal((7, 5)) * 4.0), np.array([1, -1, 0, 4, -1, 2, 3]), (3, 4)
+    ad.backward(ad.cross_entropy(logits, targets, lens))
+    sel = np.flatnonzero(targets >= 0)
+    rows = logits.value[sel]
+    p = np.exp(rows - rows.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    p[np.arange(sel.size), targets[sel]] -= 1.0
+    n_sup = np.array([2, 3])[np.repeat([0, 1], lens)[sel]]
+    want = np.zeros_like(logits.value)
+    want[sel] = p * (1.0 / (2 * n_sup))[:, None]
+    assert logits.grad.tobytes() == want.tobytes()
 
 def test_cross_entropy_per_sample_means():
     # three samples' logits stacked: the loss is the mean of each sample's
@@ -341,6 +413,37 @@ def test_no_grad_ops_build_leaves_of_the_same_values():
         assert got.value.shape == want.value.shape and np.array_equal(got.value, want.value)
     assert a.requires_grad and a.grad is None  # a parameter stays one
 
+
+
+def test_every_op_returns_a_float64_array_recording_or_not():
+    rng = Rng(14)
+    a, b = ad.param(rng.normal((4, 4))), ad.param(rng.normal((4, 4)))
+    s, t = ad.param(0.5), ad.const(-2.0)  # a ufunc of 0-d operands returns a numpy scalar
+
+    def results():
+        return _every_op(a, b) + [ad.add(s, t), ad.neg(s), ad.mul(s, t), ad.silu(s), ad.tanh(t),
+                                  ad.exp(t), ad.transpose(s), ad.add(a, ad.const([[1, 2, 3, 4]]))]
+
+    recorded = results()
+    with ad.no_grad():
+        leaves = results()
+    for got, want in zip(leaves, recorded):
+        assert type(got.value) is np.ndarray and got.value.dtype == np.float64
+        assert type(want.value) is np.ndarray and want.value.dtype == np.float64
+        assert got.value.tobytes() == want.value.tobytes()
+    assert recorded[-8].requires_grad and not ad.neg(t).requires_grad
+
+
+def test_const_and_param_convert_their_inputs():
+    for raw, want in ((3, [3.0]), (True, [1.0]), ([1, 2], [1.0, 2.0]), ([[False], [True]], [0.0, 1.0]),
+                      (np.arange(3, dtype=np.int32), [0.0, 1.0, 2.0]), (np.float32(0.1), [float(np.float32(0.1))])):
+        for make in (ad.const, ad.param):
+            t = make(raw)
+            assert type(t.value) is np.ndarray and t.value.dtype == np.float64
+            assert t.value.shape == np.shape(raw) and t.value.reshape(-1).tolist() == want
+            assert t.requires_grad is (make is ad.param) and t._parents == () and t.grad is None
+    held = np.ones((2, 3))
+    assert ad.const(held).value is held  # a float64 array is held, not copied
 
 def test_no_grad_is_restored_after_a_raise_and_a_nested_use():
     x = ad.param(np.ones((2, 3)))

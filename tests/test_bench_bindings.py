@@ -253,3 +253,49 @@ def test_dead_code_guard_flags_planted_test_only_code(tmp_path):
         (tmp_path / name).write_text(source, encoding="utf-8")
     # named only in a docstring; "called" only through b.shared; a property no package code reads
     assert dead_definitions(tmp_path / "rsvlm", tmp_path / "perfbench") == ["Params.height", "a.helper", "a.shared"]
+
+
+# A property no code reads, named like a field that code reads off an object
+# of another class: how a property could outlive its last caller.
+NAME_CLASH = {
+    "rsvlm/a.py": '''from dataclasses import dataclass
+
+
+@dataclass
+class Config:
+    levels: int = 2
+
+
+class Layer:
+    @property
+    def levels(self):
+        return 3
+
+
+def depth(cfg: Config):
+    return cfg.levels
+
+
+def main():
+    return depth(Config()), Layer()
+''',
+    "perfbench/run.py": '''from rsvlm import a
+
+a.main()
+''',
+}
+
+
+def test_dead_code_guard_credits_a_property_with_every_read_of_its_name(tmp_path):
+    # The guard reads no types, so `cfg.levels` may be Layer.levels as well
+    # as Config's field, and it keeps the property alive. No sound rule tells
+    # the two apart without type inference; this pins the gap, so that a
+    # guard that closes it changes this test on purpose.
+    for name, source in NAME_CLASH.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(source, encoding="utf-8")
+    guard = lambda: dead_definitions(tmp_path / "rsvlm", tmp_path / "perfbench")
+    assert guard() == []
+    a = tmp_path / "rsvlm" / "a.py"
+    a.write_text(a.read_text(encoding="utf-8").replace("return cfg.levels", "return cfg"), encoding="utf-8")
+    assert guard() == ["Layer.levels"]

@@ -39,6 +39,21 @@ def test_encode_text_unit_norm_and_bag_invariance():
     assert np.array_equal(z, de.encode_text(params, tokens[::-1]))
 
 
+
+def test_encoders_equal_their_recorded_graphs_bit_exact():
+    # encode_text and encode_image run tape-free; a graph recorded over the
+    # same row, with every parameter requiring a gradient, holds the same bits
+    params = _params(5)
+    for text in ("river bend with sand banks", "a a b", "dense forest dense", "x"):
+        ids = de.tokenize_text(text, VOCAB)
+        recorded = de.encode_text_rows(params, ad.const(de.bag_vector(ids, VOCAB)[None, :]))
+        assert recorded.requires_grad and recorded._parents
+        assert de.encode_text(params, ids).tobytes() == recorded.value[0].tobytes()
+    for x in Rng(6).normal((4, D_IMG)):
+        recorded = de.encode_image_rows(params, ad.const(x[None, :]))
+        assert recorded.requires_grad and recorded._parents
+        assert de.encode_image(params, x).tobytes() == recorded.value[0].tobytes()
+
 def test_tokenizer_is_stable_and_casefolds():
     a = de.tokenize_text("River Bend", VOCAB)
     b = de.tokenize_text("river bend", VOCAB)
@@ -55,9 +70,11 @@ def test_fnv1a_and_bag_vector():
     assert np.array_equal(de.bag_vector(ids, 5), counts / np.linalg.norm(counts))
     with pytest.raises(DomainError, match=r"^bag_vector: empty token list$"):
         de.bag_vector([], 5)
-    for bad in ([1, -1], [1, 5], [2**40]):  # a huge id is refused before any count is sized
+    # a huge id is refused before any count is sized; bincount refuses ids that are not one list
+    for bad in ([1, -1], [1, 5], [2**40], [[1, 2]], [[7]], 3):
         with pytest.raises(ShapeError, match=r"^bag_vector: token id out of range for vocab 5$"):
             de.bag_vector(bad, 5)
+
 
 
 def test_encode_gradients_match_finite_differences():

@@ -294,6 +294,15 @@ def test_retrieve_non_finite_query_exit_3(inputs_dir, tmp_path, text):
     assert err == "numeric error: retrieve: query is non-finite or its norm overflows\n"
 
 
+@pytest.mark.parametrize("text,norm", [("[0.0, 0.0, 0.0, 0.0]", "0"), ("[1e-200, 0.0, 0.0, 0.0]", "0"),
+                                       ("[1e-160, 2e-160, 0.0, -1e-160]", "2.45e-160")])
+def test_retrieve_near_zero_query_exit_3(inputs_dir, tmp_path, text, norm):
+    query = tmp_path / "q.json"
+    query.write_text(text, encoding="utf-8")
+    code, err = _run(["retrieve", "--db", str(inputs_dir / "db.rsdb"), "--query", str(query)])
+    assert code == 3, err
+    assert err == f"numeric error: retrieve: zero or near-zero query vector (norm {norm} < 2^-500)\n"
+
 @pytest.mark.parametrize("kind,source,value,message", [
     ("caption", "inline", float("nan"), "image features hold a non-finite value"),
     ("caption", "npy", float("inf"), "image features hold a non-finite value"),

@@ -151,6 +151,23 @@ def test_retrieve_validations():
             db.retrieve_top_k(bad, k=1)
 
 
+
+def test_retrieve_rejects_near_zero_query():
+    # ingest's rule: below 2^-500, q.q underflows and q / norm(q) is off
+    # (a norm of 2e-160 gave scores wrong in the 6th digit)
+    db = SemanticDatabase(4)
+    for i in range(3):
+        db.ingest(f"row {i}", [1.0, float(i), 0.5, -1.0])
+    for tiny, shown in (([0.0] * 4, "0"), ([1e-200, 0.0, 0.0, 0.0], "0"),
+                        ([1e-160, 2e-160, 0.0, -1e-160], "2.[0-9]*e-160")):
+        with pytest.raises(DomainError, match=f"^retrieve: zero or near-zero query vector "
+                                              f"\\(norm {shown} < 2\\^-500\\)$"):
+            db.retrieve_top_k(tiny, k=2)
+    query = np.array([0.5, 1.0, 0.25, -0.5])
+    want = [(r.id, r.score) for r in db.retrieve_top_k(query, k=3)]
+    # a power-of-two scale is exact, so the smallest accepted scale keeps every bit
+    assert [(r.id, r.score) for r in db.retrieve_top_k(query * 2.0**-499, k=3)] == want
+
 def test_retrieve_matches_full_sort_oracle():
     rng = Rng(3)
     dim = 8
