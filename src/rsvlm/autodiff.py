@@ -10,15 +10,20 @@ gradients. The tests check every op against the independent numpy oracles
 in `tests/oracles.py`; `check_gradients` is the sampled central-difference
 check that `rsvlm grad-check` runs.
 
-Inside `no_grad()` the ops compute the same values but record no graph:
-each result is a leaf, with no parents, no backward and no gradient. The
-forwards whose gradient nobody reads (generation, the retriever's encoders,
-a sample's loss, the gradient check's probes) run there.
+One rule decides what records a graph: no tensor needs a gradient except
+inside `differentiating(tensors)`, which marks those tensors for the length
+of the block. An op records its parents and a backward only when one of its
+parents needs a gradient; otherwise its result is a leaf, with no parents,
+no backward and no gradient. The training loops and the gradient check's
+analytic pass differentiate; every other forward (generation, the
+retriever's encoders, a sample's loss, the gradient check's probes) builds
+leaves without asking.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,16 +35,14 @@ CAUSAL_BIAS = -1e30  # the score of a key a causal row may not see
 LAYER_NORM_EPS = 1e-5  # added to each row's variance
 GRAD_CHECK_EPS = 1e-5  # the central-difference step of check_gradients
 
-_recording = True  # False inside no_grad()
-
 
 class Tensor:
     __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, value, requires_grad: bool = False):
+    def __init__(self, value):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
-        self.requires_grad, self._parents, self._backward = requires_grad, (), None
+        self.requires_grad, self._parents, self._backward = False, (), None
 
     @property
     def shape(self):
@@ -57,40 +60,33 @@ _new_tensor = Tensor.__new__
 
 def _result(value: np.ndarray, parents: tuple, backward) -> Tensor:
     """An op's result, which holds `value`, the float64 array the op
-    computed, without converting it. While recording, a node of `parents`
-    that requires a gradient if one of them does; inside no_grad, a leaf."""
+    computed, without converting it: a node of `parents` that needs a
+    gradient when one of them does, else a leaf."""
     t = _new_tensor(Tensor)
     # a ufunc of 0-d operands returns a numpy scalar, not an array
     t.value = value if type(value) is np.ndarray else np.asarray(value)
     t.grad = None
-    if _recording:
-        t.requires_grad, t._parents, t._backward = False, parents, backward
-        for p in parents:
-            if p.requires_grad:
-                t.requires_grad = True
-                break
-    else:
-        t.requires_grad, t._parents, t._backward = False, (), None
+    for p in parents:
+        if p.requires_grad:
+            t.requires_grad, t._parents, t._backward = True, parents, backward
+            return t
+    t.requires_grad, t._parents, t._backward = False, (), None
     return t
 
 
-class no_grad:
-    """Ops inside build leaves, not graph nodes; the previous mode comes
-    back on exit, also when an op raises."""
-
-    __slots__ = ("_saved",)
-
-    def __enter__(self):
-        global _recording
-        self._saved, _recording = _recording, False
-
-    def __exit__(self, *exc):
-        global _recording
-        _recording = self._saved
-
-
-def param(value) -> Tensor:
-    return Tensor(value, requires_grad=True)
+@contextmanager
+def differentiating(tensors):
+    """Mark `tensors` as needing a gradient while the block runs, so the ops
+    over them record a graph and `backward` inside the block reaches them;
+    restore their flags after it, also when it raises."""
+    saved = [(t, t.requires_grad) for t in tensors]
+    try:
+        for t, _ in saved:
+            t.requires_grad = True
+        yield
+    finally:
+        for t, flag in saved:
+            t.requires_grad = flag
 
 
 def const(value) -> Tensor:
@@ -535,15 +531,16 @@ def check_gradients(
     """Probe analytic gradients of named parameters against central differences.
 
     `build_loss` must rebuild the scalar loss graph (one entry, of any
-    shape) from the parameters' current values; the probes, which read
-    only its value, rebuild it inside `no_grad()`. Every parameter receives
-    at least one probe; remaining probes are spread uniformly over all
-    coordinates.
+    shape) from the parameters' current values. Only the analytic pass
+    differentiates; the probes, which read only the loss value, build
+    leaves. Every parameter receives at least one probe; remaining probes
+    are spread uniformly over all coordinates.
     """
     params = [(name, t) for name, t in params]
     rng = rng or Rng(0)
     zero_grads(t for _, t in params)
-    backward(build_loss())  # the only graph the check builds dies here
+    with differentiating(t for _, t in params):
+        backward(build_loss())  # the only graph the check builds dies here
     analytic = {name: (np.zeros_like(t.value) if t.grad is None else t.grad.copy()) for name, t in params}
 
     sizes = [t.value.size for _, t in params]
@@ -564,11 +561,10 @@ def check_gradients(
         name, t = params[pi]
         buf = t.value.reshape(-1)
         orig = buf[flat_idx]
-        with no_grad():
-            buf[flat_idx] = orig + GRAD_CHECK_EPS
-            fp = build_loss().value.item()
-            buf[flat_idx] = orig - GRAD_CHECK_EPS
-            fm = build_loss().value.item()
+        buf[flat_idx] = orig + GRAD_CHECK_EPS
+        fp = build_loss().value.item()
+        buf[flat_idx] = orig - GRAD_CHECK_EPS
+        fm = build_loss().value.item()
         buf[flat_idx] = orig
         numeric = (fp - fm) / (2.0 * GRAD_CHECK_EPS)
         ana = float(analytic[name].reshape(-1)[flat_idx])

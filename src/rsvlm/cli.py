@@ -115,7 +115,7 @@ class RunConfig:
         if args.config:
             try:
                 loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
                 raise ConfigError([f"config file {args.config}: invalid JSON ({e})"]) from e
             if not isinstance(loaded, dict):
                 raise ConfigError([f"config file {args.config}: expected a JSON object"])
@@ -215,7 +215,7 @@ def cmd_retrieve(args, cfg: RunConfig) -> int:
     _check_retriever_width(encoder, db)
     try:
         raw = json.loads(Path(args.query).read_bytes())
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:
         raise FormatError(f"query {args.query}: expected a JSON array of numbers ({e})") from e
     query = json_numbers(raw, f"query {args.query}")
     if query.ndim != 1:

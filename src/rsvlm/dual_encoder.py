@@ -118,7 +118,7 @@ def _init_params(d_img_raw: int, d_e: int, vocab: int, hidden: int,
     return DualEncoderParams(
         image_proj=init_ffn(d_img_raw, hidden, d_e, rng.spawn(1)),
         text_proj=init_ffn(vocab, hidden, d_e, rng.spawn(2)),
-        log_temp=ad.param(np.full((1, 1), math.log(INIT_TEMPERATURE))),
+        log_temp=ad.const(np.full((1, 1), math.log(INIT_TEMPERATURE))),
     )
 
 
@@ -136,23 +136,19 @@ def encode_image_rows(params: DualEncoderParams, feats: Tensor) -> Tensor:
 
 
 def encode_text_rows(params: DualEncoderParams, bags: Tensor) -> Tensor:
-    if bags.value.shape[1] != params.vocab:
-        raise ShapeError(f"encode_text: bag dim {bags.value.shape[1]} != vocab {params.vocab}")
     return _mlp_rows(params.text_proj, bags)
 
 
 def encode_image(params: DualEncoderParams, image_features) -> np.ndarray:
     """Unit-norm embedding of one raw image-feature vector."""
     feats = np.asarray(image_features, dtype=np.float64).reshape(1, -1)
-    with ad.no_grad():
-        return encode_image_rows(params, ad.const(feats)).value[0]
+    return encode_image_rows(params, ad.const(feats)).value[0]
 
 
 def encode_text(params: DualEncoderParams, text_tokens) -> np.ndarray:
     """Unit-norm embedding of one token-id list (order-invariant bag)."""
     bag = bag_vector(text_tokens, params.vocab).reshape(1, -1)
-    with ad.no_grad():
-        return encode_text_rows(params, ad.const(bag)).value[0]
+    return encode_text_rows(params, ad.const(bag)).value[0]
 
 
 def _batch_arrays(params: DualEncoderParams, batch) -> tuple[np.ndarray, np.ndarray]:
@@ -217,7 +213,8 @@ def train_retriever(
 
     steps = ad.descend([t for _, t in named], ad.batches(pairs, len(pairs), epochs, Rng(seed).spawn(99)),
                        lambda batch: contrastive_loss_graph(params, batch), update, "train_retriever")
-    return params, list(steps)
+    with ad.differentiating(t for _, t in named):
+        return params, list(steps)
 
 
 def recall_at_1(params: DualEncoderParams, pairs) -> float:

@@ -59,10 +59,10 @@ class ExpertLayerParams:
 
 def init_ffn(d_in: int, d_inner: int, d_out: int, rng: Rng) -> FfnParams:
     return FfnParams(
-        w1=ad.param(rng.normal((d_in, d_inner), std=1.0 / math.sqrt(d_in))),
-        b1=ad.param(rng.zeros((1, d_inner))),
-        w2=ad.param(rng.normal((d_inner, d_out), std=1.0 / math.sqrt(d_inner))),
-        b2=ad.param(rng.zeros((1, d_out))),
+        w1=ad.const(rng.normal((d_in, d_inner), std=1.0 / math.sqrt(d_in))),
+        b1=ad.const(rng.zeros((1, d_inner))),
+        w2=ad.const(rng.normal((d_inner, d_out), std=1.0 / math.sqrt(d_inner))),
+        b2=ad.const(rng.zeros((1, d_out))),
     )
 
 
@@ -73,12 +73,12 @@ def init_expert_layer(d_h: int, d_r: int, levels: int, rng: Rng) -> ExpertLayerP
         raise ShapeError(f"expert rank d_r {d_r} must be < d_h {d_h}")
     experts = [
         ExpertParams(
-            u=ad.param(rng.spawn(l).normal((d_h, d_r), std=0.02)),
-            v=ad.param(rng.zeros((d_r, d_h))),
+            u=ad.const(rng.spawn(l).normal((d_h, d_r), std=0.02)),
+            v=ad.const(rng.zeros((d_r, d_h))),
         )
         for l in range(1, levels + 1)
     ]
-    return ExpertLayerParams(experts=experts, gate_w=ad.param(rng.zeros((d_h, levels))))
+    return ExpertLayerParams(experts=experts, gate_w=ad.const(rng.zeros((d_h, levels))))
 
 
 def gate_weights_graph(gate_w: Tensor, hidden: Tensor, row_levels: np.ndarray) -> Tensor:

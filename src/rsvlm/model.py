@@ -19,8 +19,9 @@ it prefills once: the visual encoder, the prompter and the prefix
 [image; prompt; query; SEP] run a single time and leave each block's keys
 and values in a cache. Every further token is one query-segment row through
 the same forward, attending to the cached rows; the expert layer and the FFN
-are row-local, so only attention reads the cache. Generation runs inside
-`autodiff.no_grad()`, so none of its forwards records a graph.
+are row-local, so only attention reads the cache. A parameter needs a
+gradient only while training differentiates it, so none of generation's
+forwards records a graph.
 
 Checkpoint format (little-endian)::
 
@@ -237,8 +238,8 @@ def _init_model(cfg: ModelConfig, master: Rng | ShapeRng) -> VlmModel:
     ShapeRng, a model of the right shapes that holds no parameter block."""
     vrng = master.spawn(1)
     visual = VisualEncoderParams(
-        patch_w=ad.param(vrng.spawn(0).normal((cfg.patch_dim, cfg.d_v), std=1.0 / math.sqrt(cfg.patch_dim))),
-        patch_b=ad.param(vrng.zeros((1, cfg.d_v))),
+        patch_w=ad.const(vrng.spawn(0).normal((cfg.patch_dim, cfg.d_v), std=1.0 / math.sqrt(cfg.patch_dim))),
+        patch_b=ad.const(vrng.zeros((1, cfg.d_v))),
         blocks=[
             BlockParams(
                 attn=init_attn_block(cfg.d_v, cfg.d_v, cfg.d_v, vrng.spawn(10 + i)),
@@ -263,17 +264,17 @@ def _init_model(cfg: ModelConfig, master: Rng | ShapeRng) -> VlmModel:
             experts=init_expert_layer(cfg.d_h, cfg.d_r, cfg.levels, lrng.spawn(200 + i)) if expert else None,
         ))
     lm = LmParams(
-        embed=ad.param(lrng.spawn(1).normal((cfg.vocab, cfg.d_h), std=0.02)),
-        pos=ad.param(lrng.spawn(2).normal((cfg.max_seq, cfg.d_h), std=0.02)),
+        embed=ad.const(lrng.spawn(1).normal((cfg.vocab, cfg.d_h), std=0.02)),
+        pos=ad.const(lrng.spawn(2).normal((cfg.max_seq, cfg.d_h), std=0.02)),
         blocks=blocks,
-        head=ad.param(lrng.spawn(3).normal((cfg.d_h, cfg.vocab), std=1.0 / math.sqrt(cfg.d_h))),
+        head=ad.const(lrng.spawn(3).normal((cfg.d_h, cfg.vocab), std=1.0 / math.sqrt(cfg.d_h))),
     )
     return VlmModel(
         config=cfg,
         visual=visual,
         prompter=prompter,
-        proj_w=ad.param(prng.normal((cfg.d_v, cfg.d_h), std=1.0 / math.sqrt(cfg.d_v))),
-        proj_b=ad.param(prng.zeros((1, cfg.d_h))),
+        proj_w=ad.const(prng.normal((cfg.d_v, cfg.d_h), std=1.0 / math.sqrt(cfg.d_v))),
+        proj_b=ad.const(prng.zeros((1, cfg.d_h))),
         lm=lm,
     )
 
@@ -418,8 +419,7 @@ def sample_loss_graph(model: VlmModel, samples: list[Sample]) -> Tensor:
 
 
 def sample_loss(model: VlmModel, sample: Sample) -> float:
-    with ad.no_grad():
-        return float(sample_loss_graph(model, [sample]).value)
+    return float(sample_loss_graph(model, [sample]).value)
 
 
 def token_loss_graph(model: VlmModel, sample: Sample, seq_ids, targets) -> Tensor:
@@ -461,18 +461,17 @@ def generate(model: VlmModel, patches, query_ids, max_tokens: int,
     max_tokens = min(max_tokens, cfg.max_seq - prefix + 1)
     cache = [KvCache(prefix + max_tokens - 1) for _ in model.lm.blocks]
     out: list[int] = []
-    with ad.no_grad():
-        hidden, lens, row_levels = _sequence_graph(model, [sample], [seq_ids])
-        logits = _lm_logits_graph(model, hidden, lens, row_levels, cache, read=[1]).value
-        while True:
-            nxt = int(np.argmax(logits[-1]))
-            if nxt == EOS_ID:
-                return out
-            out.append(nxt)
-            if len(out) == max_tokens:
-                return out
-            row = ad.embedding(model.lm.embed, [nxt])
-            logits = _lm_logits_graph(model, row, [1], np.zeros(1, int), cache).value
+    hidden, lens, row_levels = _sequence_graph(model, [sample], [seq_ids])
+    logits = _lm_logits_graph(model, hidden, lens, row_levels, cache, read=[1]).value
+    while True:
+        nxt = int(np.argmax(logits[-1]))
+        if nxt == EOS_ID:
+            return out
+        out.append(nxt)
+        if len(out) == max_tokens:
+            return out
+        row = ad.embedding(model.lm.embed, [nxt])
+        logits = _lm_logits_graph(model, row, [1], np.zeros(1, int), cache).value
 
 
 def save_checkpoint(model: VlmModel, path) -> None:
@@ -494,7 +493,7 @@ def _read_manifest(reader: Reader) -> tuple[ModelConfig, dict[str, tuple]]:
     raw = reader.take(manifest_len, "manifest")
     try:
         manifest = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise FormatError(f"unreadable manifest at byte 10: {e}") from e
     if not (isinstance(manifest, dict) and isinstance(manifest.get("config"), dict)
             and isinstance(manifest.get("blocks"), list)):

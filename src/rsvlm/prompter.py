@@ -66,10 +66,10 @@ class PrompterParams:
 def init_attn_block(d_q_in: int, d_ctx_in: int, d: int, rng: Rng) -> AttnBlockParams:
     """Fan-in scaled Gaussian init for all four projections."""
     return AttnBlockParams(
-        wq=ad.param(rng.normal((d_q_in, d), std=1.0 / math.sqrt(d_q_in))),
-        wk=ad.param(rng.normal((d_ctx_in, d), std=1.0 / math.sqrt(d_ctx_in))),
-        wv=ad.param(rng.normal((d_ctx_in, d), std=1.0 / math.sqrt(d_ctx_in))),
-        wo=ad.param(rng.normal((d, d), std=1.0 / math.sqrt(d))),
+        wq=ad.const(rng.normal((d_q_in, d), std=1.0 / math.sqrt(d_q_in))),
+        wk=ad.const(rng.normal((d_ctx_in, d), std=1.0 / math.sqrt(d_ctx_in))),
+        wv=ad.const(rng.normal((d_ctx_in, d), std=1.0 / math.sqrt(d_ctx_in))),
+        wo=ad.const(rng.normal((d, d), std=1.0 / math.sqrt(d))),
     )
 
 
@@ -77,7 +77,7 @@ def init_prompter(n_agg: int, dim: int, level_dims: list[int], rng: Rng) -> Prom
     """n_agg aggregation tokens of width dim and one level block per entry
     of level_dims, the width of that level's visual features."""
     return PrompterParams(
-        f_agg=ad.param(rng.spawn(0).normal((n_agg, dim), std=AGG_INIT_STD)),
+        f_agg=ad.const(rng.spawn(0).normal((n_agg, dim), std=AGG_INIT_STD)),
         self_attn=init_attn_block(dim, dim, dim, rng.spawn(1)),
         sem_attn=init_attn_block(dim, dim, dim, rng.spawn(2)),
         level_attn=[init_attn_block(dim, d_l, dim, rng.spawn(10 + l)) for l, d_l in enumerate(level_dims)],

@@ -248,6 +248,8 @@ def iter_jsonl(path, required=()):
                 raise FormatError(f"line {lineno}: invalid UTF-8 at column {e.start + 1}") from e
             except json.JSONDecodeError as e:
                 raise FormatError(f"line {lineno}: invalid JSON ({e.msg})") from e
+            except RecursionError:
+                raise FormatError(f"line {lineno}: invalid JSON (nested too deeply)") from None
             if not isinstance(obj, dict):
                 raise FormatError(f"line {lineno}: expected a JSON object, got {type(obj).__name__}")
             for field in required:

@@ -1,8 +1,9 @@
 """Two-stage training: alignment (prompter and, by default, the image
 projector; everything else frozen bit-exactly) and instruction tuning (all
 components, per-component learning rates). The optimizer is AdamW with
-decoupled weight decay; frozen parameters are never touched, so their arrays
-stay bit-identical.
+decoupled weight decay. A run differentiates only the parameters the
+optimizer updates; the frozen ones record no graph, get no gradient and are
+never touched, so their arrays stay bit-identical.
 
 Training data is line-delimited JSON. Alignment samples:
 ``{"image": <path or patch array>, "caption": str}``; instruction samples:
@@ -14,7 +15,6 @@ load time and cached as token ids.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from tokenize import TokenError
@@ -139,37 +139,23 @@ def _learning_rates(cfg: TrainConfig) -> dict[str, float]:
     }
 
 
-@contextmanager
-def _frozen(tensors):
-    """Mark `tensors` as needing no gradient while the block runs, so the
-    backward computes none for them; restore their flags after it, also
-    when it raises."""
-    saved = [(t, t.requires_grad) for t in tensors]
-    try:
-        for t, _ in saved:
-            t.requires_grad = False
-        yield
-    finally:
-        for t, flag in saved:
-            t.requires_grad = flag
-
-
 def _run_training(model: VlmModel, samples: list[Sample], cfg: TrainConfig) -> list[float]:
     """One graph over each batch's stacked samples per step, then an AdamW
-    update. Parameters whose learning rate is 0 get no gradient for the
-    length of the run."""
+    update. Only the parameters whose learning rate is above 0 are
+    differentiated, so the others get no gradient and no graph nodes."""
     if not samples:
         raise DomainError("training needs at least one sample")
     named = model.named_parameters()
     lr_of = _learning_rates(cfg)
-    lrs = [(tensor, lr_of[component_of(name)]) for name, tensor in named]
-    opt = AdamW([(tensor, lr) for tensor, lr in lrs if lr > 0.0], cfg.weight_decay)
+    plan = [(tensor, lr_of[component_of(name)]) for name, tensor in named]
+    plan = [(tensor, lr) for tensor, lr in plan if lr > 0.0]
+    opt = AdamW(plan, cfg.weight_decay)
     steps = ad.descend([tensor for _, tensor in named],
                        ad.batches(samples, cfg.batch_size, cfg.epochs, Rng(cfg.seed).spawn(7)),
                        lambda batch: sample_loss_graph(model, batch),
                        lambda step: opt.step(), f"training (stage {cfg.stage})")
     history: list[float] = []
-    with _frozen([tensor for tensor, lr in lrs if lr <= 0.0]):
+    with ad.differentiating(tensor for tensor, _ in plan):
         for loss in steps:
             history.append(loss)
             if len(history) == cfg.max_steps or (cfg.stop_loss is not None and loss < cfg.stop_loss):
@@ -224,7 +210,10 @@ def load_patches(source, base_dir=None) -> np.ndarray:
                 # numpy raises all four for an empty or malformed file
                 raise FormatError(f"image feature file {path}: {e}") from e
         else:
-            source = json.loads(path.read_text(encoding="utf-8"))
+            try:
+                source = json.loads(path.read_text(encoding="utf-8"))
+            except (ValueError, RecursionError) as e:  # not UTF-8 JSON, or nested deeper than json recurses
+                raise FormatError(f"image feature file {path}: {e}") from None
     arr = json_numbers(source, "image features")
     if arr.ndim == 1:
         arr = arr[None, :]

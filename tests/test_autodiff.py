@@ -11,15 +11,23 @@ from rsvlm.numerics import Rng
 from oracles import compare_gradients, finite_diff_gradient, total
 
 
+def _param(value):
+    """A leaf that needs a gradient for the rest of the test, as a tensor
+    does inside `ad.differentiating`."""
+    t = ad.const(value)
+    t.requires_grad = True
+    return t
+
+
 def _check_op(build, *shapes, seed=0, tol=1e-6):
     """Compare analytic input gradients of a scalarized op against central
     differences for each input slot."""
     rng = Rng(seed)
     values = [rng.normal(s) for s in shapes]
     for slot in range(len(values)):
-        leaves = [ad.param(v.copy()) for v in values]
-        out = total(build(*leaves))
-        ad.backward(out)
+        leaves = [ad.const(v.copy()) for v in values]
+        with ad.differentiating(leaves):
+            ad.backward(total(build(*leaves)))
         analytic = leaves[slot].grad
 
         def f(flat):
@@ -80,14 +88,14 @@ def _matches_one_segment_calls(q_lens, k_lens, causal):
     """Each segment's values and gradients in one segmented call are those
     of calling the op on that segment alone, bit for bit."""
     rng = Rng(20)
-    q, k, v = (ad.param(rng.normal((sum(n), 8))) for n in (q_lens, k_lens, k_lens))
+    q, k, v = (_param(rng.normal((sum(n), 8))) for n in (q_lens, k_lens, k_lens))
     weights = rng.normal(q.value.shape)
     out = ad.attention(q, k, v, 2, q_lens, k_lens, causal)
     ad.backward(total(ad.mul(out, ad.const(weights))))
     q0 = k0 = 0
     for a, b in zip(q_lens, k_lens):
         qs, ks = slice(q0, q0 + a), slice(k0, k0 + b)
-        parts = [ad.param(x.value[sl].copy()) for x, sl in ((q, qs), (k, ks), (v, ks))]
+        parts = [_param(x.value[sl].copy()) for x, sl in ((q, qs), (k, ks), (v, ks))]
         alone = ad.attention(*parts, 2, causal=causal)
         ad.backward(total(ad.mul(alone, ad.const(weights[qs]))))
         assert np.array_equal(alone.value, out.value[qs])
@@ -138,7 +146,7 @@ def test_causal_attention_matches_copyto_then_exp_bit_exact(heads):
     # the masked scores skip np.exp, yet every value and gradient is that
     # of taking them through it
     rng = Rng(30 + heads)
-    q, k, v = (ad.param(rng.normal((sum(n), 8))) for n in (Q_LENS, K_LENS, K_LENS))
+    q, k, v = (_param(rng.normal((sum(n), 8))) for n in (Q_LENS, K_LENS, K_LENS))
     weights = rng.normal(q.value.shape)
     out = ad.attention(q, k, v, heads, Q_LENS, K_LENS, causal=True)
     ad.backward(total(ad.mul(out, ad.const(weights))))
@@ -205,7 +213,7 @@ def test_layer_norm_backward():
 def test_layer_norm_is_np_mean_and_var_bit_exact():
     # the reductions and divisions are np.mean's and np.var's, done once
     rng = Rng(15)
-    x, g = ad.param(rng.normal((40, 7)) * 3.0 + 1.0), rng.normal((40, 7))
+    x, g = _param(rng.normal((40, 7)) * 3.0 + 1.0), rng.normal((40, 7))
     y = ad.layer_norm_rows(x)
     want = (x.value - x.value.mean(axis=1, keepdims=True)) * (
         1.0 / np.sqrt(x.value.var(axis=1, keepdims=True) + ad.LAYER_NORM_EPS))
@@ -245,7 +253,7 @@ def test_embedding_backward_with_repeats():
     table_v = rng.normal((7, 3))
     ids = np.array([1, 4, 1, 6, 1])
     weights = rng.normal((5, 3))
-    table = ad.param(table_v.copy())
+    table = _param(table_v.copy())
     out = total(ad.mul(ad.embedding(table, ids), ad.const(weights)))
     ad.backward(out)
 
@@ -265,7 +273,7 @@ def test_embedding_backward_matches_add_at_bit_exact(ids):
     ids = np.array(ids, dtype=np.int64)
     weights = rng.normal((ids.size, 3))
     weights[:, 1] = -0.0
-    table = ad.param(rng.normal((7, 3)))
+    table = _param(rng.normal((7, 3)))
     ad.backward(total(ad.mul(ad.embedding(table, ids), ad.const(weights))))
     want = np.zeros((7, 3))
     np.add.at(want, ids, weights)
@@ -281,7 +289,7 @@ def test_embedding_backward_with_heavy_repeats_matches_add_at_bit_exact():
     weights = rng.normal(size=(2900, 32))
     weights[rng.random(weights.shape) < 0.2] = -0.0
     weights[:, 5] = -0.0  # a column of -0.0 sums only
-    table = ad.param(np.zeros((258, 32)))
+    table = _param(np.zeros((258, 32)))
     ad.backward(total(ad.mul(ad.embedding(table, ids), ad.const(weights))))
     want = np.zeros((258, 32))
     np.add.at(want, ids, weights)
@@ -293,7 +301,7 @@ def test_cross_entropy_backward_with_ignored_rows():
     rng = Rng(5)
     logits_v = rng.normal((6, 9))
     targets = np.array([2, -1, 4, -1, 0, 8])
-    logits = ad.param(logits_v.copy())
+    logits = _param(logits_v.copy())
     loss = ad.cross_entropy(logits, targets)
     ad.backward(loss)
 
@@ -315,7 +323,7 @@ def test_cross_entropy_gradient_is_the_recomputed_softmax_bit_exact():
     # the backward normalises the forward's exponentials in place, which
     # gives the bits of recomputing them
     rng = Rng(16)
-    logits, targets, lens = ad.param(rng.normal((7, 5)) * 4.0), np.array([1, -1, 0, 4, -1, 2, 3]), (3, 4)
+    logits, targets, lens = _param(rng.normal((7, 5)) * 4.0), np.array([1, -1, 0, 4, -1, 2, 3]), (3, 4)
     ad.backward(ad.cross_entropy(logits, targets, lens))
     sel = np.flatnonzero(targets >= 0)
     rows = logits.value[sel]
@@ -334,7 +342,7 @@ def test_cross_entropy_per_sample_means():
     logits_v = rng.normal((7, 5))
     targets = np.array([1, -1, 3, 0, -1, 2, 4])
     lens = (3, 1, 3)
-    logits = ad.param(logits_v.copy())
+    logits = _param(logits_v.copy())
     loss = ad.cross_entropy(logits, targets, lens)
     ad.backward(loss)
     starts = np.cumsum((0,) + lens)
@@ -362,22 +370,22 @@ def test_cross_entropy_validates_targets():
 
 
 def test_grad_accumulates_over_shared_subexpression():
-    x = ad.param(np.array([[2.0]]))
+    x = _param(np.array([[2.0]]))
     y = ad.add(ad.mul(x, x), x)  # d/dx (x^2 + x) = 2x + 1
     ad.backward(total(y))
     assert x.grad[0, 0] == pytest.approx(5.0)
 
 
 def test_backward_requires_scalar():
-    x = ad.param(np.ones((2, 2)))
+    x = _param(np.ones((2, 2)))
     with pytest.raises(ShapeError):
         ad.backward(ad.add(x, x))
 
 
 def test_check_gradients_harness_probes_every_param():
     rng = Rng(9)
-    a = ad.param(rng.normal((3, 4)))
-    b = ad.param(rng.normal((4, 2)))
+    a = ad.const(rng.normal((3, 4)))  # the check differentiates them itself
+    b = ad.const(rng.normal((4, 2)))
 
     def build():
         return total(ad.tanh(ad.matmul(a, b)))
@@ -401,32 +409,32 @@ def _every_op(a, b):
     ]
 
 
-def test_no_grad_ops_build_leaves_of_the_same_values():
+def test_ops_needing_no_gradient_build_leaves_of_the_same_bytes():
     rng = Rng(11)
-    a, b = ad.param(rng.normal((4, 4))), ad.param(rng.normal((4, 4)))
-    recorded = _every_op(a, b)
+    a, b = ad.const(rng.normal((4, 4))), ad.const(rng.normal((4, 4)))
+    with ad.differentiating([a, b]):
+        recorded = _every_op(a, b)
     assert all(t._parents and t.requires_grad for t in recorded)
-    with ad.no_grad():
-        leaves = _every_op(a, b)
+    leaves = _every_op(a, b)
     for got, want in zip(leaves, recorded):
         assert got._parents == () and got._backward is None and not got.requires_grad
-        assert got.value.shape == want.value.shape and np.array_equal(got.value, want.value)
-    assert a.requires_grad and a.grad is None  # a parameter stays one
+        assert got.value.shape == want.value.shape and got.value.tobytes() == want.value.tobytes()
+    assert not a.requires_grad and a.grad is None  # its flag came back
 
 
 
 def test_every_op_returns_a_float64_array_recording_or_not():
     rng = Rng(14)
-    a, b = ad.param(rng.normal((4, 4))), ad.param(rng.normal((4, 4)))
-    s, t = ad.param(0.5), ad.const(-2.0)  # a ufunc of 0-d operands returns a numpy scalar
+    a, b = ad.const(rng.normal((4, 4))), ad.const(rng.normal((4, 4)))
+    s, t = ad.const(0.5), ad.const(-2.0)  # a ufunc of 0-d operands returns a numpy scalar
 
     def results():
         return _every_op(a, b) + [ad.add(s, t), ad.neg(s), ad.mul(s, t), ad.silu(s), ad.tanh(t),
                                   ad.exp(t), ad.transpose(s), ad.add(a, ad.const([[1, 2, 3, 4]]))]
 
-    recorded = results()
-    with ad.no_grad():
-        leaves = results()
+    with ad.differentiating([a, b, s]):
+        recorded = results()
+    leaves = results()
     for got, want in zip(leaves, recorded):
         assert type(got.value) is np.ndarray and got.value.dtype == np.float64
         assert type(want.value) is np.ndarray and want.value.dtype == np.float64
@@ -437,34 +445,37 @@ def test_every_op_returns_a_float64_array_recording_or_not():
 def test_const_and_param_convert_their_inputs():
     for raw, want in ((3, [3.0]), (True, [1.0]), ([1, 2], [1.0, 2.0]), ([[False], [True]], [0.0, 1.0]),
                       (np.arange(3, dtype=np.int32), [0.0, 1.0, 2.0]), (np.float32(0.1), [float(np.float32(0.1))])):
-        for make in (ad.const, ad.param):
+        for make in (ad.const, _param):
             t = make(raw)
             assert type(t.value) is np.ndarray and t.value.dtype == np.float64
             assert t.value.shape == np.shape(raw) and t.value.reshape(-1).tolist() == want
-            assert t.requires_grad is (make is ad.param) and t._parents == () and t.grad is None
+            assert t.requires_grad is (make is _param) and t._parents == () and t.grad is None
     held = np.ones((2, 3))
     assert ad.const(held).value is held  # a float64 array is held, not copied
 
-def test_no_grad_is_restored_after_a_raise_and_a_nested_use():
-    x = ad.param(np.ones((2, 3)))
+def test_differentiating_restores_flags_after_a_raise_and_a_nested_use():
+    x, y = ad.const(np.ones((2, 3))), ad.const(np.ones((2, 3)))
     with pytest.raises(ShapeError):
-        with ad.no_grad():
+        with ad.differentiating([x]):
+            assert ad.add(x, x)._parents == (x, x)
             ad.matmul(x, x)
-    assert ad.add(x, x)._parents == (x, x)
-    with ad.no_grad():
-        with ad.no_grad():
-            assert ad.add(x, x)._parents == ()
-        assert ad.add(x, x)._parents == ()  # still tape-free after the inner exit
-    assert ad.add(x, x).requires_grad
+    assert not x.requires_grad and ad.add(x, x)._parents == ()
+    with ad.differentiating([x]):
+        with ad.differentiating([x, y]):
+            assert ad.add(y, y)._parents == (y, y)
+        assert x.requires_grad and not y.requires_grad  # the outer block's flags came back
+        assert ad.add(x, y)._parents == (x, y) and ad.add(y, y)._parents == ()
+    assert not x.requires_grad and not y.requires_grad
+    assert ad.add(x, y)._parents == ()
 
 
-def test_parameter_used_inside_no_grad_gets_no_gradient():
+def test_tensor_outside_differentiating_gets_no_gradient():
     rng = Rng(12)
-    x, w, v = ad.const(rng.normal((3, 4))), ad.param(rng.normal((4, 4))), ad.param(rng.normal((4, 2)))
-    with ad.no_grad():
+    x, w, v = ad.const(rng.normal((3, 4))), ad.const(rng.normal((4, 4))), ad.const(rng.normal((4, 2)))
+    with ad.differentiating([v]):
         h = ad.tanh(ad.matmul(x, w))
-    ad.backward(total(ad.matmul(h, v)))
-    assert w.grad is None
+        ad.backward(total(ad.matmul(h, v)))
+    assert h._parents == () and w.grad is None
     assert np.array_equal(v.grad, h.value.T @ np.ones((3, 2)))
 
 
@@ -472,15 +483,15 @@ def test_backward_hands_each_parent_its_own_array():
     # add with equal shapes, concat, transpose and narrow pass a parent the
     # gradient's array or a view of it; each leaf's gradient must own its memory
     rng = Rng(13)
-    a, b = ad.param(rng.normal((3, 4))), ad.param(rng.normal((3, 4)))
+    a, b = _param(rng.normal((3, 4))), _param(rng.normal((3, 4)))
     y = ad.concat([ad.add(a, b), ad.transpose(ad.transpose(a)), ad.narrow(b, 0, 1, 2), a], axis=0)
     ad.backward(total(ad.mul(y, ad.const(rng.normal((11, 4))))))
     assert not np.shares_memory(a.grad, b.grad)
     assert a.grad.flags.owndata and b.grad.flags.owndata
-    c = ad.param(rng.normal((2, 2)))
+    c = _param(rng.normal((2, 2)))
     ad.backward(total(ad.concat([c, c, ad.add(c, c)])))
     assert np.array_equal(c.grad, np.full((2, 2), 4.0))
-    d, e = ad.param(np.zeros((2, 2))), ad.param(np.zeros((2, 2)))
+    d, e = _param(np.zeros((2, 2))), _param(np.zeros((2, 2)))
     ad.backward(total(ad.add(ad.add(d, e), ad.tanh(d))))  # d's second gradient arrives after e's
     assert np.array_equal(d.grad, np.full((2, 2), 2.0)) and np.array_equal(e.grad, np.ones((2, 2)))
 
@@ -502,7 +513,7 @@ def test_batches_permute_every_epoch_afresh_and_keep_a_short_last_batch():
 def _descent(losses, calls):
     """A one-weight loss `w * x` per batch x, and its step loop; `calls`
     records each forward and each update in order."""
-    w = ad.param(1.0)
+    w = _param(1.0)
 
     def loss_of(x):
         calls.append(("forward", x))

@@ -78,9 +78,11 @@ def test_traced_node_count_survives_backward(monkeypatch):
     # `backward` returns: the backward drops interior gradients, not edges
     graph_nodes = _perfbench_module(monkeypatch, "tracing").graph_nodes
     cfg = ModelConfig()
-    loss = sample_loss_graph(init_model(cfg, seed=16), caption_corpus(17, cfg, n=4))
-    before = graph_nodes(loss)
-    ad.backward(loss)
+    model = init_model(cfg, seed=16)
+    with ad.differentiating(t for _, t in model.named_parameters()):
+        loss = sample_loss_graph(model, caption_corpus(17, cfg, n=4))
+        before = graph_nodes(loss)
+        ad.backward(loss)
     assert graph_nodes(loss) == before > 200
 
 

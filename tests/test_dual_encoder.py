@@ -42,15 +42,17 @@ def test_encode_text_unit_norm_and_bag_invariance():
 
 def test_encoders_equal_their_recorded_graphs_bit_exact():
     # encode_text and encode_image run tape-free; a graph recorded over the
-    # same row, with every parameter requiring a gradient, holds the same bits
+    # same row, with every parameter differentiated, holds the same bits
     params = _params(5)
     for text in ("river bend with sand banks", "a a b", "dense forest dense", "x"):
         ids = de.tokenize_text(text, VOCAB)
-        recorded = de.encode_text_rows(params, ad.const(de.bag_vector(ids, VOCAB)[None, :]))
+        with ad.differentiating(t for _, t in params.named_parameters()):
+            recorded = de.encode_text_rows(params, ad.const(de.bag_vector(ids, VOCAB)[None, :]))
         assert recorded.requires_grad and recorded._parents
         assert de.encode_text(params, ids).tobytes() == recorded.value[0].tobytes()
     for x in Rng(6).normal((4, D_IMG)):
-        recorded = de.encode_image_rows(params, ad.const(x[None, :]))
+        with ad.differentiating(t for _, t in params.named_parameters()):
+            recorded = de.encode_image_rows(params, ad.const(x[None, :]))
         assert recorded.requires_grad and recorded._parents
         assert de.encode_image(params, x).tobytes() == recorded.value[0].tobytes()
 
@@ -91,8 +93,9 @@ def test_encode_gradients_match_finite_differences():
     ):
         names = [(n, t) for n, t in params.named_parameters() if n != "log_temp"]
         ad.zero_grads(t for _, t in names)
-        loss = total(ad.mul(encoder(params, ad.const(feats)), ad.const(target)))
-        ad.backward(loss)
+        with ad.differentiating(t for _, t in names):
+            ad.backward(total(ad.mul(encoder(params, ad.const(feats)), ad.const(target))))
+        assert sum(t.grad is not None for _, t in names) == 4  # the encoder's own MLP
         for name, tensor in names:
             if tensor.grad is None:
                 continue
@@ -227,8 +230,9 @@ def test_train_momentum_is_heavy_ball_across_epochs():
     order_rng, losses = Rng(seed).spawn(99), []
     for _ in range(2):
         ad.zero_grads(t for _, t in named)
-        loss = de.contrastive_loss_graph(replay, [pairs[i] for i in order_rng.permutation(len(pairs))])
-        ad.backward(loss)
+        with ad.differentiating(t for _, t in named):
+            loss = de.contrastive_loss_graph(replay, [pairs[i] for i in order_rng.permutation(len(pairs))])
+            ad.backward(loss)
         losses.append(float(loss.value))
         for name, t in named:
             velocity[name] = momentum * velocity[name] + t.grad

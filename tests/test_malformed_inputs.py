@@ -336,6 +336,13 @@ def test_empty_npy_feature_file_exit_4(inputs_dir, tmp_path):
     _assert_fails_closed("npy", inputs_dir, path, f"image feature file {re.escape(str(path))}: ")
 
 
+@pytest.mark.parametrize("blob", [b"{bad", b"[[0.5, \xff]]", b""])
+def test_malformed_json_feature_file_exit_4(inputs_dir, tmp_path, blob):
+    path = tmp_path / "image.json"
+    path.write_bytes(blob)
+    _assert_fails_closed("npy", inputs_dir, path, f"^image feature file {re.escape(str(path))}: ")
+
+
 def test_rsdb_invalid_utf8_reports_record_offset(inputs_dir, tmp_path):
     blob = bytearray((inputs_dir / "db.rsdb").read_bytes())
     # header 18 bytes, then id u64 and text length u32: text 0 starts at byte 30
@@ -548,6 +555,38 @@ def test_retrieve_query_must_be_a_number_array(inputs_dir, tmp_path, text):
     code, err = _run(["retrieve", "--db", str(inputs_dir / "db.rsdb"), "--query", str(query)])
     assert code == 4, err
     assert err.startswith("format error: query ") and err.count("\n") == 1, err
+
+
+NESTED = "[" * 100_000 + "]" * 100_000  # far deeper than the JSON parser recurses
+
+
+@pytest.mark.parametrize("kind,name,text,match", [
+    ("pred", "pred.jsonl", '{"id": 0, "output": ' + NESTED + "}", r"^line 1: invalid JSON \(nested too deeply\)$"),
+    ("texts", "texts.jsonl", '{"text": "lake", "embedding": ' + NESTED + "}", r"^line 1: invalid JSON "),
+    ("npy", "image.json", NESTED, r"^image feature file .*: maximum recursion depth exceeded"),
+], ids=["eval-pred-line", "build-db-line", "feature-file"])
+def test_deeply_nested_json_line_or_file_exit_4(inputs_dir, tmp_path, kind, name, text, match):
+    path = tmp_path / name
+    path.write_text(text + "\n", encoding="utf-8")
+    _assert_fails_closed(kind, inputs_dir, path, match)
+
+
+def test_deeply_nested_json_manifest_query_and_config_fail_closed(inputs_dir, tmp_path):
+    blob = (inputs_dir / "model.rsck").read_bytes()
+    (n,) = struct.unpack("<I", blob[6:10])
+    manifest = ('{"config": ' + NESTED + "}").encode("utf-8")
+    path = tmp_path / "model.rsck"
+    path.write_bytes(blob[:6] + struct.pack("<I", len(manifest)) + manifest + blob[10 + n :])
+    _assert_fails_closed("rsck", inputs_dir, path, "^unreadable manifest at byte 10: maximum recursion depth")
+    query = tmp_path / "q.json"
+    query.write_text(NESTED, encoding="utf-8")
+    code, err = _run(["retrieve", "--db", str(inputs_dir / "db.rsdb"), "--query", str(query)])
+    assert code == 4 and err.startswith(f"format error: query {query}: ") and err.count("\n") == 1, err
+    config = tmp_path / "train.json"
+    config.write_text('{"d_h": ' + NESTED + "}", encoding="utf-8")
+    code, err = _run(["train", "--config", str(config), "--stage", "1", "--data", str(inputs_dir / "caption.jsonl")])
+    assert code == 2 and err.startswith(f"config error: config file {config}: invalid JSON (") and \
+        err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("side", ["pred", "gt"])

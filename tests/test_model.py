@@ -1,4 +1,3 @@
-import contextlib
 import functools
 import math
 
@@ -436,6 +435,12 @@ def _graph_nodes(root) -> int:
     return len(_graph(root))
 
 
+def _differentiating(*holders):
+    """Every parameter of the given models and encoders differentiated, as
+    in a training run that updates them all."""
+    return ad.differentiating([t for holder in holders for _, t in holder.named_parameters()])
+
+
 def test_decode_step_graph_does_not_grow(monkeypatch):
     cfg = _small_cfg()
     model = _with_experts(vlm.init_model(cfg, seed=48), 48)
@@ -451,9 +456,10 @@ def test_decode_step_graph_does_not_grow(monkeypatch):
     assert prefill == decode[0] == 1
 
 
-def test_tape_free_forwards_match_recorded_ones_bit_exact(monkeypatch):
+def test_tape_free_forwards_match_recorded_ones_bit_exact():
     # generation, the retriever's encoders and sample_loss run tape-free;
-    # with the mode made a no-op they record graphs and give the same bits
+    # with every parameter differentiated they record graphs and give the
+    # same bits
     cfg = _small_cfg()
     model = _with_experts(vlm.init_model(cfg, seed=60), 60)
     model.lm.head.value[:, EOS_ID] = 0.0
@@ -466,8 +472,8 @@ def test_tape_free_forwards_match_recorded_ones_bit_exact(monkeypatch):
                 for i, s in enumerate(samples)]
 
     tape_free = forwards()
-    monkeypatch.setattr(ad, "no_grad", contextlib.nullcontext)
-    recorded = forwards()
+    with _differentiating(model, enc):
+        recorded = forwards()
     for (img, txt, loss, tokens), (img_r, txt_r, loss_r, tokens_r) in zip(tape_free, recorded):
         assert np.array_equal(img, img_r) and np.array_equal(txt, txt_r)
         assert loss.hex() == loss_r.hex()
@@ -476,9 +482,10 @@ def test_tape_free_forwards_match_recorded_ones_bit_exact(monkeypatch):
 
 def test_attention_output_is_one_attention_node():
     # x, the four projections, q, k, v, the attention node and the output
-    block = vlm.init_model(_small_cfg(), seed=50).lm.blocks[0].attn
+    model = vlm.init_model(_small_cfg(), seed=50)
     x = ad.const(Rng(51).normal((5, 16)))
-    assert _graph_nodes(vlm.attention_output(block, x, x, 2, [5], [5])) == 10
+    with _differentiating(model):
+        assert _graph_nodes(vlm.attention_output(model.lm.blocks[0].attn, x, x, 2, [5], [5])) == 10
 
 
 def test_caption_loss_graph_size():
@@ -486,7 +493,9 @@ def test_caption_loss_graph_size():
     # graph small; a per-head split builds 440 nodes
     cfg = ModelConfig()
     sample = caption_sample(Rng(52).normal((4, cfg.patch_dim)), "aaaa bbbb")
-    assert _graph_nodes(vlm.sample_loss_graph(vlm.init_model(cfg, seed=53), [sample])) <= 260
+    model = vlm.init_model(cfg, seed=53)
+    with _differentiating(model):
+        assert _graph_nodes(vlm.sample_loss_graph(model, [sample])) <= 260
 
 
 def _mixed_batch(cfg, seed):
@@ -512,8 +521,9 @@ def _spread_experts(model, seed):
 def _loss_and_grads(model, loss_fn):
     named = model.named_parameters()
     ad.zero_grads(t for _, t in named)
-    loss = loss_fn()
-    ad.backward(loss)
+    with _differentiating(model):
+        loss = loss_fn()
+        ad.backward(loss)
     return float(loss.value), {n: t.grad.copy() for n, t in named}
 
 
@@ -546,13 +556,14 @@ def test_backward_keeps_gradients_only_on_leaves():
     # keeps the gradient it accumulated
     cfg = ModelConfig(levels=3, expert_stride=1)
     model = _spread_experts(vlm.init_model(cfg, seed=69), 69)
-    loss = vlm.sample_loss_graph(model, _mixed_batch(cfg, 70))
-    ad.backward(loss)
+    with _differentiating(model):
+        loss = vlm.sample_loss_graph(model, _mixed_batch(cfg, 70))
+        ad.backward(loss)
     interior = [node for node in _graph(loss) if node._backward is not None]
     assert len(interior) > 200
     assert all(node.grad is None for node in interior)
     named = model.named_parameters()
-    assert all(t.requires_grad for _, t in named)
+    assert not any(t.requires_grad for _, t in named)  # the flags came back
     assert [name for name, t in named if t.grad is None] == []
 
 
@@ -560,7 +571,9 @@ def test_packed_training_step_graph_size():
     # one graph over a 16-sample toy step; one graph per sample built 2,645
     cfg = ModelConfig()
     batch = caption_corpus(65, cfg, n=16)
-    assert _graph_nodes(vlm.sample_loss_graph(vlm.init_model(cfg, seed=66), batch)) <= 300
+    model = vlm.init_model(cfg, seed=66)
+    with _differentiating(model):
+        assert _graph_nodes(vlm.sample_loss_graph(model, batch)) <= 300
 
 
 @pytest.mark.parametrize("expert_stride", [1, 2])
@@ -632,9 +645,10 @@ def test_a_training_sample_may_fill_max_seq():
     sample = _sample(cfg, seed=76)
     # 3 patches + 2 * 2 prompt rows + 5 query tokens + SEP = a 13-row prefix
     sample.response_ids = encode_text("a" * (cfg.max_seq - 13))
-    loss = vlm.sample_loss_graph(model, [sample])
-    ad.backward(loss)
-    assert np.isfinite(loss.value)
+    with _differentiating(model):
+        loss = vlm.sample_loss_graph(model, [sample])
+        ad.backward(loss)
+    assert np.isfinite(loss.value) and model.lm.pos.grad is not None
     sample.response_ids = encode_text("a" * (cfg.max_seq - 12))
     with pytest.raises(ShapeError, match=f"sequence length {cfg.max_seq + 1} exceeds max_seq {cfg.max_seq}"):
         vlm.sample_loss_graph(model, [sample])

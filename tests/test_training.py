@@ -1,17 +1,17 @@
-import contextlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from rsvlm import autodiff as ad
+from rsvlm import dual_encoder as de
 from rsvlm import model as vlm
 from rsvlm import training as tr
 from rsvlm.errors import ConfigError, DomainError, FormatError
 from rsvlm.model import ModelConfig, encode_text
 from rsvlm.numerics import Rng
 from oracles import adamw_replay
-from synthetic import caption_corpus, instruction_corpus
+from synthetic import caption_corpus, contrastive_corpus, instruction_corpus
 
 
 def _cfg():
@@ -51,7 +51,7 @@ def test_adamw_matches_a_per_tensor_replay_bit_exact(weight_decay):
     rng = Rng(30)
     shapes = [(3, 4), (1, 5), (2, 2), (6, 1)]
     lrs = [1e-2, 3e-3, 1e-2, 5e-4]
-    tensors = [ad.param(rng.normal(shape)) for shape in shapes]
+    tensors = [ad.const(rng.normal(shape)) for shape in shapes]
     grads = [[rng.normal(shape) for shape in shapes] for _ in range(3)]
     grads[1][2] = None  # no gradient reached this tensor at step 2
     want = adamw_replay([t.value for t in tensors], grads, lrs, weight_decay)
@@ -89,23 +89,26 @@ def test_stage1_freeze_contract_bit_exact():
 
 
 def test_stage1_skips_frozen_gradients_bit_exactly(monkeypatch):
-    # the run marks visual.* and lm.* as needing no gradient; the loss
-    # history and the trained weights are those of a run that computes
-    # every gradient and drops the frozen ones
+    # the run differentiates neither visual.* nor lm.*; the loss history
+    # and the trained weights are those of a run that differentiates every
+    # parameter and drops the frozen ones' gradients
     cfg = _cfg()
     samples = caption_corpus(2, cfg, n=6)
     tcfg = tr.TrainConfig(stage="alignment", seed=0, epochs=3, batch_size=4, lr_prompter=1e-2)
-    runs = []
+    differentiating, runs = ad.differentiating, []
     for skip in (True, False):
+        model = vlm.init_model(cfg, seed=1)
         if not skip:
-            monkeypatch.setattr(tr, "_frozen", lambda tensors: contextlib.nullcontext())
-        model, history = tr.train_stage1(vlm.init_model(cfg, seed=1), samples, tcfg)
+            every = [t for _, t in model.named_parameters()]
+            monkeypatch.setattr(ad, "differentiating", lambda tensors: differentiating(every))
+        model, history = tr.train_stage1(model, samples, tcfg)
         runs.append(([h.hex() for h in history], _snapshot(model), dict(model.named_parameters())))
     (hist_skip, weights_skip, named_skip), (hist_all, weights_all, named_all) = runs
     assert hist_skip == hist_all
     assert all(np.array_equal(weights_skip[n], weights_all[n]) for n in weights_all)
+    assert all(t.grad is not None for t in named_all.values())
     for name, t in named_skip.items():
-        assert t.requires_grad, name  # restored for stage 2 and grad-check
+        assert not t.requires_grad, name  # the flags came back
         frozen = name.startswith(("visual.", "lm."))
         assert (t.grad is None) == frozen, name
         if not frozen:
@@ -232,8 +235,52 @@ def test_divergence_aborts_with_diagnostics():
     tcfg = tr.TrainConfig(stage="instruction", seed=0, epochs=1, batch_size=2)
     with pytest.raises(DomainError, match="diverged"):
         tr.train_stage2(model, samples, tcfg)
-    # lr_visual and lr_lm are 0: their flags come back after the abort too
-    assert all(t.requires_grad for _, t in model.named_parameters())
+    # the differentiated prompter and projector flags come back after the abort too
+    assert not any(t.requires_grad for _, t in model.named_parameters())
+
+
+def test_no_tensor_needs_a_gradient_outside_differentiating(tmp_path, monkeypatch):
+    # fresh, loaded, trained and diverged parameters all need no gradient,
+    # so the forwards that nobody differentiates build no graph node
+    cfg = _cfg()
+    needing = lambda *holders: [n for h in holders for n, t in h.named_parameters() if t.requires_grad]
+    model, enc = vlm.init_model(cfg, seed=20), de.init_params(cfg.patch_dim, 8, 32, 10, seed=21)
+    assert needing(model, enc) == []
+    vlm.save_checkpoint(model, tmp_path / "model.rsck")
+    de.save_params(enc, tmp_path / "enc.rsde")
+    assert needing(vlm.load_checkpoint(tmp_path / "model.rsck"), de.load_params(tmp_path / "enc.rsde")) == []
+
+    model, _ = tr.train_stage1(model, caption_corpus(22, cfg, n=4),
+                               tr.TrainConfig(stage="alignment", batch_size=2, max_steps=2))
+    model, _ = tr.train_stage2(model, instruction_corpus(23, cfg, n=4),
+                               tr.TrainConfig(stage="instruction", batch_size=2, max_steps=2,
+                                              lr_visual=1e-3, lr_lm=1e-3))
+    pairs = contrastive_corpus(24, n=8, dim=cfg.patch_dim, vocab=32)
+    enc, _ = de.train_retriever(pairs, d_img_raw=cfg.patch_dim, d_e=8, vocab=32, hidden=10, epochs=2)
+    assert needing(model, enc) == []
+
+    diverging = vlm.init_model(cfg, seed=25)
+    diverging.lm.head.value[0, 0] = np.nan
+    with pytest.raises(DomainError, match="diverged"):
+        tr.train_stage2(diverging, instruction_corpus(26, cfg, n=2),
+                        tr.TrainConfig(stage="instruction", batch_size=2, lr_visual=1e-3, lr_lm=1e-3))
+    made, init_params = [], de.init_params
+    monkeypatch.setattr(de, "init_params", lambda *args: made.append(init_params(*args)) or made[-1])
+    with pytest.raises(DomainError, match="not finite after the update"):
+        de.train_retriever(pairs, d_img_raw=cfg.patch_dim, d_e=8, vocab=32, hidden=10, lr=1e308)
+    assert needing(diverging, *made) == [] and len(made) == 1
+
+    nodes, result = [], ad._result
+    monkeypatch.setattr(ad, "_result", lambda *args: nodes.append(result(*args)) or nodes[-1])
+    sample = instruction_corpus(27, cfg, n=1)[0]
+    vlm.generate(model, sample.patches, sample.query_ids, 4, sample.semantic_ids)
+    vlm.sample_loss(model, sample)
+    de.encode_image(enc, sample.patches.mean(axis=0))
+    de.encode_text(enc, [1, 2, 3])
+    assert len(nodes) > 100 and [t for t in nodes if t._parents] == []
+    with ad.differentiating(t for _, t in model.named_parameters()):  # the count sees nodes
+        vlm.sample_loss(model, sample)
+    assert [t for t in nodes if t._parents]
 
 
 def test_load_samples_jsonl(tmp_path):
