@@ -42,7 +42,7 @@ class Reader:
 
     def header(self, magic: bytes, version: int) -> None:
         """Magic at byte 0, then a u16 format version."""
-        got = self.take(len(magic), "magic")
+        got = bytes(self.take(len(magic), "magic"))  # so that a bytearray's magic prints as bytes
         if got != magic:
             raise FormatError(f"bad magic {got!r} at byte 0, expected {magic!r}")
         found = self.u16("version")

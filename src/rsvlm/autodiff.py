@@ -125,7 +125,15 @@ def backward(loss: Tensor) -> None:
     backward closure may reuse its forward's arrays in place. Only the
     leaves (parameters and constants) keep a `.grad`: an interior node's is
     dropped once its backward has passed it on, so the backward holds the
-    gradients still in flight, not one per node."""
+    gradients still in flight, not one per node.
+
+    A graph is backpropagated inside the `differentiating` block that built
+    it. Called after that block exits, a recorded node none of whose parents
+    needs a gradient any more raises DomainError, before any backward
+    closure runs. Still undetected: the inner block of two nested ones
+    exiting alone, when each node that reads one of its tensors also reads
+    one that still needs a gradient (an outer block's tensor, or a node
+    built from one); the inner block's tensors then get no gradient."""
     if loss.value.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.value.shape}")
     topo = []
@@ -140,9 +148,15 @@ def backward(loss: Tensor) -> None:
             continue
         seen.add(id(node))
         stack.append((node, True))
+        live = False
         for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
-                stack.append((p, False))
+            if p.requires_grad:
+                live = True
+                if id(p) not in seen:
+                    stack.append((p, False))
+        if node._parents and not live:
+            raise DomainError("backward: the graph's differentiated tensors no longer need a gradient; "
+                              "call backward inside the differentiating block that built the graph")
     loss.grad = np.ones_like(loss.value)
     for node in reversed(topo):
         if node._backward is not None:

@@ -9,11 +9,21 @@ descending, ties by ascending id.
 
 The database is columnar and keeps one copy of each record: an int64 array
 of ids, one contiguous (n, dim) float64 matrix of the embeddings widened from
-float32 (the flat inner-product layout of FAISS, arXiv:1702.08734), and a
-list of texts. `get` and `records` build `SemanticRecord`s on demand; the
-float32 embedding they carry is the widened row narrowed back, which is exact.
-`load` finds every record's fields in one pass over the file's bytes and
-gathers the embeddings with one numpy index.
+float32 (the flat inner-product layout of FAISS, arXiv:1702.08734), and the
+texts as UTF-8 bytes in one buffer, with an int64 (start, end) row per
+record. After a load the buffer is the file's own bytes; `ingest` appends
+each text's bytes to it. `get` and `records` build `SemanticRecord`s on
+demand and decode a text only then; the float32 embedding they carry is the
+widened row narrowed back, which is exact. `save` writes the ids, text
+lengths and embeddings as whole columns, then each text's stored bytes.
+
+`load` reads the file once. Its only per-record Python work is one step
+from a record's offset to the next, by the record's text length. Every check
+runs on whole columns: one gather of the ids, the bounds of the texts and
+embeddings, an ASCII screen of the texts (one `np.maximum.reduceat`) and one
+decode of those that hold a byte >= 0x80, the trailing bytes, and one gather
+and widening of the embeddings, whose largest row norm shows a non-finite
+value. A malformed file raises the message of its first fault in file order.
 
 Retrieval is exact without scoring every record that way. It scores a query
 against the matrix with one matrix-vector product. Those scores may differ
@@ -32,9 +42,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -48,7 +58,8 @@ FORMAT_VERSION = 1
 # UNIT_ROW_NORM, and retrieval divides a query by its true norm.
 MIN_NORM = 2.0**-500
 UNIT_ROW_NORM = 1.0 + 2.0**-20
-_ID_AND_LENGTH = struct.Struct("<QI")  # the fields that open each record
+_HEAD = np.dtype([("id", "<i8"), ("length", "<u4")])  # the 12 bytes that open each record
+_TEXT_LENGTH = struct.Struct("<I")  # the field 8 bytes into each record
 
 
 @dataclass
@@ -69,30 +80,36 @@ class SemanticDatabase:
         if dim <= 0:
             raise ShapeError(f"database dim must be positive, got {dim}")
         self.dim = int(dim)
-        # Record i is (_ids[i], _texts[i], _emb[i]); rows of _ids and _emb
-        # past len(_texts) are spare capacity for ingest.
+        # Record i < _n is (_ids[i], _text[s:e] decoded for (s, e) = _spans[i],
+        # _emb[i]); rows of _ids, _spans and _emb past _n are spare capacity
+        # for ingest. _text holds UTF-8 bytes: after a load, the file's own
+        # bytes, then each ingested text's bytes appended.
+        self._n = 0
         self._ids = np.empty(0, dtype=np.int64)
+        self._spans = np.empty((0, 2), dtype=np.int64)
         self._emb = np.empty((0, self.dim))
-        self._texts: list[str] = []
+        self._text = bytearray()
         self._max_norm = UNIT_ROW_NORM  # bounds every stored row's L2 norm
 
     def __len__(self) -> int:
-        return len(self._texts)
+        return self._n
 
     @property
     def records(self) -> list[SemanticRecord]:
         """Every record in id order, built on demand."""
-        n = len(self._texts)
-        return [SemanticRecord(*rec) for rec in
-                zip(self._ids[:n].tolist(), self._texts, self._emb[:n].astype(np.float32))]
+        n, text = self._n, self._text
+        return [SemanticRecord(rec_id, text[s:e].decode("utf-8"), row) for rec_id, (s, e), row in
+                zip(self._ids[:n].tolist(), self._spans[:n].tolist(), self._emb[:n].astype(np.float32))]
 
     def get(self, record_id: int) -> SemanticRecord:
         """The record with this id, found by bisection: ids strictly increase."""
-        n = len(self._texts)
+        n = self._n
         if 0 <= record_id < 1 << 63:  # every stored id is in the int64 range
             i = int(self._ids[:n].searchsorted(record_id))
             if i < n and self._ids.item(i) == record_id:
-                return SemanticRecord(self._ids.item(i), self._texts[i], self._emb[i].astype(np.float32))
+                s, e = self._spans[i].tolist()
+                return SemanticRecord(self._ids.item(i), self._text[s:e].decode("utf-8"),
+                                      self._emb[i].astype(np.float32))
         raise KeyError(record_id)
 
     def ingest(self, text: str, embedding) -> int:
@@ -100,7 +117,7 @@ class SemanticDatabase:
         if not text:
             raise DomainError("ingest: empty text")
         try:
-            text.encode("utf-8")  # so that save can write every stored text
+            raw = text.encode("utf-8")
         except UnicodeEncodeError as e:
             raise DomainError(f"ingest: text holds a lone surrogate at character {e.start}") from e
         emb = np.asarray(embedding, dtype=np.float64)
@@ -113,17 +130,21 @@ class SemanticDatabase:
             raise DomainError("ingest: embedding is non-finite or its norm overflows")
         if norm < MIN_NORM:
             raise DomainError(f"ingest: zero or near-zero embedding vector (norm {norm:.3g} < 2^-500)")
-        n = len(self._texts)
+        n = self._n
         new_id = self._ids.item(n - 1) + 1 if n else 0
         if new_id >= 1 << 63:
             raise DomainError(f"ingest: id {new_id} exceeds the int64 range")
         if n == len(self._ids):  # full: double the capacity
             cap = max(16, 2 * n)
-            self._emb = np.concatenate([self._emb[:n], np.empty((cap - n, self.dim))])
-            self._ids = np.concatenate([self._ids[:n], np.empty(cap - n, dtype=np.int64)])
+            self._ids, self._spans, self._emb = (
+                np.concatenate([a[:n], np.empty((cap - n, *a.shape[1:]), a.dtype)])
+                for a in (self._ids, self._spans, self._emb))
         self._emb[n] = (emb / norm).astype(np.float32)
         self._ids[n] = new_id
-        self._texts.append(text)
+        self._spans[n, 0] = len(self._text)
+        self._text += raw
+        self._spans[n, 1] = len(self._text)
+        self._n = n + 1
         return new_id
 
     def retrieve_top_k(self, query, k: int) -> list[RetrievalResult]:
@@ -138,7 +159,7 @@ class SemanticDatabase:
             raise DomainError(f"retrieve: zero or near-zero query vector (norm {qn:.3g} < 2^-500)")
         if k < 0:
             raise DomainError(f"retrieve: k must be >= 0, got {k}")
-        n = len(self._texts)
+        n = self._n
         if n == 0 or k == 0:
             return []
         unit = q / qn
@@ -166,16 +187,31 @@ class SemanticDatabase:
         return [RetrievalResult(int(ids[i]), float(scores[i])) for i in order]
 
     def save(self, path) -> None:
-        n = len(self._texts)
-        parts = [MAGIC, struct.pack("<HIQ", FORMAT_VERSION, self.dim, n)]
-        for rec_id, text, row in zip(self._ids[:n].tolist(), self._texts, self._emb[:n].astype("<f4")):
-            text_bytes = text.encode("utf-8")
-            parts += (_ID_AND_LENGTH.pack(rec_id, len(text_bytes)), text_bytes, row.tobytes())
-        replace_file(path, b"".join(parts))
+        n, width = self._n, 4 * self.dim
+        spans = self._spans[:n]
+        lens = spans[:, 1] - spans[:, 0]
+        ends = 18 + np.cumsum(12 + lens + width)  # where each record ends in the file
+        out = bytearray(int(ends[-1]) if n else 18)
+        out[:18] = MAGIC + struct.pack("<HIQ", FORMAT_VERSION, self.dim, n)
+        if n:
+            # The ids, text lengths and embeddings go in as whole columns,
+            # then each text's stored bytes.
+            texts_at = ends - width - lens
+            heads = np.empty(n, _HEAD)
+            heads["id"], heads["length"] = self._ids[:n], lens
+            u8 = np.frombuffer(out, np.uint8)
+            _windows(u8, 12)[texts_at - 12] = heads.view(np.uint8).reshape(n, 12)
+            _windows(u8, width)[ends - width] = self._emb[:n].astype("<f4").view(np.uint8).reshape(n, width)
+            text = self._text
+            for at, s, e in zip(texts_at.tolist(), spans[:, 0].tolist(), spans[:, 1].tolist()):
+                out[at : at + e - s] = text[s:e]
+        replace_file(path, out)
 
     @staticmethod
     def load(path) -> "SemanticDatabase":
-        data = Path(path).read_bytes()
+        with open(path, "rb", buffering=0) as fh:  # read once, into the buffer the database keeps
+            data = bytearray(os.fstat(fh.fileno()).st_size)
+            data[fh.readinto(data) :] = fh.readall()  # a short read, a pipe, or a file that grew
         reader = Reader(data)
         reader.header(MAGIC, FORMAT_VERSION)
         dim = reader.u32("dim")
@@ -184,54 +220,87 @@ class SemanticDatabase:
         count = reader.u64("count")
         reader.need(count * (12 + 4 * dim), f"{count} records of dim {dim}")
         db = SemanticDatabase(dim)
-        # One pass finds each record's fields with plain integer bounds
-        # checks; a field's label is built only on the branch that raises.
-        size, emb_len, unpack = len(data), 4 * dim, _ID_AND_LENGTH.unpack_from
-        ids, texts, offsets = [], [], []
-        prev_id, off = -1, reader.offset
-        try:
-            for i in range(count):
-                text_at = off + 12
-                if text_at <= size:
-                    rec_id, text_len = unpack(data, off)
-                elif off + 8 <= size:  # only the text length is cut short, and the id is checked first
-                    rec_id, text_len = int.from_bytes(data[off : off + 8], "little"), 0
-                else:
-                    raise FormatError(f"truncated payload reading record {i} id at byte {off}")
-                if rec_id <= prev_id:
-                    raise FormatError(f"record ids not strictly increasing at byte {off}")
-                if text_at > size:
-                    raise FormatError(f"truncated payload reading record {i} text length at byte {off + 8}")
-                prev_id, emb_at = rec_id, text_at + text_len
-                if emb_at > size:
-                    raise FormatError(f"truncated payload reading record {i} text at byte {text_at}")
-                texts.append(data[text_at:emb_at].decode("utf-8"))
-                off = emb_at + emb_len
-                if off > size:
-                    raise FormatError(f"truncated payload reading record {i} embedding at byte {emb_at}")
-                ids.append(rec_id)
-                offsets.append(emb_at)
-        except UnicodeDecodeError as e:
-            raise FormatError(f"record {i}: invalid UTF-8 in text at byte {text_at + e.start}") from e
-        if prev_id >= 1 << 63:  # ids increase, so only the last can leave the int64 range
-            raise FormatError(f"record {count - 1}: id {prev_id} exceeds the int64 range")
+        # The one per-record step: from a record's offset to the next one's,
+        # past its id, text length, text and embedding, up to the first
+        # record whose id and text length do not fit.
+        size, emb_len, unpack = len(data), 4 * dim, _TEXT_LENGTH.unpack_from
+        step, last, offsets, off = 12 + emb_len, size - 12, [], reader.offset
+        push = offsets.append
+        for _ in range(count):
+            if off > last:
+                break
+            push(off)
+            off += step + unpack(data, off + 8)[0]
+        # Every other check runs on whole columns. A fault is (record, rank
+        # of its field in file order, message), and the first one raises, as
+        # if the fields were read one at a time.
+        m, faults = len(offsets), []
+        at = np.fromiter(offsets, np.int64, m)
+        spans = np.empty((m, 2), dtype=np.int64)
+        spans[:, 0] = at + 12
+        spans[:, 1] = np.append(at[1:], off) - emb_len  # a text ends where its embedding starts
+        if off > size:  # only the last stepped record can run past the end
+            s, e = spans[m - 1].tolist()
+            faults.append((m - 1, 3, f"truncated payload reading record {m - 1} text at byte {s}") if e > size
+                          else (m - 1, 5, f"truncated payload reading record {m - 1} embedding at byte {e}"))
+        elif m < count and off + 8 > size:
+            faults.append((m, 0, f"truncated payload reading record {m} id at byte {off}"))
+        elif m < count:  # its id is read, and checked, before its text length
+            faults.append((m, 2, f"truncated payload reading record {m} text length at byte {off + 8}"))
+            at = np.append(at, off)
+        u8 = np.frombuffer(data, np.uint8)
+        ids = _windows(u8, 8)[at].view("<u8").ravel()
+        later = np.flatnonzero(ids[1:] <= ids[:-1])
+        if later.size:
+            i = int(later[0]) + 1
+            faults.append((i, 1, f"record ids not strictly increasing at byte {at[i]}"))
+        if m:
+            # Each text's largest byte; an ASCII text, all below 0x80, needs
+            # no decoding. The last reduction runs to the end of the file,
+            # and an empty text reads the byte at its end: neither hides one.
+            # The other texts are decoded in one call, joined by an ASCII
+            # byte, which no UTF-8 sequence spans: the first fault in the
+            # join is the first text's first fault.
+            top = np.maximum.reduceat(u8, np.minimum(spans.ravel()[:-1], size - 1))[::2]
+            wide = np.flatnonzero(top >= 0x80).tolist()
+            bounds = spans[wide].tolist()
+            try:
+                b"\n".join([data[s:e] for s, e in bounds]).decode("utf-8")
+            except UnicodeDecodeError as err:
+                pos = err.start
+                for i, (s, e) in zip(wide, bounds):
+                    if pos < e - s:
+                        faults.append((i, 4, f"record {i}: invalid UTF-8 in text at byte {s + pos}"))
+                        break
+                    pos -= e - s + 1
+        if faults:
+            raise FormatError(min(faults)[2])
+        if count and ids[-1] >= 1 << 63:  # ids increase, so only the last can leave the int64 range
+            raise FormatError(f"record {count - 1}: id {ids[-1]} exceeds the int64 range")
         reader.offset = off
         reader.end()
         if not count:
             return db
-        # One gather of every embedding's bytes: row i of the window view is
-        # the 4*dim bytes that start at byte i of the file.
-        windows = np.lib.stride_tricks.sliding_window_view(np.frombuffer(data, np.uint8), 4 * dim)
-        rows = windows[np.array(offsets)].view("<f4")
-        finite = np.isfinite(rows)
-        if not finite.all():
-            i, j = divmod(int(np.argmin(finite)), dim)
-            raise FormatError(f"non-finite value in record {i} embedding at byte {offsets[i] + 4 * j}")
-        db._ids = np.array(ids, dtype=np.int64)
-        db._emb = rows.astype(np.float64)
-        db._texts = texts
-        db._max_norm = max(UNIT_ROW_NORM, float(np.linalg.norm(db._emb, axis=1).max()))
+        rows = _windows(u8, emb_len)[spans[:, 1]].view("<f4")
+        with np.errstate(invalid="ignore"):  # widening a signalling NaN, which is reported below
+            emb = rows.astype(np.float64)
+        # sqrt is monotone and correctly rounded, so this is the largest of
+        # np.linalg.norm(emb, axis=1), bit for bit; a NaN or an infinity
+        # anywhere makes it non-finite.
+        max_norm = math.sqrt(np.add.reduce(emb * emb, axis=1).max())
+        if not math.isfinite(max_norm):
+            i, j = divmod(int(np.argmin(np.isfinite(rows))), dim)
+            raise FormatError(f"non-finite value in record {i} embedding at byte {spans[i, 1] + 4 * j}")
+        db._n, db._ids, db._spans, db._emb, db._text = count, ids.view(np.int64), spans, emb, data
+        db._max_norm = max(UNIT_ROW_NORM, max_norm)
         return db
+
+
+def _windows(u8: np.ndarray, width: int) -> np.ndarray:
+    """A view whose row i is the `width` bytes of `u8` that start at byte i:
+    indexed by the offsets of a field, it gathers or scatters that field of
+    every record at once."""
+    return np.lib.stride_tricks.sliding_window_view(u8, width, writeable=True)
 
 
 def iter_jsonl(path, required=()):

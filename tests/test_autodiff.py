@@ -479,6 +479,29 @@ def test_tensor_outside_differentiating_gets_no_gradient():
     assert np.array_equal(v.grad, h.value.T @ np.ones((3, 2)))
 
 
+def test_backward_after_its_block_exits_raises_before_any_closure_runs():
+    rng = Rng(14)
+    x, w = ad.const(rng.normal((3, 4))), ad.const(rng.normal((4, 2)))
+    with ad.differentiating([w]):
+        loss = total(ad.matmul(x, w))
+    with pytest.raises(DomainError, match="^backward: the graph's differentiated tensors no longer need"):
+        ad.backward(loss)
+    assert w.grad is None
+    # the nodes above the matmul still read a tensor that needs a gradient,
+    # so their closures would run first, were the walk not done before them
+    u = ad.const(rng.normal((3, 2)))
+    with ad.differentiating([u]):
+        with ad.differentiating([w]):
+            h = ad.matmul(x, w)
+        loss = total(ad.add(h, u))
+        with pytest.raises(DomainError, match="no longer need a gradient"):
+            ad.backward(loss)
+    assert u.grad is None and w.grad is None and h.grad is None
+    with ad.differentiating([w]):
+        ad.backward(total(ad.matmul(x, w)))
+    assert np.array_equal(w.grad, x.value.T @ np.ones((3, 2)))
+
+
 def test_backward_hands_each_parent_its_own_array():
     # add with equal shapes, concat, transpose and narrow pass a parent the
     # gradient's array or a view of it; each leaf's gradient must own its memory

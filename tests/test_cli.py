@@ -85,6 +85,25 @@ def test_retrieve_matches_library_and_k_handling(tmp_path, capsys):
     assert out_lines[0]["rank"] == 1 and out_lines[0]["text"] == "alpha"
 
 
+def test_retrieve_prints_multi_byte_texts_exactly(tmp_path, capsys):
+    texts = ["río seco", "港口 harbor", "🌊 coast 🛰", "plain field", "ß-straße é"]
+    rows = [{"text": t, "embedding": [1.0, 0.1 * i, -0.2 * i]} for i, t in enumerate(texts)]
+    db_path = tmp_path / "db.rsdb"
+    assert cli.run(["build-db", "--input", str(_write_jsonl(tmp_path / "texts.jsonl", rows)),
+                    "--out", str(db_path), "--dim", "3"]) == 0
+    capsys.readouterr()
+    qpath = tmp_path / "q.json"
+    qpath.write_text(json.dumps([1.0, 0.2, -0.3]), encoding="utf-8")
+    out = tmp_path / "hits.jsonl"
+    assert cli.run(["retrieve", "--db", str(db_path), "--query", str(qpath), "--k", "5",
+                    "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert out.read_text(encoding="utf-8") == printed
+    hits = [json.loads(line) for line in printed.splitlines()]
+    assert sorted(h["id"] for h in hits) == list(range(5))
+    assert [h["text"] for h in hits] == [texts[h["id"]] for h in hits]
+
+
 def test_retrieve_missing_db_exit_4(tmp_path, capsys):
     qpath = tmp_path / "q.json"
     qpath.write_text("[1.0, 0.0]", encoding="utf-8")

@@ -572,3 +572,124 @@ def test_retrieve_matches_oracle_on_adversarial_rows(tmp_path_factory, case, dat
     n = len(rows)
     for k in sorted({0, 1, n, n + 3, data.draw(st.integers(0, n), label="k")}):
         assert _top_k(db, query, k) == _oracle_top_k(db, query, k)
+
+
+def _many_records():
+    """A 300-record RSDB of ASCII and multi-byte texts, among them one of
+    more than 256 bytes and some that end in a 4-byte character, and the
+    byte offset of each record's fields."""
+    words = ["field", "étang", "rivière", "港口", "森林", "🌊", "farm 🛰", "bridge"]
+    blob = bytearray(b"RSDB" + struct.pack("<HIQ", 1, 2, 300))
+    fields, rng = [], np.random.default_rng(17)
+    for i in range(300):
+        if i == 150:
+            text = "dense residential block, " * 12 + "港"
+        elif i == 299:
+            text = "harbor bridge"
+        else:
+            text = " ".join(rng.choice(words, size=1 + i % 4)) + (" 🌊" if i % 7 == 3 else "")
+        raw = text.encode("utf-8")
+        fields.append({"id": len(blob), "length": len(blob) + 8, "text": len(blob) + 12,
+                       "embedding": len(blob) + 12 + len(raw), "raw": raw})
+        blob += struct.pack("<QI", 5 + 3 * i, len(raw)) + raw + rng.normal(size=2).astype("<f4").tobytes()
+    return bytes(blob), fields
+
+
+def _many_corruptions():
+    """(case, bytes): faults planted late in the 300-record file, in records
+    that are not the first, and cuts inside every field of a late record."""
+    blob, fields = _many_records()
+    put = lambda at, fmt, value: blob[:at] + struct.pack(fmt, value) + blob[at + struct.calcsize(fmt):]
+    long_text = fields[150]
+    assert len(long_text["raw"]) > 256
+    yield "bad byte ending a long text", put(long_text["text"] + len(long_text["raw"]) - 1, "<B", 0xFF)
+    ascii_text = next(f for f in fields[100:] if f["raw"].isascii())
+    yield "a continuation byte in an ASCII text", put(ascii_text["text"] + 1, "<B", 0x80)
+    last = fields[299]
+    yield "bad byte ending the last text, then the file cut", put(last["embedding"] - 1, "<B", 0xFF)[
+        : last["embedding"]]
+    for i in (10, 283):
+        assert fields[i]["raw"].endswith("🌊".encode("utf-8"))
+        for cut in (1, 2, 3):
+            yield f"record {i} 4-byte character cut by {cut}", put(fields[i]["length"], "<I",
+                                                                  len(fields[i]["raw"]) - cut)
+    for i in (40, 297):
+        yield f"record {i} length 0", put(fields[i]["length"], "<I", 0)
+        empty = blob[: fields[i]["length"]] + struct.pack("<I", 0) + blob[fields[i]["embedding"]:]
+        yield f"record {i} an empty text", empty
+    for i in (250, 299):
+        for rec_id in (0, 5 + 3 * (i - 1), 5 + 3 * i - 1):
+            yield f"record {i} id {rec_id}", put(fields[i]["id"], "<Q", rec_id)
+    for rec_id in (1 << 63, (1 << 64) - 1):
+        yield f"last id {rec_id}", put(fields[299]["id"], "<Q", rec_id)
+        yield f"last id {rec_id}, and a NaN before it", put(fields[290]["embedding"], "<f", float("nan"))[
+            : fields[299]["id"]] + struct.pack("<Q", rec_id) + blob[fields[299]["length"]:]
+    for i, j in ((260, 1), (299, 0)):
+        yield f"record {i} embedding nan", put(fields[i]["embedding"] + 4 * j, "<f", float("nan"))
+    yield "record 295 embedding -inf", put(fields[295]["embedding"], "<f", float("-inf"))
+    for cut in range(fields[297]["id"], fields[298]["id"]):
+        yield f"cut {cut}", blob[:cut]
+    for cut in range(fields[299]["id"], len(blob)):
+        yield f"cut {cut}", blob[:cut]
+    yield "trailing", blob + b"\x80"
+
+
+def test_rsdb_loader_messages_match_on_a_many_record_file(tmp_path):
+    """The column-wise checks find the same first fault, message and byte
+    offset as a field-by-field reading, on a file long enough that each
+    check sees hundreds of records."""
+    blob, fields = _many_records()
+    assert _rsdb_error(blob) is None
+    (tmp_path / "whole.rsdb").write_bytes(blob)
+    db = SemanticDatabase.load(tmp_path / "whole.rsdb")
+    assert [r.text.encode("utf-8") for r in db.records] == [f["raw"] for f in fields]
+    seen = set()
+    for n, (case, data) in enumerate(_many_corruptions()):
+        path = tmp_path / f"case-{n}.rsdb"
+        path.write_bytes(data)
+        want = _rsdb_error(data)
+        if want is None:
+            SemanticDatabase.load(path).save(tmp_path / f"again-{n}.rsdb")
+            assert (tmp_path / f"again-{n}.rsdb").read_bytes() == data, case
+            seen.add("accepted")
+            continue
+        with pytest.raises(FormatError) as raised:
+            SemanticDatabase.load(path)
+        assert str(raised.value) == want, case
+        seen.add(re.sub(r"(?<![\w-])\d+", "N", want))
+    for label in ("id", "text length", "text", "embedding"):
+        assert f"truncated payload reading record N {label} at byte N" in seen
+    assert {"accepted", "record ids not strictly increasing at byte N", "record N: id N exceeds the int64 range",
+            "record N: invalid UTF-8 in text at byte N", "trailing N bytes at byte N",
+            "non-finite value in record N embedding at byte N"} <= seen
+
+
+# Unicode text that UTF-8 can encode (no lone surrogates), with 2-, 3- and
+# 4-byte characters drawn often enough to matter
+_TEXTS = st.lists(st.text(st.characters(exclude_categories=("Cs",)) | st.sampled_from("éß漢字🌊𝄞"),
+                          min_size=1, max_size=12), min_size=1, max_size=20)
+
+
+@settings(max_examples=60)
+@given(texts=_TEXTS)
+def test_texts_round_trip_through_ingest_save_and_load(tmp_path_factory, texts):
+    base = tmp_path_factory.mktemp("texts")  # fresh files: overwriting one flushes it
+    db = SemanticDatabase(3)
+    for i, text in enumerate(texts):
+        db.ingest(text, [1.0, float(i), -0.5])
+    db.save(base / "a.rsdb")
+    loaded = SemanticDatabase.load(base / "a.rsdb")
+    assert [r.text for r in loaded.records] == texts
+    assert [loaded.get(i).text for i in range(len(texts))] == texts
+    loaded.save(base / "b.rsdb")
+    assert (base / "b.rsdb").read_bytes() == (base / "a.rsdb").read_bytes()
+    other = SemanticDatabase.load(base / "a.rsdb")
+    assert loaded.ingest("añadido 🌊", [0.0, 1.0, 0.0]) == len(texts)
+    assert loaded.get(len(texts)).text == "añadido 🌊" and len(loaded) == len(texts) + 1
+    assert [r.text for r in loaded.records] == texts + ["añadido 🌊"]
+    # a database loaded from the same file keeps its own texts
+    assert len(other) == len(texts) and [r.text for r in other.records] == texts
+    other.save(base / "c.rsdb")
+    assert (base / "c.rsdb").read_bytes() == (base / "a.rsdb").read_bytes()
+    assert other.ingest("other", [1.0, 0.0, 0.0]) == len(texts)
+    assert other.get(len(texts)).text == "other" and loaded.get(len(texts)).text == "añadido 🌊"
