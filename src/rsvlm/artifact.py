@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import DomainError, FormatError
 
+U32_MAX = (1 << 32) - 1  # the largest size a u32 header field holds
 
 class Reader:
     def __init__(self, data: bytes):

@@ -29,7 +29,7 @@ from . import dual_encoder as de
 from . import metrics
 from . import model as vlm
 from . import training
-from .artifact import replace_file
+from .artifact import U32_MAX, replace_file
 from .autodiff import check_gradients
 from .errors import ConfigError, DomainError, FormatError, ShapeError
 from .numerics import Rng
@@ -60,6 +60,8 @@ PROFILES = {
 }
 # `stage` comes from `train --stage`; `seed` is a profile key every command reads.
 _TRAIN_KEYS = {f.name for f in dataclasses.fields(training.TrainConfig)} - {"stage", "seed"}
+# the retriever's sizes, in the order of `de.shape_params`' arguments
+_RETRIEVER_DIMS = ("d_img_raw", "d_e", "bow_vocab", "enc_hidden")
 _PATH_KEYS = ("data", "db", "retriever", "init_checkpoint", "out_checkpoint")
 
 # Micro configuration for the end-to-end gradient check: tiny dims, two LM
@@ -96,12 +98,20 @@ class RunConfig:
                 problems.append(f"unknown key 'paths.{key}'; choose from {list(_PATH_KEYS)}")
             elif not isinstance(val, str):
                 problems.append(f"paths.{key} must be str, got {val!r}")
-        for key in ("k", "semantic_cap", "d_e", "d_img_raw", "bow_vocab", "enc_hidden"):
-            if type(self.values[key]) is not int or self.values[key] <= 0:
-                problems.append(f"{key} must be a positive integer, got {self.values[key]!r}")
-        # the model's shapes too: a block too large to address is a config error
-        for build in (lambda: vlm.shape_model(self.model_config()),
-                      lambda: self.train_config(training.STAGE_ALIGNMENT)):
+        for key in ("k", "semantic_cap", *_RETRIEVER_DIMS):
+            val = self.values[key]
+            if type(val) is not int or val <= 0:
+                problems.append(f"{key} must be a positive integer, got {val!r}")
+            elif key in _RETRIEVER_DIMS and val > U32_MAX:  # a u32 field of the RSDE header
+                problems.append(f"{key} must be at most {U32_MAX}, got {val}")
+        # the model's and the retriever's shapes too: a block too large to
+        # address is a config error
+        builds = [lambda: vlm.shape_model(self.model_config()),
+                  lambda: self.train_config(training.STAGE_ALIGNMENT)]
+        dims = [self.values[key] for key in _RETRIEVER_DIMS]
+        if all(type(d) is int and 0 < d <= U32_MAX for d in dims):
+            builds.append(lambda: de.shape_params(*dims))
+        for build in builds:
             try:
                 build()
             except ConfigError as e:
@@ -438,10 +448,8 @@ def cmd_grad_check(args, cfg: RunConfig) -> int:
 def _number_in(kind, low, high=math.inf):
     """argparse type of a flag whose values are `kind` numbers in [low, high];
     NaN and infinity are out of range."""
-    if kind is int:
-        expected = f"an integer >= {low}"
-    else:
-        expected = f"a finite number >= {low}" if high == math.inf else f"a finite number in [{low}, {high}]"
+    what = "an integer" if kind is int else "a finite number"
+    expected = f"{what} >= {low}" if high == math.inf else f"{what} in [{low}, {high}]"
 
     def parse(text: str):
         try:
@@ -471,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     width = p.add_mutually_exclusive_group()
     width.add_argument("--encoder", help="RSDE retriever checkpoint for text embedding")
-    width.add_argument("--dim", type=_number_in(int, 1), help="embedding dim when no encoder is given")
+    width.add_argument("--dim", type=_number_in(int, 1, U32_MAX), help="embedding dim when no encoder is given")
     p.set_defaults(func=cmd_build_db)
 
     p = sub.add_parser("train-retriever", help="contrastively train the dual encoder")

@@ -27,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .artifact import Reader, fill_blocks, write_blocks
 from .autodiff import Tensor
-from .errors import DomainError, FormatError, ShapeError
+from .errors import ConfigError, DomainError, FormatError, ShapeError
 from .expert_layer import FfnParams, init_ffn
 from .numerics import Rng, ShapeRng
 
@@ -109,6 +109,15 @@ class DualEncoderParams:
 
 def init_params(d_img_raw: int, d_e: int, vocab: int, hidden: int, seed: int) -> DualEncoderParams:
     return _init_params(d_img_raw, d_e, vocab, hidden, Rng(seed))
+
+
+def shape_params(d_img_raw: int, d_e: int, vocab: int, hidden: int) -> DualEncoderParams:
+    """An encoder of these sizes that holds no parameter block. Raises
+    ConfigError when a block is too large to address."""
+    try:
+        return _init_params(d_img_raw, d_e, vocab, hidden, ShapeRng())
+    except (ValueError, OverflowError) as e:
+        raise ConfigError([f"a parameter block is too large to address ({e})"]) from e
 
 
 def _init_params(d_img_raw: int, d_e: int, vocab: int, hidden: int,
@@ -238,8 +247,8 @@ def load_params(path) -> DualEncoderParams:
     if 0 in dims:
         raise FormatError(f"zero dimension in header (d_img_raw, d_e, vocab, hidden) = {dims} at byte 6")
     try:
-        params = _init_params(*dims, ShapeRng())
-    except ValueError as e:
-        raise FormatError(f"header dimensions {dims} at byte 6 too large to address ({e})") from e
+        params = shape_params(*dims)
+    except ConfigError as e:
+        raise FormatError(f"header dimensions {dims} at byte 6 too large to address ({e.__cause__})") from e
     fill_blocks(reader, params.named_parameters())
     return params

@@ -26,10 +26,13 @@ class Box:
     y_max: float
 
     def __post_init__(self):
-        if self.x_min > self.x_max or self.y_min > self.y_max:
-            raise DomainError(
-                f"invalid box: ({self.x_min}, {self.y_min}, {self.x_max}, {self.y_max})"
-            )
+        coords = (self.x_min, self.y_min, self.x_max, self.y_max)
+        try:  # a NaN would pass the order check; an int beyond float's range overflows here
+            finite = all(map(math.isfinite, coords))
+        except OverflowError:
+            finite = False
+        if not finite or self.x_min > self.x_max or self.y_min > self.y_max:
+            raise DomainError(f"invalid box: {coords}")
 
     @property
     def area(self) -> float:

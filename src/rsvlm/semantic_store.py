@@ -7,15 +7,15 @@ score of a record is its float32 embedding widened to float64, dotted with the
 unit query on its own, and clipped to [-1, 1]; results are sorted by score
 descending, ties by ascending id.
 
-The database is columnar and keeps one copy of each record: an int64 array
-of ids, one contiguous (n, dim) float64 matrix of the embeddings widened from
-float32 (the flat inner-product layout of FAISS, arXiv:1702.08734), and the
-texts as UTF-8 bytes in one buffer, with an int64 (start, end) row per
-record. After a load the buffer is the file's own bytes; `ingest` appends
-each text's bytes to it. `get` and `records` build `SemanticRecord`s on
-demand and decode a text only then; the float32 embedding they carry is the
-widened row narrowed back, which is exact. `save` writes the ids, text
-lengths and embeddings as whole columns, then each text's stored bytes.
+The database is its own RSDB file. It keeps the file's bytes in one buffer,
+the header first, then each record in file layout, with an int64 array of
+record offsets; beside them, an int64 array of ids and one contiguous (n,
+dim) float64 matrix of the embeddings widened from float32 (the flat
+inner-product layout of FAISS, arXiv:1702.08734). After a load the buffer is
+the file it read; `ingest` appends each record's bytes, and `save` patches
+the header's count and writes the buffer out. `get` and `records` build
+`SemanticRecord`s on demand and decode a text only then; the float32
+embedding they carry is the widened row narrowed back, which is exact.
 
 `load` reads the file once. Its only per-record Python work is one step
 from a record's offset to the next, by the record's text length. Every check
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifact import Reader, replace_file
+from .artifact import U32_MAX, Reader, replace_file
 from .errors import DomainError, FormatError, ShapeError
 
 MAGIC = b"RSDB"
@@ -58,7 +58,7 @@ FORMAT_VERSION = 1
 # UNIT_ROW_NORM, and retrieval divides a query by its true norm.
 MIN_NORM = 2.0**-500
 UNIT_ROW_NORM = 1.0 + 2.0**-20
-_HEAD = np.dtype([("id", "<i8"), ("length", "<u4")])  # the 12 bytes that open each record
+_RECORD_HEAD = struct.Struct("<QI")  # id and text length, the 12 bytes that open each record
 _TEXT_LENGTH = struct.Struct("<I")  # the field 8 bytes into each record
 
 
@@ -79,16 +79,20 @@ class SemanticDatabase:
     def __init__(self, dim: int):
         if dim <= 0:
             raise ShapeError(f"database dim must be positive, got {dim}")
+        if dim > U32_MAX:
+            raise ShapeError(f"database dim {dim} exceeds the header's u32 field (max {U32_MAX})")
         self.dim = int(dim)
-        # Record i < _n is (_ids[i], _text[s:e] decoded for (s, e) = _spans[i],
-        # _emb[i]); rows of _ids, _spans and _emb past _n are spare capacity
-        # for ingest. _text holds UTF-8 bytes: after a load, the file's own
-        # bytes, then each ingested text's bytes appended.
+        # _file is the RSDB file, but for the header's count, which save
+        # patches. Record i < _n starts at byte _at[i], and its text ends
+        # 4 * dim bytes before _at[i + 1], where the next record starts or
+        # the file ends; its id is also _ids[i], its embedding _emb[i]. Rows
+        # of _ids and _emb past _n, and of _at past _n + 1, are spare
+        # capacity for ingest.
         self._n = 0
+        self._file = bytearray(MAGIC + struct.pack("<HIQ", FORMAT_VERSION, self.dim, 0))
+        self._at = np.array([len(self._file)], dtype=np.int64)
         self._ids = np.empty(0, dtype=np.int64)
-        self._spans = np.empty((0, 2), dtype=np.int64)
         self._emb = np.empty((0, self.dim))
-        self._text = bytearray()
         self._max_norm = UNIT_ROW_NORM  # bounds every stored row's L2 norm
 
     def __len__(self) -> int:
@@ -97,9 +101,10 @@ class SemanticDatabase:
     @property
     def records(self) -> list[SemanticRecord]:
         """Every record in id order, built on demand."""
-        n, text = self._n, self._text
-        return [SemanticRecord(rec_id, text[s:e].decode("utf-8"), row) for rec_id, (s, e), row in
-                zip(self._ids[:n].tolist(), self._spans[:n].tolist(), self._emb[:n].astype(np.float32))]
+        n, file, at = self._n, self._file, self._at[: self._n + 1]
+        return [SemanticRecord(rec_id, file[s:e].decode("utf-8"), row) for rec_id, s, e, row in
+                zip(self._ids[:n].tolist(), (at[:-1] + 12).tolist(), (at[1:] - 4 * self.dim).tolist(),
+                    self._emb[:n].astype(np.float32))]
 
     def get(self, record_id: int) -> SemanticRecord:
         """The record with this id, found by bisection: ids strictly increase."""
@@ -107,9 +112,9 @@ class SemanticDatabase:
         if 0 <= record_id < 1 << 63:  # every stored id is in the int64 range
             i = int(self._ids[:n].searchsorted(record_id))
             if i < n and self._ids.item(i) == record_id:
-                s, e = self._spans[i].tolist()
-                return SemanticRecord(self._ids.item(i), self._text[s:e].decode("utf-8"),
-                                      self._emb[i].astype(np.float32))
+                at = self._at
+                text = self._file[at.item(i) + 12 : at.item(i + 1) - 4 * self.dim].decode("utf-8")
+                return SemanticRecord(self._ids.item(i), text, self._emb[i].astype(np.float32))
         raise KeyError(record_id)
 
     def ingest(self, text: str, embedding) -> int:
@@ -136,14 +141,16 @@ class SemanticDatabase:
             raise DomainError(f"ingest: id {new_id} exceeds the int64 range")
         if n == len(self._ids):  # full: double the capacity
             cap = max(16, 2 * n)
-            self._ids, self._spans, self._emb = (
-                np.concatenate([a[:n], np.empty((cap - n, *a.shape[1:]), a.dtype)])
-                for a in (self._ids, self._spans, self._emb))
-        self._emb[n] = (emb / norm).astype(np.float32)
+            self._ids, self._at, self._emb = (np.concatenate([a, np.empty((cap - n, *a.shape[1:]), a.dtype)])
+                                              for a in (self._ids, self._at, self._emb))
+        row = (emb / norm).astype("<f4")
+        self._emb[n] = row
         self._ids[n] = new_id
-        self._spans[n, 0] = len(self._text)
-        self._text += raw
-        self._spans[n, 1] = len(self._text)
+        file = self._file
+        file += _RECORD_HEAD.pack(new_id, len(raw))
+        file += raw
+        file += row.tobytes()
+        self._at[n + 1] = len(file)
         self._n = n + 1
         return new_id
 
@@ -187,25 +194,8 @@ class SemanticDatabase:
         return [RetrievalResult(int(ids[i]), float(scores[i])) for i in order]
 
     def save(self, path) -> None:
-        n, width = self._n, 4 * self.dim
-        spans = self._spans[:n]
-        lens = spans[:, 1] - spans[:, 0]
-        ends = 18 + np.cumsum(12 + lens + width)  # where each record ends in the file
-        out = bytearray(int(ends[-1]) if n else 18)
-        out[:18] = MAGIC + struct.pack("<HIQ", FORMAT_VERSION, self.dim, n)
-        if n:
-            # The ids, text lengths and embeddings go in as whole columns,
-            # then each text's stored bytes.
-            texts_at = ends - width - lens
-            heads = np.empty(n, _HEAD)
-            heads["id"], heads["length"] = self._ids[:n], lens
-            u8 = np.frombuffer(out, np.uint8)
-            _windows(u8, 12)[texts_at - 12] = heads.view(np.uint8).reshape(n, 12)
-            _windows(u8, width)[ends - width] = self._emb[:n].astype("<f4").view(np.uint8).reshape(n, width)
-            text = self._text
-            for at, s, e in zip(texts_at.tolist(), spans[:, 0].tolist(), spans[:, 1].tolist()):
-                out[at : at + e - s] = text[s:e]
-        replace_file(path, out)
+        struct.pack_into("<Q", self._file, 10, self._n)  # the header's count
+        replace_file(path, self._file)
 
     @staticmethod
     def load(path) -> "SemanticDatabase":
@@ -235,10 +225,10 @@ class SemanticDatabase:
         # of its field in file order, message), and the first one raises, as
         # if the fields were read one at a time.
         m, faults = len(offsets), []
-        at = np.fromiter(offsets, np.int64, m)
-        spans = np.empty((m, 2), dtype=np.int64)
-        spans[:, 0] = at + 12
-        spans[:, 1] = np.append(at[1:], off) - emb_len  # a text ends where its embedding starts
+        read = m  # the records whose id is read
+        push(off)
+        at = np.fromiter(offsets, np.int64, m + 1)  # and where the last stepped record ends
+        spans = np.stack((at[:-1] + 12, at[1:] - emb_len), axis=1)  # a text ends where its embedding starts
         if off > size:  # only the last stepped record can run past the end
             s, e = spans[m - 1].tolist()
             faults.append((m - 1, 3, f"truncated payload reading record {m - 1} text at byte {s}") if e > size
@@ -247,9 +237,9 @@ class SemanticDatabase:
             faults.append((m, 0, f"truncated payload reading record {m} id at byte {off}"))
         elif m < count:  # its id is read, and checked, before its text length
             faults.append((m, 2, f"truncated payload reading record {m} text length at byte {off + 8}"))
-            at = np.append(at, off)
+            read = m + 1
         u8 = np.frombuffer(data, np.uint8)
-        ids = _windows(u8, 8)[at].view("<u8").ravel()
+        ids = _windows(u8, 8)[at[:read]].view("<u8").ravel()
         later = np.flatnonzero(ids[1:] <= ids[:-1])
         if later.size:
             i = int(later[0]) + 1
@@ -291,16 +281,16 @@ class SemanticDatabase:
         if not math.isfinite(max_norm):
             i, j = divmod(int(np.argmin(np.isfinite(rows))), dim)
             raise FormatError(f"non-finite value in record {i} embedding at byte {spans[i, 1] + 4 * j}")
-        db._n, db._ids, db._spans, db._emb, db._text = count, ids.view(np.int64), spans, emb, data
+        db._n, db._file, db._at, db._ids, db._emb = count, data, at, ids.view(np.int64), emb
         db._max_norm = max(UNIT_ROW_NORM, max_norm)
         return db
 
 
 def _windows(u8: np.ndarray, width: int) -> np.ndarray:
     """A view whose row i is the `width` bytes of `u8` that start at byte i:
-    indexed by the offsets of a field, it gathers or scatters that field of
-    every record at once."""
-    return np.lib.stride_tricks.sliding_window_view(u8, width, writeable=True)
+    indexed by the offsets of a field, it gathers that field of every record
+    at once."""
+    return np.lib.stride_tricks.sliding_window_view(u8, width)
 
 
 def iter_jsonl(path, required=()):

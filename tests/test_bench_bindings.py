@@ -22,6 +22,7 @@ from pathlib import Path
 from rsvlm import autodiff as ad
 from rsvlm import training
 from rsvlm.model import ModelConfig, init_model, sample_loss_graph
+from rsvlm.semantic_store import SemanticDatabase
 from synthetic import caption_corpus, instruction_corpus
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -84,6 +85,18 @@ def test_traced_node_count_survives_backward(monkeypatch):
         before = graph_nodes(loss)
         ad.backward(loss)
     assert graph_nodes(loss) == before > 200
+
+
+def test_records_are_read_without_get(monkeypatch, tmp_path):
+    # the benchmark's test of a vanished binding deletes `get`, then reads
+    # every text through `records`
+    db = SemanticDatabase(2)
+    for text, emb in (("a scene", [1.0, 0.0]), ("río 🌊", [0.0, 1.0])):
+        db.ingest(text, emb)
+    db.save(tmp_path / "db.rsdb")
+    monkeypatch.delattr(SemanticDatabase, "get")
+    for copy in (db, SemanticDatabase.load(tmp_path / "db.rsdb")):
+        assert [(r.id, r.text) for r in copy.records] == [(0, "a scene"), (1, "río 🌊")]
 
 
 def _resolve(module: str, name: str):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -284,9 +285,40 @@ def test_unaddressable_config_dims_exit_2(tmp_path, capsys, config, command):
     assert len(lines) == 1 and lines[0].startswith("config error: a parameter block is too large to address"), lines
 
 
+@pytest.mark.parametrize("config,message", [
+    ({"enc_hidden": 10**30}, f"enc_hidden must be at most 4294967295, got {10**30}"),
+    ({"d_e": 10**30}, f"d_e must be at most 4294967295, got {10**30}"),
+    ({"d_img_raw": 1 << 32}, f"d_img_raw must be at most 4294967295, got {1 << 32}"),
+    ({"bow_vocab": 1 << 32}, f"bow_vocab must be at most 4294967295, got {1 << 32}"),
+    # each fits its header field, but the text block does not fit in memory
+    ({"bow_vocab": (1 << 32) - 1, "enc_hidden": (1 << 32) - 1}, "a parameter block is too large to address"),
+])
+@pytest.mark.parametrize("command", ["train", "train-retriever", "build-db", "retrieve", "eval", "grad-check"])
+def test_unaddressable_retriever_dims_exit_2(tmp_path, capsys, config, message, command):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    data = str(tmp_path / "absent.jsonl")  # the config is checked before any input is read
+    argv = {"train": ["train", "--stage", "1", "--data", data],
+            "train-retriever": ["train-retriever", "--input", data, "--out", data],
+            "build-db": ["build-db", "--input", data, "--out", data],
+            "retrieve": ["retrieve", "--db", data, "--query", data],
+            "eval": ["eval", "--task", "classify", "--pred", data, "--gt", data],
+            "grad-check": ["grad-check"]}[command]
+    tracemalloc.start()
+    try:
+        assert cli.run(argv + ["--config", str(cfg_path)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # no block was allocated
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"config error: {message}"), lines
+
+
 @pytest.mark.parametrize("command,flag,value", [
     ("train-retriever", "--epochs", "0"), ("train-retriever", "--epochs", "-2"), ("build-db", "--dim", "0"),
-    ("build-db", "--dim", "-1"), ("retrieve", "--k", "-1"), ("grad-check", "--probes", "0"),
+    ("build-db", "--dim", "-1"), ("build-db", "--dim", "4294967296"), ("build-db", "--dim", "99999999999999999999"),
+    ("retrieve", "--k", "-1"), ("grad-check", "--probes", "0"),
     ("train-retriever", "--lr", "nan"), ("train-retriever", "--lr", "-0.1"), ("train-retriever", "--lr", "inf"),
     ("train-retriever", "--momentum", "nan"), ("train-retriever", "--momentum", "-1"),
     ("eval", "--threshold", "nan"), ("eval", "--threshold", "1.5"), ("eval", "--threshold", "-0.5"),
@@ -297,7 +329,8 @@ def test_out_of_range_size_flag_is_usage_error(capsys, command, flag, value):
                 "retrieve": ["--db", "d.rsdb", "--query", "q.json"], "grad-check": [],
                 "eval": ["--task", "ground", "--pred", "p.jsonl", "--gt", "g.jsonl"]}[command]
     expected = {"--lr": "a finite number >= 0", "--momentum": "a finite number >= 0",
-                "--threshold": "a finite number in [0, 1]"}.get(flag, "an integer >= ")
+                "--threshold": "a finite number in [0, 1]",
+                "--dim": "an integer in [1, 4294967295]"}.get(flag, "an integer >= ")
     assert cli.run([command, *required, flag, value]) == 2
     assert f"error: argument {flag}: expected {expected}" in capsys.readouterr().err
 

@@ -5,7 +5,7 @@ import pytest
 
 from rsvlm import autodiff as ad
 from rsvlm import dual_encoder as de
-from rsvlm.errors import DomainError, FormatError, ShapeError
+from rsvlm.errors import ConfigError, DomainError, FormatError, ShapeError
 from rsvlm.numerics import Rng
 from oracles import compare_gradients, finite_diff_gradient, total
 from synthetic import contrastive_corpus
@@ -261,6 +261,14 @@ def test_save_load_round_trip(tmp_path):
     assert (loaded.d_img_raw, loaded.d_e, loaded.vocab, loaded.hidden) == (D_IMG, D_E, VOCAB, HIDDEN)
     x = Rng(3).normal((D_IMG,))
     assert np.allclose(de.encode_image(loaded, x), de.encode_image(params, x), atol=1e-7)
+
+
+def test_shape_params_holds_no_block():
+    # 8 TB of float64 blocks, were they allocated
+    big = de.shape_params(10**6, 10**6, 10**6, 10**6)
+    assert (big.d_img_raw, big.d_e, big.vocab, big.hidden) == (10**6,) * 4
+    with pytest.raises(ConfigError, match="a parameter block is too large to address"):
+        de.shape_params(4, 4, (1 << 32) - 1, (1 << 32) - 1)
 
 
 def test_load_rejects_corrupt_file(tmp_path):

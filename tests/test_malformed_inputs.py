@@ -446,6 +446,12 @@ JSONL_FIELD_FAULTS = {
                            "need a 'box' or 'boxes' field"),
     "ground_box_inverted": ("boxes.jsonl", _eval("ground", "gt"), {"id": 1, "box": [5, 0, 1, 1]},
                             "invalid box: (5, 0, 1, 1)"),
+    "ground_box_nan": ("boxes.jsonl", _eval("ground", "gt"), {"id": 1, "box": [float("nan"), 0, 1, 1]},
+                       "invalid box: (nan, 0, 1, 1)"),
+    "ground_box_infinite": ("boxes.jsonl", _eval("ground", "gt"), {"id": 1, "box": [0, 0, float("inf"), 1]},
+                            "invalid box: (0, 0, inf, 1)"),
+    "ground_box_beyond_float": ("boxes.jsonl", _eval("ground", "gt"), {"id": 1, "box": [0, 0, 10**400, 1]},
+                                f"invalid box: (0, 0, {10**400}, 1)"),
 }
 
 

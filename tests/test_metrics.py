@@ -135,6 +135,11 @@ def test_iou_degenerate_boxes():
 def test_box_validation():
     with pytest.raises(DomainError):
         Box(0.5, 0.0, 0.4, 1.0)
+    # NaN passes the order check; infinity and an int beyond float's range are not finite
+    for coords in ((math.nan, 0.0, 1.0, 1.0), (0.0, 0.0, math.inf, 1.0), (-math.inf, 0.0, 1.0, 1.0),
+                   (0, 0, 10**400, 1)):
+        with pytest.raises(DomainError, match="invalid box"):
+            Box(*coords)
 
 
 def test_precision_at_iou():
@@ -162,3 +167,5 @@ def test_parse_box():
     # malformed group (x_min > x_max) is skipped, next one taken
     box = mt.parse_box("[0.9, 0.0, 0.1, 1.0] then [0.0, 0.0, 0.4, 0.4]")
     assert box.x_max == 0.4
+    # a coordinate that overflows float is no box
+    assert mt.parse_box("[0, 0, 1e999, 1]") is None

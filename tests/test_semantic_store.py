@@ -693,3 +693,35 @@ def test_texts_round_trip_through_ingest_save_and_load(tmp_path_factory, texts):
     assert (base / "c.rsdb").read_bytes() == (base / "a.rsdb").read_bytes()
     assert other.ingest("other", [1.0, 0.0, 0.0]) == len(texts)
     assert other.get(len(texts)).text == "other" and loaded.get(len(texts)).text == "añadido 🌊"
+    # the database is its file: a save after an ingest that follows a load
+    # writes what a database that ingested the same records writes
+    fresh = SemanticDatabase(3)
+    for i, text in enumerate(texts):
+        fresh.ingest(text, [1.0, float(i), -0.5])
+    fresh.ingest("añadido 🌊", [0.0, 1.0, 0.0])
+    loaded.save(base / "d.rsdb")
+    fresh.save(base / "e.rsdb")
+    assert (base / "d.rsdb").read_bytes() == (base / "e.rsdb").read_bytes()
+    # save, ingest, save: each save writes the count it holds
+    fresh.ingest("later", [0.0, 0.0, 1.0])
+    fresh.save(base / "f.rsdb")
+    count = lambda name: struct.unpack_from("<Q", (base / name).read_bytes(), 10)[0]
+    assert (count("e.rsdb"), count("f.rsdb")) == (len(texts) + 1, len(texts) + 2)
+    # an ingest that raises leaves the bytes the next save writes unchanged
+    for text, emb in (("", [1.0, 0.0, 0.0]), ("x\udfff", [1.0, 0.0, 0.0]), ("x", [1.0, 0.0]),
+                      ("x", [0.0, 0.0, 0.0]), ("x", [np.nan, 0.0, 0.0])):
+        with pytest.raises((DomainError, ShapeError)):
+            fresh.ingest(text, emb)
+    fresh.save(base / "g.rsdb")
+    assert (base / "g.rsdb").read_bytes() == (base / "f.rsdb").read_bytes()
+    # an empty database saves exactly the header
+    SemanticDatabase(3).save(base / "h.rsdb")
+    assert (base / "h.rsdb").read_bytes() == b"RSDB" + struct.pack("<HIQ", 1, 3, 0)
+
+
+def test_dim_must_fit_the_header_field(tmp_path):
+    for dim in (1 << 32, 10**30):  # raised before any allocation: (0, 10**30) has no numpy shape
+        with pytest.raises(ShapeError, match="exceeds the header's u32 field"):
+            SemanticDatabase(dim)
+    SemanticDatabase((1 << 32) - 1).save(tmp_path / "wide.rsdb")
+    assert SemanticDatabase.load(tmp_path / "wide.rsdb").dim == (1 << 32) - 1
