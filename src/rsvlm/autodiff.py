@@ -18,6 +18,23 @@ no backward and no gradient. The training loops and the gradient check's
 analytic pass differentiate; every other forward (generation, the
 retriever's encoders, a sample's loss, the gradient check's probes) builds
 leaves without asking.
+
+Values live in tensors, never in the graph. A recorded op result is a
+`Tensor` holding its value and a `Node`, which holds the gradient in
+flight, the result's shape, the parents' nodes and the op's backward
+closure, and no value; a leaf is its own node. So an interior array stays
+alive only while its caller holds the result or a backward closure reads
+it, and each closure keeps only the arrays its backward reads: `mul` and
+`matmul` their operands, `silu` its input and sigmoid, `attention` its
+passes, `layer_norm_rows` its output and inverse deviations,
+`softmax_rows`, `tanh` and `exp` their outputs, `l2_normalize_rows` its
+output and norms, `cross_entropy` the exponentials of its supervised
+rows. `add`, `neg`, `transpose`, `concat`, `narrow` and `embedding` keep
+no array but `embedding`'s ids; what they need of their inputs is the
+shapes on their parents' nodes. A closure never holds a tensor: `backward`
+hands it its gradient and its parents' nodes, under its op's parameter
+names, so a forward that records nothing builds no node and saves
+nothing it would not compute anyway.
 """
 
 from __future__ import annotations
@@ -36,17 +53,39 @@ LAYER_NORM_EPS = 1e-5  # added to each row's variance
 GRAD_CHECK_EPS = 1e-5  # the central-difference step of check_gradients
 
 
+class Node:
+    """A recorded op result's place in the graph: the gradient in flight,
+    the result's shape, the nodes of its parents and its backward closure.
+    It holds no value."""
+
+    __slots__ = ("grad", "requires_grad", "shape", "_parents", "_backward")
+
+
 class Tensor:
-    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward")
+    """A float64 `value`. A leaf (a parameter, a constant, or the result of
+    an op that records nothing) is its own node, and `grad` holds the
+    gradient `backward` leaves on it. A recorded op result holds its
+    `Node` in `_node`; its gradient lives there, and its `grad` stays None."""
+
+    __slots__ = ("value", "grad", "requires_grad", "_node")
 
     def __init__(self, value):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
-        self.requires_grad, self._parents, self._backward = False, (), None
+        self.requires_grad, self._node = False, None
 
     @property
     def shape(self):
         return self.value.shape
+
+    @property
+    def _parents(self) -> tuple:
+        """The nodes of a recorded result's parents; () for a leaf."""
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward(self):
+        return None if self._node is None else self._node._backward
 
     def __repr__(self):
         return f"Tensor(shape={self.value.shape}, requires_grad={self.requires_grad})"
@@ -55,22 +94,25 @@ class Tensor:
         return add(self, other)
 
 
-_new_tensor = Tensor.__new__
+_new_tensor, _new_node = Tensor.__new__, Node.__new__
 
 
 def _result(value: np.ndarray, parents: tuple, backward) -> Tensor:
     """An op's result, which holds `value`, the float64 array the op
-    computed, without converting it: a node of `parents` that needs a
-    gradient when one of them does, else a leaf."""
+    computed, without converting it: recorded, with a node over the nodes
+    of `parents`, when one of them needs a gradient, else a leaf."""
     t = _new_tensor(Tensor)
     # a ufunc of 0-d operands returns a numpy scalar, not an array
     t.value = value if type(value) is np.ndarray else np.asarray(value)
     t.grad = None
     for p in parents:
         if p.requires_grad:
-            t.requires_grad, t._parents, t._backward = True, parents, backward
+            node = _new_node(Node)
+            node.grad, node.requires_grad, node.shape, node._backward = None, True, t.value.shape, backward
+            node._parents = tuple(x if x._node is None else x._node for x in parents)
+            t.requires_grad, t._node = True, node
             return t
-    t.requires_grad, t._parents, t._backward = False, (), None
+    t.requires_grad, t._node = False, None
     return t
 
 
@@ -122,8 +164,11 @@ def zero_grads(tensors) -> None:
 
 def backward(loss: Tensor) -> None:
     """Backpropagate from a scalar loss through the whole graph, once: a
-    backward closure may reuse its forward's arrays in place. Only the
-    leaves (parameters and constants) keep a `.grad`: an interior node's is
+    backward closure may reuse its forward's arrays in place. Each recorded
+    node's closure runs as `node._backward(node.grad, *node._parents)`: it
+    gets the gradient of its result and its parents' nodes, and reads no
+    value but the arrays it saved in the forward. Only the leaves
+    (parameters and constants) keep a `.grad`: an interior node's is
     dropped once its backward has passed it on, so the backward holds the
     gradients still in flight, not one per node.
 
@@ -136,9 +181,10 @@ def backward(loss: Tensor) -> None:
     built from one); the inner block's tensors then get no gradient."""
     if loss.value.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.value.shape}")
+    root = loss if loss._node is None else loss._node
     topo = []
     seen = set()
-    stack = [(loss, False)]
+    stack = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -157,19 +203,19 @@ def backward(loss: Tensor) -> None:
         if node._parents and not live:
             raise DomainError("backward: the graph's differentiated tensors no longer need a gradient; "
                               "call backward inside the differentiating block that built the graph")
-    loss.grad = np.ones_like(loss.value)
+    root.grad = np.ones_like(loss.value)
     for node in reversed(topo):
         if node._backward is not None:
             if node.grad is not None:
-                node._backward(node.grad)
+                node._backward(node.grad, *node._parents)
             node.grad = None  # every contribution has arrived and been passed on
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.value + b.value
 
-    def bw(g):
-        ga, gb = _unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape)
+    def bw(g, a, b):
+        ga, gb = _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
         _accumulate(a, ga)
         _accumulate(b, np.array(gb) if gb is ga else gb)
 
@@ -177,59 +223,58 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def neg(a: Tensor) -> Tensor:
-    def bw(g):
+    def bw(g, a):
         _accumulate(a, -g)
 
     return _result(-a.value, (a,), bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.value * b.value
+    x, y = a.value, b.value
 
-    def bw(g):
-        _accumulate(a, _unbroadcast(g * b.value, a.value.shape))
-        _accumulate(b, _unbroadcast(g * a.value, b.value.shape))
+    def bw(g, a, b):
+        _accumulate(a, _unbroadcast(g * y, x.shape))
+        _accumulate(b, _unbroadcast(g * x, y.shape))
 
-    return _result(out, (a, b), bw)
+    return _result(x * y, (a, b), bw)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.value.ndim != 2 or b.value.ndim != 2:
-        raise ShapeError(f"matmul: need 2-D operands, got {a.value.shape} and {b.value.shape}")
-    if a.value.shape[1] != b.value.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions disagree, {a.value.shape} x {b.value.shape}")
-    out = a.value @ b.value
+    x, y = a.value, b.value
+    if x.ndim != 2 or y.ndim != 2:
+        raise ShapeError(f"matmul: need 2-D operands, got {x.shape} and {y.shape}")
+    if x.shape[1] != y.shape[0]:
+        raise ShapeError(f"matmul: inner dimensions disagree, {x.shape} x {y.shape}")
 
-    def bw(g):
+    def bw(g, a, b):
         if a.requires_grad:
-            _accumulate(a, g @ b.value.T)
+            _accumulate(a, g @ y.T)
         if b.requires_grad:
-            _accumulate(b, a.value.T @ g)
+            _accumulate(b, x.T @ g)
 
-    return _result(out, (a, b), bw)
+    return _result(x @ y, (a, b), bw)
 
 
 def transpose(a: Tensor) -> Tensor:
-    def bw(g):
+    def bw(g, a):
         _accumulate(a, np.array(g.T))
 
     return _result(a.value.T, (a,), bw)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = list(tensors)
-    out = np.concatenate([t.value for t in tensors], axis=axis)
-    sizes = [t.value.shape[axis] for t in tensors]
+    tensors = tuple(tensors)
 
-    def bw(g):
+    def bw(g, *tensors):
         offset = 0
-        for t, size in zip(tensors, sizes):
+        for t in tensors:
+            size = t.shape[axis]
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(offset, offset + size)
             _accumulate(t, np.array(g[tuple(sl)]))
             offset += size
 
-    return _result(out, tuple(tensors), bw)
+    return _result(np.concatenate([t.value for t in tensors], axis=axis), tensors, bw)
 
 
 def narrow(a: Tensor, axis: int, start: int, size: int) -> Tensor:
@@ -243,8 +288,8 @@ def narrow(a: Tensor, axis: int, start: int, size: int) -> Tensor:
     sl = tuple(sl)
     out = a.value[sl]
 
-    def bw(g):
-        full = np.zeros_like(a.value)
+    def bw(g, a):
+        full = np.zeros(a.shape)
         full[sl] = g
         _accumulate(a, full)
 
@@ -256,7 +301,7 @@ def softmax_rows(a: Tensor) -> Tensor:
     y = np.exp(x - x.max(axis=1, keepdims=True))
     y /= y.sum(axis=1, keepdims=True)
 
-    def bw(g):
+    def bw(g, a):
         _accumulate(a, y * (g - (g * y).sum(axis=1, keepdims=True)))
 
     return _result(y, (a,), bw)
@@ -365,7 +410,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, q_lens=None, k_lens=N
         passes.append((qi, ki, qh, kh, vh, p))
     out = _scatter([(qi, _merge(p @ vh)) for qi, _, _, _, vh, p in passes], tq, d)
 
-    def bw(g):
+    def bw(g, q, k, v):
         gq, gk, gv = [], [], []
         for qi, ki, qh, kh, vh, p in passes:
             gh = _split(g[qi], qh.shape[0], qh.shape[2], heads)
@@ -397,7 +442,7 @@ def layer_norm_rows(a: Tensor) -> Tensor:
     inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=1, keepdims=True) / n + LAYER_NORM_EPS)
     y = xc * inv
 
-    def bw(g):
+    def bw(g, a):
         gm = np.add.reduce(g, axis=1, keepdims=True) / n
         gy = np.add.reduce(g * y, axis=1, keepdims=True) / n
         _accumulate(a, inv * (g - gm - y * gy))
@@ -410,7 +455,7 @@ def silu(a: Tensor) -> Tensor:
     sig = 1.0 / (1.0 + np.exp(-x))
     y = x * sig
 
-    def bw(g):
+    def bw(g, a):
         _accumulate(a, g * sig * (1.0 + x * (1.0 - sig)))
 
     return _result(y, (a,), bw)
@@ -419,7 +464,7 @@ def silu(a: Tensor) -> Tensor:
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.value)
 
-    def bw(g):
+    def bw(g, a):
         _accumulate(a, g * (1.0 - y * y))
 
     return _result(y, (a,), bw)
@@ -428,7 +473,7 @@ def tanh(a: Tensor) -> Tensor:
 def exp(a: Tensor) -> Tensor:
     y = np.exp(a.value)
 
-    def bw(g):
+    def bw(g, a):
         _accumulate(a, g * y)
 
     return _result(y, (a,), bw)
@@ -441,7 +486,7 @@ def l2_normalize_rows(a: Tensor) -> Tensor:
         raise DomainError("l2_normalize_rows: zero-norm row")
     y = x / norms
 
-    def bw(g):
+    def bw(g, a):
         _accumulate(a, (g - y * (g * y).sum(axis=1, keepdims=True)) / norms)
 
     return _result(y, (a,), bw)
@@ -455,15 +500,15 @@ def embedding(table: Tensor, ids) -> Tensor:
         raise ShapeError(f"embedding: id out of range for table of {table.value.shape[0]} rows")
     out = table.value[ids]
 
-    def bw(g):
+    def bw(g, table):
+        n, d = table.shape
         if ids.size and np.bincount(ids).max() > 1:
             # one bin per (id, column): bincount adds each bin's entries in
             # id order to 0.0, the sums np.add.at makes, in one pass
-            d = table.value.shape[1]
             bins = (ids[:, None] * d + np.arange(d)).reshape(-1)
-            full = np.bincount(bins, weights=g.reshape(-1), minlength=table.value.size).reshape(table.value.shape)
+            full = np.bincount(bins, weights=g.reshape(-1), minlength=n * d).reshape(n, d)
         else:  # each row is written once; + 0.0 turns -0.0 into the +0.0 that add.at gives
-            full = np.zeros_like(table.value)
+            full = np.zeros((n, d))
             full[ids] = g + 0.0
         _accumulate(table, full)
 
@@ -500,11 +545,11 @@ def cross_entropy(logits: Tensor, targets, lens=None) -> Tensor:
     starts = np.cumsum(n_sup) - n_sup
     out = np.array((np.add.reduceat(lse - picked, starts) / n_sup).mean())
 
-    def bw(g):
+    def bw(g, logits):
         p = e  # the forward's exponentials, normalised in place: the backward runs once
         p /= p.sum(axis=1, keepdims=True)
         p[np.arange(sel.size), tgt] -= 1.0
-        full = np.zeros_like(logits.value)
+        full = np.zeros(logits.shape)
         full[sel] = p * (float(g) / (len(lens) * n_sup[seg]))[:, None]
         _accumulate(logits, full)
 

@@ -34,10 +34,6 @@ class Box:
         if not finite or self.x_min > self.x_max or self.y_min > self.y_max:
             raise DomainError(f"invalid box: {coords}")
 
-    @property
-    def area(self) -> float:
-        return (self.x_max - self.x_min) * (self.y_max - self.y_min)
-
 
 @dataclass
 class CaptionPair:
@@ -153,12 +149,28 @@ def meteor_simplified(pair: CaptionPair) -> float:
     return best
 
 
+def _unit_scaled(*coords) -> list[float]:
+    """`coords` times the power of two that brings the largest magnitude
+    into [0.5, 1); all zeros stay zeros."""
+    shift = -math.frexp(max(map(abs, coords)))[1]
+    return [math.ldexp(c, shift) for c in coords]
+
+
 def iou(a: Box, b: Box) -> float:
-    """Intersection over union; 0 for disjoint or jointly degenerate boxes."""
-    ix = max(0.0, min(a.x_max, b.x_max) - max(a.x_min, b.x_min))
-    iy = max(0.0, min(a.y_max, b.y_max) - max(a.y_min, b.y_min))
+    """Intersection over union; 0 for disjoint or jointly degenerate boxes.
+
+    IoU does not change when one axis's coordinates all scale by the same
+    factor, so each axis's four coordinates are first scaled by the power
+    of two that brings their largest magnitude into [0.5, 1); that changes
+    no bit of a normal float. Every extent, area and union then stays
+    finite for finite boxes, and a box that is not degenerate has IoU 1
+    with itself anywhere in float's range."""
+    ax0, ax1, bx0, bx1 = _unit_scaled(a.x_min, a.x_max, b.x_min, b.x_max)
+    ay0, ay1, by0, by1 = _unit_scaled(a.y_min, a.y_max, b.y_min, b.y_max)
+    ix = max(0.0, min(ax1, bx1) - max(ax0, bx0))
+    iy = max(0.0, min(ay1, by1) - max(ay0, by0))
     inter = ix * iy
-    union = a.area + b.area - inter
+    union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
     if union == 0.0:
         return 0.0
     return inter / union

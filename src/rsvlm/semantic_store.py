@@ -188,7 +188,8 @@ class SemanticDatabase:
             kth = np.partition(approx, n - k)[n - k]
             g = self.dim * 2.0**-53 / (1.0 - self.dim * 2.0**-53)
             cand = np.flatnonzero(approx >= kth - (4.0 * g + 2.0**-50) * self._max_norm)
-        scores = np.array([np.clip(emb[i] @ unit, -1.0, 1.0) for i in cand])
+        # a scalar clamp gives the float64 np.clip gives, without its wrapper
+        scores = np.array([min(max(emb[i] @ unit, -1.0), 1.0) for i in cand])
         ids = self._ids[cand]
         order = np.lexsort((ids, -scores))[:k]
         return [RetrievalResult(int(ids[i]), float(scores[i])) for i in order]

@@ -1,6 +1,7 @@
 """Finite-difference checks of every autodiff op's backward pass."""
 
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -517,6 +518,58 @@ def test_backward_hands_each_parent_its_own_array():
     d, e = _param(np.zeros((2, 2))), _param(np.zeros((2, 2)))
     ad.backward(total(ad.add(ad.add(d, e), ad.tanh(d))))  # d's second gradient arrives after e's
     assert np.array_equal(d.grad, np.full((2, 2), 2.0)) and np.array_equal(e.grad, np.ones((2, 2)))
+
+
+# Each op over an interior 4 x 4 input x (and a 4 x 4 parameter w), and
+# whether its backward reads x's array. Attention over one segment saves
+# views of its operands; over several of one size, gathered copies of their rows.
+_READS_ITS_INPUT = {
+    "add": (lambda x, w: ad.add(x, w), False),
+    "neg": (lambda x, w: ad.neg(x), False),
+    "mul": (lambda x, w: ad.mul(x, w), True),
+    "matmul": (lambda x, w: ad.matmul(x, w), True),
+    "transpose": (lambda x, w: ad.transpose(x), False),
+    "concat": (lambda x, w: ad.concat([x, w], axis=1), False),
+    "narrow": (lambda x, w: ad.narrow(x, 0, 1, 2), False),
+    "softmax_rows": (lambda x, w: ad.softmax_rows(x), False),
+    "attention, one segment": (lambda x, w: ad.attention(x, w, x, 2, causal=True), True),
+    "attention, several segments": (lambda x, w: ad.attention(x, w, x, 2, [2, 2], [2, 2]), False),
+    "layer_norm_rows": (lambda x, w: ad.layer_norm_rows(x), False),
+    "silu": (lambda x, w: ad.silu(x), True),
+    "tanh": (lambda x, w: ad.tanh(x), False),
+    "exp": (lambda x, w: ad.exp(x), False),
+    "l2_normalize_rows": (lambda x, w: ad.l2_normalize_rows(x), False),
+    "embedding": (lambda x, w: ad.embedding(x, [3, 0, 3]), False),
+    "cross_entropy": (lambda x, w: ad.cross_entropy(x, [1, -1, 0, 3], [1, 3]), False),
+}
+
+
+@pytest.mark.parametrize("op", _READS_ITS_INPUT)
+def test_a_node_keeps_an_interior_input_alive_only_if_its_backward_reads_it(op):
+    build, reads = _READS_ITS_INPUT[op]
+    rng = Rng(15)
+    u0, w0, shift = rng.normal((4, 4)), rng.normal((4, 4)), ad.const(rng.normal((4, 4)))
+    grads = []
+    for hold in (True, False):
+        u, w = _param(u0.copy()), _param(w0.copy())
+        x = ad.add(u, shift)  # an interior array: add's backward keeps only shapes
+        alive = weakref.ref(x.value)
+        y = ad.neg(build(x, w))  # neg keeps nothing, so only the op's node can hold x's array
+        if not hold:
+            del x
+            assert (alive() is not None) is reads, op
+        ad.backward(total(y) if y.value.ndim else y)
+        grads.append([None if t.grad is None else t.grad.tobytes() for t in (u, w)])
+    assert grads[0] == grads[1] and grads[0][0] is not None
+
+
+def test_a_graph_node_holds_no_value():
+    u = _param(np.ones((2, 3)))
+    y = ad.neg(ad.tanh(u))
+    (node,) = y._parents
+    assert not isinstance(node, ad.Tensor) and not hasattr(node, "value") and not hasattr(node, "__dict__")
+    assert node._parents == (u,) and node.requires_grad and node._backward is not None
+    assert y.value.shape == (2, 3) and u._parents == () and u._backward is None
 
 
 def test_batches_permute_every_epoch_afresh_and_keep_a_short_last_batch():

@@ -384,6 +384,17 @@ def test_eval_ground(tmp_path, capsys):
     assert report["precision_at_iou"] == pytest.approx(2 / 3)
 
 
+def test_eval_ground_scores_a_perfect_match_anywhere_in_float_range(tmp_path, capsys):
+    # each box's area overflows or underflows a float; each prediction is its box
+    boxes = [[0, 0, 1e308, 1e308], [-sys.float_info.max, -1e308, sys.float_info.max, 1e308],
+             [0, 0, 5e-324, 5e-324]]
+    gt = _write_jsonl(tmp_path / "gt.jsonl", [{"id": i, "box": box} for i, box in enumerate(boxes)])
+    pred = _write_jsonl(tmp_path / "pred.jsonl", [{"id": i, "output": f"box {json.dumps(box)}"}
+                                                  for i, box in enumerate(boxes)])
+    assert cli.run(["eval", "--task", "ground", "--pred", str(pred), "--gt", str(gt)]) == 0
+    assert json.loads(capsys.readouterr().out)["precision_at_iou"] == 1.0
+
+
 def test_eval_caption(tmp_path, capsys):
     gt = _write_jsonl(tmp_path / "gt.jsonl", [
         {"id": 0, "references": ["a river through fields"]},

@@ -1,6 +1,9 @@
 import math
+import sys
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from rsvlm import metrics as mt
 from rsvlm.errors import DomainError, ShapeError
@@ -125,6 +128,25 @@ def test_iou_symmetry_and_scale_invariance():
     a2 = Box(a.x_min * s, a.y_min * s, a.x_max * s, a.y_max * s)
     b2 = Box(b.x_min * s, b.y_min * s, b.x_max * s, b.y_max * s)
     assert mt.iou(a2, b2) == pytest.approx(mt.iou(a, b))
+
+
+_FLOAT_MAX = sys.float_info.max
+_coords = st.floats(allow_nan=False, allow_infinity=False)
+_boxes = st.tuples(_coords, _coords, _coords, _coords).map(
+    lambda c: Box(min(c[0], c[2]), min(c[1], c[3]), max(c[0], c[2]), max(c[1], c[3])))
+
+
+@given(_boxes, _boxes)
+@example(Box(0.0, 0.0, 1e308, 1e308), Box(0.0, 0.0, 1e308, 1e308))
+@example(Box(-_FLOAT_MAX, -1e308, _FLOAT_MAX, 1e308), Box(0.0, 0.0, 1.0, 1.0))
+@example(Box(-_FLOAT_MAX, 0.0, _FLOAT_MAX, 5e-324), Box(0.0, 0.0, 5e-324, 5e-324))
+def test_iou_is_a_symmetric_fraction_and_one_for_a_box_with_itself(a, b):
+    # finite boxes anywhere in float's range: no extent, area or union overflows
+    got = mt.iou(a, b)
+    assert 0.0 <= got <= 1.0 and got == mt.iou(b, a)
+    for box in (a, b):
+        degenerate = box.x_min == box.x_max or box.y_min == box.y_max
+        assert mt.iou(box, box) == (0.0 if degenerate else 1.0), box
 
 
 def test_iou_degenerate_boxes():

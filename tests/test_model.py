@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from rsvlm.expert_layer import init_ffn
 from rsvlm.model import EOS_ID, SEP_ID, ModelConfig, Sample, encode_text
 from rsvlm.numerics import Rng
 from rsvlm.training import caption_sample, instruction_sample
-from synthetic import caption_corpus
+from synthetic import caption_corpus, instruction_corpus
 
 
 def _small_cfg(**kw):
@@ -574,6 +575,24 @@ def test_packed_training_step_graph_size():
     model = vlm.init_model(cfg, seed=66)
     with _differentiating(model):
         assert _graph_nodes(vlm.sample_loss_graph(model, batch)) <= 300
+
+
+def test_a_recorded_step_keeps_only_the_arrays_its_backward_reads():
+    # a 16-sample toy step's graph after its forward: 11.2 MB traced when
+    # each node keeps only what its backward reads, 19.3 MB when every
+    # node holds its value
+    cfg = ModelConfig()
+    batch = instruction_corpus(72, cfg, n=16)
+    model = vlm.init_model(cfg, seed=71)
+    with _differentiating(model):
+        tracemalloc.start()
+        try:
+            loss = vlm.sample_loss_graph(model, batch)
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        ad.backward(loss)
+    assert live <= 13_000_000
 
 
 @pytest.mark.parametrize("expert_stride", [1, 2])

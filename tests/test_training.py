@@ -10,6 +10,7 @@ from rsvlm import training as tr
 from rsvlm.errors import ConfigError, DomainError, FormatError
 from rsvlm.model import ModelConfig, encode_text
 from rsvlm.numerics import Rng
+from fingerprint import fingerprint
 from oracles import adamw_replay
 from synthetic import caption_corpus, contrastive_corpus, instruction_corpus
 
@@ -350,3 +351,9 @@ def test_load_patches_from_files(tmp_path):
     assert loaded.shape == (2, 2)
     with pytest.raises(FormatError, match="not found"):
         tr.load_patches(str(tmp_path / "missing.json"))
+
+
+def test_the_fingerprint_of_a_tree_is_reproducible():
+    # `tests/fingerprint.py` tells two trees apart by their digests, so one
+    # tree must give one digest: two in-process runs on the toy config agree
+    assert fingerprint(samples=16, requests=1, probes=8) == fingerprint(samples=16, requests=1, probes=8)
